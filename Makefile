@@ -1,13 +1,14 @@
 GO ?= go
 
 # PR number stamped into the committed benchmark baseline (BENCH_$(BENCH_PR).json).
-BENCH_PR ?= 10
+BENCH_PR ?= 13
 # The key benchmarks the baseline records: the netsim hot path (serial,
 # serial with a telemetry sink attached, and sharded at 1/2/4/8 workers),
 # one Figure 4 row, the Figure 5 panel in serial and parallel variants, FIB
-# construction, paper-scale BGP convergence (full and single-link-delta),
-# and the flat-topology bake-off matrix on 1 and 16 netsim shards.
-BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkNetsimEventsSharded(1|2|4|8)|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoffShards(1|16))$$
+# construction, the max-min allocator alone on the largest Figure 5 cell,
+# paper-scale BGP convergence (full and single-link-delta), and the
+# flat-topology bake-off matrix on 1 and 16 netsim shards.
+BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkNetsimEventsSharded(1|2|4|8)|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoffShards(1|16))$$
 
 .PHONY: check build test vet fmt lint race bench audit serve serve-smoke fleet-smoke bakeoff-smoke
 

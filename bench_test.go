@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"spineless"
+	"spineless/internal/flowsim"
+	"spineless/internal/workload"
 )
 
 func benchFabrics(b *testing.B, seed int64) *spineless.FabricSet {
@@ -388,6 +390,42 @@ func BenchmarkFibConstruction(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFlowsimMaxMin measures the max-min allocator alone on the largest
+// Figure 5 cell shape: paper-scale DRing under Shortest-Union(2) with
+// C = S = hosts/3. The C-S instance and every path are built outside the
+// timer, the way fig5-flow's probe replays a cell.
+func BenchmarkFlowsimMaxMin(b *testing.B) {
+	fs, err := spineless.PaperFabrics(rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := fs.DRing
+	fib, err := spineless.NewShortestUnion(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := spineless.DefaultThroughputConfig()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := g.Servers() / 3
+	cs, err := workload.CSModel(g, n, n, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := workload.CSPairs(cs, cfg.FlowsPerHost*n, rng)
+	flows := make([]flowsim.PathFlow, len(pairs))
+	for i, p := range pairs {
+		flows[i] = flowsim.PathFlow{Src: p[0], Dst: p[1], Path: fib.Path(g.RackOf(p[0]), g.RackOf(p[1]), uint64(i))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := flowsim.MaxMin(g, flows, cfg.Link); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
 }
 
 // BenchmarkPaperFabrics measures full-scale §5.1 trio construction.

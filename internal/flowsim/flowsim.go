@@ -12,6 +12,7 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spineless/internal/routing"
 	"spineless/internal/topology"
@@ -40,143 +41,224 @@ type PathFlow struct {
 }
 
 // MaxMin returns the max-min fair rate (bits/s) of every flow.
+//
+// Cost is O(Σ path hops) to index the instance plus O(loaded resources) per
+// filling level, and the number of allocations does not depend on the number
+// of flows (DESIGN.md §16).
 func MaxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
 	if cfg.LinkRateBps <= 0 {
 		return nil, fmt.Errorf("flowsim: non-positive link rate")
 	}
-	res := newResources(g, cfg)
-	// flowRes[i] lists the resource indices flow i crosses.
-	flowRes := make([][]int32, len(flows))
-	for i, f := range flows {
-		r, err := res.forFlow(g, f)
-		if err != nil {
-			return nil, fmt.Errorf("flowsim: flow %d: %w", i, err)
-		}
-		flowRes[i] = r
+	in, err := newInstance(g, flows, cfg)
+	if err != nil {
+		return nil, err
 	}
-	active := make([]int32, len(res.cap))
-	for _, rs := range flowRes {
-		for _, r := range rs {
-			active[r]++
-		}
-	}
-	rem := append([]float64(nil), res.cap...)
 	rates := make([]float64, len(flows))
-	frozen := make([]bool, len(flows))
-	remaining := len(flows)
+	in.fill(rates)
+	return rates, nil
+}
 
+// instance is one max-min problem in index form. A resource is anything
+// with a capacity: a directed network link (parallel copies aggregated) or
+// a host's uplink or downlink. Directed links are numbered first, in
+// (switch, sorted neighbour) order; host resources follow in the order the
+// flow list first uses them — so the numbering is a function of the graph
+// and the flow list alone.
+type instance struct {
+	cap    []float64 // capacity per resource
+	rem    []float64 // capacity not yet handed out
+	active []int32   // unfrozen crossings per resource (a flow crossing twice counts twice)
+
+	// Flow i crosses flowRes[flowOff[i]:flowOff[i+1]]; resource r is crossed
+	// by resFlows[resOff[r]:resOff[r+1]] — the same entries, inverted.
+	flowOff, flowRes []int32
+	resOff, resFlows []int32
+
+	loaded []int32 // worklist: resources that may still have active > 0
+	sat    []int32 // scratch: resources saturated at the current level
+	frozen []bool  // per flow
+}
+
+func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, error) {
+	n, servers := g.N(), g.Servers()
+	crossings := 0
+	for i := range flows {
+		crossings += len(flows[i].Path) + 1
+	}
+	if crossings > math.MaxInt32 {
+		return nil, fmt.Errorf("flowsim: %d flows cross %d resources, more than the index holds", len(flows), crossings)
+	}
+
+	// Dense link index: switch u's distinct neighbours, sorted, are
+	// nbr[off[u]:off[u+1]], and the position of v there is the resource id
+	// of the directed link u→v.
+	ports := 0
+	for u := 0; u < n; u++ {
+		ports += g.NetworkDegree(u)
+	}
+	in := &instance{cap: make([]float64, 0, ports+2*min(servers, len(flows)))}
+	off := make([]int32, n+1)
+	nbr := make([]int32, 0, ports)
+	for u := 0; u < n; u++ {
+		first := len(nbr)
+		for _, v := range g.Neighbors(u) {
+			nbr = append(nbr, int32(v))
+		}
+		slices.Sort(nbr[first:])
+		w := first
+		for j := first; j < len(nbr); {
+			k := j
+			for k < len(nbr) && nbr[k] == nbr[j] {
+				k++
+			}
+			nbr[w] = nbr[j]
+			w++
+			in.cap = append(in.cap, float64(k-j)*cfg.LinkRateBps)
+			j = k
+		}
+		nbr = nbr[:w]
+		off[u+1] = int32(w)
+	}
+
+	// Host resources, assigned on first use; -1 means not yet.
+	hostIDs := make([]int32, 2*servers)
+	for h := range hostIDs {
+		hostIDs[h] = -1
+	}
+	hostUp, hostDown := hostIDs[:servers], hostIDs[servers:]
+	hostBps := cfg.hostRate()
+	host := func(ids []int32, h int) int32 {
+		if ids[h] < 0 {
+			ids[h] = int32(len(in.cap))
+			in.cap = append(in.cap, hostBps)
+		}
+		return ids[h]
+	}
+
+	in.flowOff = make([]int32, len(flows)+1)
+	in.flowRes = make([]int32, 0, crossings)
+	for i, f := range flows {
+		switch {
+		case f.Src == f.Dst:
+			return nil, fmt.Errorf("flowsim: flow %d: flow from host %d to itself", i, f.Src)
+		case len(f.Path) == 0:
+			return nil, fmt.Errorf("flowsim: flow %d: flow %d→%d has no path", i, f.Src, f.Dst)
+		case f.Src < 0 || f.Src >= servers || f.Dst < 0 || f.Dst >= servers:
+			return nil, fmt.Errorf("flowsim: flow %d: hosts %d→%d out of range [0,%d)", i, f.Src, f.Dst, servers)
+		case g.RackOf(f.Src) != f.Path[0] || g.RackOf(f.Dst) != f.Path[len(f.Path)-1]:
+			return nil, fmt.Errorf("flowsim: flow %d: path %v does not join racks of hosts %d and %d", i, f.Path, f.Src, f.Dst)
+		}
+		in.flowRes = append(in.flowRes, host(hostUp, f.Src))
+		for h := 0; h+1 < len(f.Path); h++ {
+			u, v := f.Path[h], f.Path[h+1] // u is in range: a rack, or the previous hop's v
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("flowsim: flow %d: path %v names switch %d, out of range [0,%d)", i, f.Path, v, n)
+			}
+			r := off[u]
+			for r < off[u+1] && nbr[r] < int32(v) {
+				r++
+			}
+			if r == off[u+1] || nbr[r] != int32(v) {
+				return nil, fmt.Errorf("flowsim: flow %d: path %v uses nonexistent link %d→%d", i, f.Path, u, v)
+			}
+			in.flowRes = append(in.flowRes, r)
+		}
+		in.flowRes = append(in.flowRes, host(hostDown, f.Dst))
+		in.flowOff[i+1] = int32(len(in.flowRes))
+	}
+
+	// Invert flow→resources by counting sort: a resource's share of resFlows
+	// is as long as its initial active count.
+	nres := len(in.cap)
+	in.rem = slices.Clone(in.cap)
+	in.active = make([]int32, nres)
+	in.resOff = make([]int32, nres+1)
+	in.resFlows = make([]int32, len(in.flowRes))
+	for _, r := range in.flowRes {
+		in.active[r]++
+	}
+	in.loaded = make([]int32, 0, nres)
+	for r, a := range in.active {
+		in.resOff[r+1] = in.resOff[r] + a
+		if a > 0 {
+			in.loaded = append(in.loaded, int32(r))
+		}
+	}
+	next := slices.Clone(in.resOff[:nres]) // write cursor per resource
+	for i := range flows {
+		for _, r := range in.flowRes[in.flowOff[i]:in.flowOff[i+1]] {
+			in.resFlows[next[r]] = int32(i)
+			next[r]++
+		}
+	}
+	in.sat = make([]int32, 0, nres)
+	in.frozen = make([]bool, len(flows))
+	return in, nil
+}
+
+// fill runs progressive filling and writes every flow's rate. All unfrozen
+// flows have received the same increments since level 0, so one running
+// level stands for all of them: a flow's rate is the level at which it
+// froze — the same float additions, in the same order, as adding each
+// increment to each flow.
+//
+//lint:hotpath
+func (in *instance) fill(rates []float64) {
+	const eps = 1e-6
+	rem, limit, active, frozen := in.rem, in.cap, in.active, in.frozen
+	loaded, sat := in.loaded, in.sat
+	level := 0.0
+	remaining := len(rates)
 	for remaining > 0 {
-		// Smallest per-flow headroom across loaded resources.
+		// Smallest per-flow headroom across loaded resources; resources the
+		// last level unloaded drop out of the worklist on the way.
 		inc := math.Inf(1)
-		for r, a := range active {
-			if a > 0 {
-				if h := rem[r] / float64(a); h < inc {
-					inc = h
-				}
-			}
-		}
-		if math.IsInf(inc, 1) {
-			break // remaining flows cross no resources (shouldn't happen)
-		}
-		for r, a := range active {
-			if a > 0 {
-				rem[r] -= inc * float64(a)
-			}
-		}
-		// Freeze flows crossing any saturated resource.
-		const eps = 1e-6
-		saturated := make([]bool, len(rem))
-		for r := range rem {
-			if active[r] > 0 && rem[r] <= eps*res.cap[r] {
-				saturated[r] = true
-			}
-		}
-		for i := range flows {
-			if frozen[i] {
+		n := 0
+		for _, r := range loaded {
+			a := active[r]
+			if a == 0 {
 				continue
 			}
-			rates[i] += inc
-			for _, r := range flowRes[i] {
-				if saturated[r] {
-					frozen[i] = true
-					break
-				}
+			loaded[n] = r
+			n++
+			if h := rem[r] / float64(a); h < inc {
+				inc = h
 			}
-			if frozen[i] {
-				for _, r := range flowRes[i] {
-					active[r]--
+		}
+		loaded = loaded[:n]
+		if math.IsInf(inc, 1) {
+			break // nothing left limits the remaining flows
+		}
+		level += inc
+		sat = sat[:0]
+		for _, r := range loaded {
+			rem[r] -= inc * float64(active[r])
+			if rem[r] <= eps*limit[r] {
+				sat = append(sat, r)
+			}
+		}
+		// Freeze the flows crossing a saturated resource.
+		for _, r := range sat {
+			for _, i := range in.resFlows[in.resOff[r]:in.resOff[r+1]] {
+				if frozen[i] {
+					continue
+				}
+				frozen[i] = true
+				rates[i] = level
+				for _, x := range in.flowRes[in.flowOff[i]:in.flowOff[i+1]] {
+					active[x]--
 				}
 				remaining--
 			}
 		}
 	}
-	return rates, nil
-}
-
-// resources indexes every capacity-bearing element: directed network links
-// (aggregated across parallel copies) plus one uplink and one downlink per
-// host that appears in a flow.
-type resources struct {
-	cap      []float64
-	linkIdx  map[[2]int]int32 // directed (u,v) → resource
-	hostUp   map[int]int32
-	hostDown map[int]int32
-	linkBps  float64
-	hostBps  float64
-}
-
-func newResources(g *topology.Graph, cfg Config) *resources {
-	r := &resources{
-		linkIdx:  make(map[[2]int]int32),
-		hostUp:   make(map[int]int32),
-		hostDown: make(map[int]int32),
-		linkBps:  cfg.LinkRateBps,
-		hostBps:  cfg.hostRate(),
-	}
-	for u := 0; u < g.N(); u++ {
-		mult := map[int]int{}
-		for _, v := range g.Neighbors(u) {
-			mult[v]++
-		}
-		for v, m := range mult {
-			r.linkIdx[[2]int{u, v}] = int32(len(r.cap))
-			r.cap = append(r.cap, float64(m)*cfg.LinkRateBps)
+	if remaining > 0 {
+		for i, f := range frozen {
+			if !f {
+				rates[i] = level
+			}
 		}
 	}
-	return r
-}
-
-func (r *resources) forFlow(g *topology.Graph, f PathFlow) ([]int32, error) {
-	if f.Src == f.Dst {
-		return nil, fmt.Errorf("flow from host %d to itself", f.Src)
-	}
-	if len(f.Path) == 0 {
-		return nil, fmt.Errorf("flow %d→%d has no path", f.Src, f.Dst)
-	}
-	if g.RackOf(f.Src) != f.Path[0] || g.RackOf(f.Dst) != f.Path[len(f.Path)-1] {
-		return nil, fmt.Errorf("path %v does not join racks of hosts %d and %d", f.Path, f.Src, f.Dst)
-	}
-	out := make([]int32, 0, len(f.Path)+1)
-	out = append(out, r.host(r.hostUp, f.Src))
-	for h := 0; h+1 < len(f.Path); h++ {
-		idx, ok := r.linkIdx[[2]int{f.Path[h], f.Path[h+1]}]
-		if !ok {
-			return nil, fmt.Errorf("path %v uses nonexistent link %d→%d", f.Path, f.Path[h], f.Path[h+1])
-		}
-		out = append(out, idx)
-	}
-	out = append(out, r.host(r.hostDown, f.Dst))
-	return out, nil
-}
-
-func (r *resources) host(m map[int]int32, h int) int32 {
-	if idx, ok := m[h]; ok {
-		return idx
-	}
-	idx := int32(len(r.cap))
-	r.cap = append(r.cap, r.hostBps)
-	m[h] = idx
-	return idx
 }
 
 // Throughput routes each (client, server) host pair with the given scheme

@@ -1,8 +1,11 @@
 package flowsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"spineless/internal/routing"
@@ -123,30 +126,45 @@ func TestMaxMinParallelLinksAggregate(t *testing.T) {
 	}
 }
 
+// TestMaxMinErrors: every malformed input is an error that names the
+// offending flow — never a panic, although arrays index by host and switch id.
 func TestMaxMinErrors(t *testing.T) {
-	g := twoRackFabric(t)
-	cfg := DefaultConfig()
-	if _, err := MaxMin(g, []PathFlow{{Src: 0, Dst: 0, Path: []int{0}}}, cfg); err == nil {
-		t.Fatal("self flow accepted")
+	pair := twoRackFabric(t) // hosts 0,1 on switch 0; hosts 2,3 on switch 1
+	disc := twoRackFabric(t) // the same plus an unlinked switch 2 with host 4
+	disc.AddSwitches(1)
+	disc.SetServers(2, 1)
+	ok := PathFlow{Src: 1, Dst: 3, Path: []int{0, 1}}
+	cases := []struct {
+		name string
+		g    *topology.Graph
+		bad  PathFlow
+		cfg  Config
+		flow bool // the error must name the bad flow
+	}{
+		{"self flow", pair, PathFlow{Src: 0, Dst: 0, Path: []int{0}}, DefaultConfig(), true},
+		{"no path", pair, PathFlow{Src: 0, Dst: 2}, DefaultConfig(), true},
+		{"path ends at the wrong racks", pair, PathFlow{Src: 0, Dst: 2, Path: []int{1, 0}}, DefaultConfig(), true},
+		{"nonexistent link", disc, PathFlow{Src: 0, Dst: 4, Path: []int{0, 2}}, DefaultConfig(), true},
+		{"negative source host", pair, PathFlow{Src: -1, Dst: 2, Path: []int{0, 1}}, DefaultConfig(), true},
+		{"negative destination host", pair, PathFlow{Src: 0, Dst: -3, Path: []int{0, 1}}, DefaultConfig(), true},
+		{"source host past the last", pair, PathFlow{Src: 4, Dst: 2, Path: []int{1, 1}}, DefaultConfig(), true},
+		// RackOf(99) is the phantom switch 2, and the path agrees with it.
+		{"destination host past the last", pair, PathFlow{Src: 0, Dst: 99, Path: []int{0, 2}}, DefaultConfig(), true},
+		{"switch id past the last", pair, PathFlow{Src: 0, Dst: 2, Path: []int{0, 7, 1}}, DefaultConfig(), true},
+		{"negative switch id", pair, PathFlow{Src: 0, Dst: 2, Path: []int{0, -1, 1}}, DefaultConfig(), true},
+		{"zero link rate", pair, ok, Config{}, false},
+		{"negative link rate", pair, ok, Config{LinkRateBps: -1}, false},
 	}
-	if _, err := MaxMin(g, []PathFlow{{Src: 0, Dst: 2, Path: nil}}, cfg); err == nil {
-		t.Fatal("pathless flow accepted")
-	}
-	if _, err := MaxMin(g, []PathFlow{{Src: 0, Dst: 2, Path: []int{1, 0}}}, cfg); err == nil {
-		t.Fatal("wrong-rack path accepted")
-	}
-	if _, err := MaxMin(g, []PathFlow{{Src: 0, Dst: 2, Path: []int{0, 1}}}, Config{}); err == nil {
-		t.Fatal("zero link rate accepted")
-	}
-	// Path using a nonexistent link.
-	g2 := topology.New("disc", 3, 4)
-	if err := g2.AddLink(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	g2.SetServers(0, 1)
-	g2.SetServers(2, 1)
-	if _, err := MaxMin(g2, []PathFlow{{Src: 0, Dst: 1, Path: []int{0, 2}}}, cfg); err == nil {
-		t.Fatal("nonexistent link accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rates, err := MaxMin(c.g, []PathFlow{ok, c.bad}, c.cfg)
+			if err == nil {
+				t.Fatalf("accepted, rates %v", rates)
+			}
+			if c.flow && !strings.Contains(err.Error(), "flow 1:") {
+				t.Fatalf("error %q does not name flow 1", err)
+			}
+		})
 	}
 }
 
@@ -241,5 +259,363 @@ func TestThroughputUnreachable(t *testing.T) {
 	ecmp := routing.NewECMP(g)
 	if _, _, err := Throughput(g, ecmp, [][2]int{{0, 1}}, DefaultConfig()); err == nil {
 		t.Fatal("unreachable pair accepted")
+	}
+}
+
+// maxMinReference is the allocator as it stood before the indexed rewrite,
+// kept as the oracle: map-indexed resources, one slice per flow, and every
+// resource and every flow scanned on every filling level.
+func maxMinReference(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
+	if cfg.LinkRateBps <= 0 {
+		return nil, fmt.Errorf("flowsim: non-positive link rate")
+	}
+	res := newRefResources(g, cfg)
+	flowRes := make([][]int32, len(flows))
+	for i, f := range flows {
+		r, err := res.forFlow(g, f)
+		if err != nil {
+			return nil, fmt.Errorf("flowsim: flow %d: %w", i, err)
+		}
+		flowRes[i] = r
+	}
+	active := make([]int32, len(res.cap))
+	for _, rs := range flowRes {
+		for _, r := range rs {
+			active[r]++
+		}
+	}
+	rem := append([]float64(nil), res.cap...)
+	rates := make([]float64, len(flows))
+	frozen := make([]bool, len(flows))
+	remaining := len(flows)
+
+	for remaining > 0 {
+		inc := math.Inf(1)
+		for r, a := range active {
+			if a > 0 {
+				if h := rem[r] / float64(a); h < inc {
+					inc = h
+				}
+			}
+		}
+		if math.IsInf(inc, 1) {
+			break
+		}
+		for r, a := range active {
+			if a > 0 {
+				rem[r] -= inc * float64(a)
+			}
+		}
+		const eps = 1e-6
+		saturated := make([]bool, len(rem))
+		for r := range rem {
+			if active[r] > 0 && rem[r] <= eps*res.cap[r] {
+				saturated[r] = true
+			}
+		}
+		for i := range flows {
+			if frozen[i] {
+				continue
+			}
+			rates[i] += inc
+			for _, r := range flowRes[i] {
+				if saturated[r] {
+					frozen[i] = true
+					break
+				}
+			}
+			if frozen[i] {
+				for _, r := range flowRes[i] {
+					active[r]--
+				}
+				remaining--
+			}
+		}
+	}
+	return rates, nil
+}
+
+type refResources struct {
+	cap      []float64
+	linkIdx  map[[2]int]int32
+	hostUp   map[int]int32
+	hostDown map[int]int32
+	hostBps  float64
+}
+
+func newRefResources(g *topology.Graph, cfg Config) *refResources {
+	r := &refResources{
+		linkIdx:  make(map[[2]int]int32),
+		hostUp:   make(map[int]int32),
+		hostDown: make(map[int]int32),
+		hostBps:  cfg.hostRate(),
+	}
+	for u := 0; u < g.N(); u++ {
+		mult := map[int]int{}
+		for _, v := range g.Neighbors(u) {
+			mult[v]++
+		}
+		for v, m := range mult {
+			r.linkIdx[[2]int{u, v}] = int32(len(r.cap))
+			r.cap = append(r.cap, float64(m)*cfg.LinkRateBps)
+		}
+	}
+	return r
+}
+
+func (r *refResources) forFlow(g *topology.Graph, f PathFlow) ([]int32, error) {
+	if f.Src == f.Dst {
+		return nil, fmt.Errorf("flow from host %d to itself", f.Src)
+	}
+	if len(f.Path) == 0 {
+		return nil, fmt.Errorf("flow %d→%d has no path", f.Src, f.Dst)
+	}
+	if g.RackOf(f.Src) != f.Path[0] || g.RackOf(f.Dst) != f.Path[len(f.Path)-1] {
+		return nil, fmt.Errorf("path %v does not join racks of hosts %d and %d", f.Path, f.Src, f.Dst)
+	}
+	out := make([]int32, 0, len(f.Path)+1)
+	out = append(out, r.host(r.hostUp, f.Src))
+	for h := 0; h+1 < len(f.Path); h++ {
+		idx, ok := r.linkIdx[[2]int{f.Path[h], f.Path[h+1]}]
+		if !ok {
+			return nil, fmt.Errorf("path %v uses nonexistent link %d→%d", f.Path, f.Path[h], f.Path[h+1])
+		}
+		out = append(out, idx)
+	}
+	out = append(out, r.host(r.hostDown, f.Dst))
+	return out, nil
+}
+
+func (r *refResources) host(m map[int]int32, h int) int32 {
+	if idx, ok := m[h]; ok {
+		return idx
+	}
+	idx := int32(len(r.cap))
+	r.cap = append(r.cap, r.hostBps)
+	m[h] = idx
+	return idx
+}
+
+// assertMatchesReference fails unless MaxMin and the oracle agree on every
+// rate to the last bit.
+func assertMatchesReference(t *testing.T, g *topology.Graph, flows []PathFlow, cfg Config) {
+	t.Helper()
+	got, err := MaxMin(g, flows, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := maxMinReference(g, flows, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rates, the reference has %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("flow %d of %d: rate %v (%#x), the reference says %v (%#x)",
+				i, len(flows), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// randomFlows routes n random host pairs; hot > 0 draws every destination
+// from the first hot hosts, so many flows pile onto a few NICs.
+func randomFlows(g *topology.Graph, s routing.Scheme, n, hot int, rng *rand.Rand) []PathFlow {
+	flows := make([]PathFlow, 0, n)
+	for len(flows) < n {
+		src, dst := rng.Intn(g.Servers()), rng.Intn(g.Servers())
+		if hot > 0 {
+			dst = rng.Intn(hot)
+		}
+		if src == dst {
+			continue
+		}
+		path := s.Path(g.RackOf(src), g.RackOf(dst), uint64(len(flows)))
+		flows = append(flows, PathFlow{Src: src, Dst: dst, Path: path})
+	}
+	return flows
+}
+
+// TestMaxMinMatchesReference: bit-identical rates on all five fabric
+// builders at core.ScaledFabrics(4) size, under every scheme that applies,
+// over uniform and NIC-skewed flow sets of varying size.
+func TestMaxMinMatchesReference(t *testing.T) {
+	spec := topology.LeafSpineSpec{X: 12, Y: 4}
+	ls, err := topology.LeafSpine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rrg, err := topology.Flatten(ls, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dring, err := topology.DRing(topology.BalancedDRing(spec.Switches(), 13, spec.Radix()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbSpec, err := topology.FitDeBruijn(spec.Switches(), spec.Radix(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	debruijn, err := topology.DeBruijn(dbSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng, err := topology.RNG(topology.RNGSpec{Switches: spec.Switches(), Degree: 6, Ports: spec.Radix()}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topology.Graph{ls, rrg, dring, debruijn, rng} {
+		su2, err := routing.NewShortestUnion(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes := []routing.Scheme{routing.NewECMP(g), su2}
+		if g == debruijn {
+			self, err := routing.NewDeBruijn(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemes = append(schemes, self)
+		}
+		for _, s := range schemes {
+			t.Run(g.Name+"/"+s.Name(), func(t *testing.T) {
+				for seed := int64(1); seed <= 24; seed++ {
+					r := rand.New(rand.NewSource(seed))
+					n, hot := 1+r.Intn(3*g.Servers()), 0
+					if seed%3 == 0 {
+						hot = 1 + r.Intn(8)
+					}
+					cfg := DefaultConfig()
+					if seed%4 == 0 {
+						cfg.HostRateBps = 1e9 * float64(1+r.Intn(40))
+					}
+					assertMatchesReference(t, g, randomFlows(g, s, n, hot, r), cfg)
+				}
+			})
+		}
+	}
+}
+
+// TestMaxMinMatchesReferenceEdgeCases covers the shapes random routing on
+// simple fabrics never produces.
+func TestMaxMinMatchesReferenceEdgeCases(t *testing.T) {
+	// Ring of four racks, three hosts each; links 0-1 tripled, 1-2 doubled.
+	trunk := topology.New("trunks", 4, 8)
+	for _, l := range [][2]int{{0, 1}, {0, 1}, {0, 1}, {1, 2}, {1, 2}, {2, 3}, {3, 0}} {
+		if err := trunk.AddLink(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 0; v < trunk.N(); v++ {
+		trunk.SetServers(v, 3)
+	}
+	if trunk.LinkMultiplicity(0, 1) != 3 || trunk.LinkMultiplicity(2, 1) != 2 {
+		t.Fatal("fabric lost its parallel links")
+	}
+	slow := Config{LinkRateBps: 1e9, HostRateBps: 40e9} // links, not NICs, bind
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		assertMatchesReference(t, trunk, randomFlows(trunk, routing.NewECMP(trunk), 1+r.Intn(60), 0, r), slow)
+	}
+
+	pair := twoRackFabric(t)
+	t.Run("same directed link twice", func(t *testing.T) {
+		flows := []PathFlow{
+			{Src: 0, Dst: 2, Path: []int{0, 1, 0, 1}}, // 0→1 twice, 1→0 once
+			{Src: 1, Dst: 3, Path: []int{0, 1}},
+			{Src: 3, Dst: 0, Path: []int{1, 0, 1, 0}},
+			{Src: 2, Dst: 1, Path: []int{1, 0}},
+		}
+		assertMatchesReference(t, pair, flows, slow)
+		assertMatchesReference(t, pair, flows, DefaultConfig())
+	})
+	t.Run("one host NIC shared by every flow", func(t *testing.T) {
+		var flows []PathFlow
+		for i := 0; i < 50; i++ {
+			flows = append(flows, PathFlow{Src: 2 + i%2, Dst: 0, Path: []int{1, 0}})
+		}
+		assertMatchesReference(t, pair, flows, DefaultConfig())
+	})
+	t.Run("flows inside one rack", func(t *testing.T) {
+		flows := []PathFlow{{Src: 0, Dst: 1, Path: []int{0}}, {Src: 1, Dst: 0, Path: []int{0}}, {Src: 0, Dst: 2, Path: []int{0, 1}}}
+		assertMatchesReference(t, pair, flows, DefaultConfig())
+	})
+	t.Run("unbounded capacity", func(t *testing.T) {
+		flows := []PathFlow{{Src: 0, Dst: 2, Path: []int{0, 1}}, {Src: 1, Dst: 3, Path: []int{0, 1}}}
+		assertMatchesReference(t, pair, flows, Config{LinkRateBps: math.Inf(1)})
+		assertMatchesReference(t, pair, flows, Config{LinkRateBps: math.Inf(1), HostRateBps: 1e9})
+	})
+	t.Run("no flows", func(t *testing.T) {
+		assertMatchesReference(t, pair, nil, DefaultConfig())
+	})
+}
+
+// TestResourceNumberingIsDeterministic: directed links are numbered in
+// (switch, neighbour) order and host resources in first-use order, whatever
+// order the graph's adjacency lists happen to be in — nothing follows map
+// iteration order, as the numbering once did.
+func TestResourceNumberingIsDeterministic(t *testing.T) {
+	g, err := topology.DRing(topology.Uniform(6, 2, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := randomFlows(g, routing.NewECMP(g), 300, 0, rand.New(rand.NewSource(7)))
+	a, err := newInstance(g, flows, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 10; run++ {
+		b, err := newInstance(g, flows, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.flowRes, b.flowRes) || !slices.Equal(a.flowOff, b.flowOff) || !slices.Equal(a.cap, b.cap) {
+			t.Fatalf("set-up %d numbered the resources differently", run)
+		}
+	}
+	// The link part of the numbering, spelled out.
+	want := map[[2]int]int32{}
+	for u := 0; u < g.N(); u++ {
+		nb := slices.Clone(g.Neighbors(u))
+		slices.Sort(nb)
+		for _, v := range slices.Compact(nb) {
+			want[[2]int{u, v}] = int32(len(want))
+		}
+	}
+	for i, f := range flows {
+		res := a.flowRes[a.flowOff[i]:a.flowOff[i+1]]
+		for h := 0; h+1 < len(f.Path); h++ {
+			if got := res[1+h]; got != want[[2]int{f.Path[h], f.Path[h+1]}] {
+				t.Fatalf("flow %d hop %d→%d is resource %d, want %d", i, f.Path[h], f.Path[h+1], got, want[[2]int{f.Path[h], f.Path[h+1]}])
+			}
+		}
+	}
+	if first := a.flowRes[0]; first != int32(len(want)) {
+		t.Fatalf("first host resource is %d, want %d (right after the links)", first, len(want))
+	}
+}
+
+// TestMaxMinAllocsIndependentOfFlows pins the allocation discipline behind
+// the //lint:hotpath mark on fill: a fixed handful of arenas per call, and
+// nothing per flow or per filling level.
+func TestMaxMinAllocsIndependentOfFlows(t *testing.T) {
+	g, err := topology.DRing(topology.Uniform(8, 2, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecmp := routing.NewECMP(g)
+	allocs := func(n int) float64 {
+		flows := randomFlows(g, ecmp, n, 0, rand.New(rand.NewSource(int64(n))))
+		return testing.AllocsPerRun(10, func() {
+			if _, err := MaxMin(g, flows, DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(200), allocs(2000)
+	if few != many || few > 20 {
+		t.Fatalf("MaxMin allocates %.0f objects for 200 flows and %.0f for 2000, want the same small number", few, many)
 	}
 }

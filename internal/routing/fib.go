@@ -414,13 +414,17 @@ func (f *Fib) Path(src, dst int, flowID uint64) []int {
 	}
 	target := f.vnode(f.deliveryLayer(), dst)
 	state := f.vnode(f.deliveryLayer(), src)
-	path := []int{src}
+	// Every virtual arc costs at least 1, so the cost-to-go bounds the hop
+	// count and the path is allocated once.
+	d := f.ctg[dst][state]
+	if d >= math.MaxInt32/2 {
+		return nil // unreachable
+	}
+	path := make([]int, 1, d+1)
+	path[0] = src
 	next := f.next[dst]
 	for hop := 0; state != target; hop++ {
 		nh := next[state]
-		if len(nh) == 0 {
-			return nil // unreachable
-		}
 		state = int(nh[hashChoice(flowID, hop, f.router(state), len(nh))])
 		path = append(path, f.router(state))
 		if hop > f.layers*f.n {

@@ -340,3 +340,38 @@ func TestPathSetCap(t *testing.T) {
 		t.Fatalf("capped path set size = %d, want 2", len(capped))
 	}
 }
+
+// TestFibPathAllocatesOnce: the cost-to-go bounds the hop count, so Path
+// sizes its result before walking — one allocation under ECMP and
+// Shortest-Union alike, and an unreachable destination is still nil.
+func TestFibPathAllocatesOnce(t *testing.T) {
+	g, _ := smallDRing(t)
+	su2, err := NewShortestUnion(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Fib{NewECMP(g), su2} {
+		flow := uint64(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			src, dst := int(flow)%g.N(), int(flow*7+3)%g.N()
+			if src == dst {
+				dst = (dst + 1) % g.N()
+			}
+			if p := f.Path(src, dst, flow); p[len(p)-1] != dst {
+				t.Fatalf("path %v does not reach %d", p, dst)
+			}
+			flow++
+		})
+		if allocs != 1 {
+			t.Errorf("%s: Path allocates %.1f objects per call, want 1", f.Name(), allocs)
+		}
+	}
+
+	island := topology.New("island", 3, 4)
+	if err := island.AddLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if p := NewECMP(island).Path(0, 2, 1); p != nil {
+		t.Fatalf("path to an unreachable switch = %v, want nil", p)
+	}
+}
