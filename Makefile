@@ -1,14 +1,13 @@
 GO ?= go
 
 # PR number stamped into the committed benchmark baseline (BENCH_$(BENCH_PR).json).
-BENCH_PR ?= 13
-# The key benchmarks the baseline records: the netsim hot path (serial,
-# serial with a telemetry sink attached, and sharded at 1/2/4/8 workers),
-# one Figure 4 row, the Figure 5 panel in serial and parallel variants, FIB
-# construction, the max-min allocator alone on the largest Figure 5 cell,
-# paper-scale BGP convergence (full and single-link-delta), and the
-# flat-topology bake-off matrix on 1 and 16 netsim shards.
-BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkNetsimEventsSharded(1|2|4|8)|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoffShards(1|16))$$
+BENCH_PR ?= 14
+# The key benchmarks the baseline records: the netsim hot path (bare and
+# with a telemetry sink attached), one Figure 4 row, the Figure 5 panel in
+# serial and parallel variants, FIB construction, the max-min allocator
+# alone on the largest Figure 5 cell, paper-scale BGP convergence (full and
+# single-link-delta), and the flat-topology bake-off matrix.
+BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoff)$$
 
 .PHONY: check build test vet fmt lint race bench audit serve serve-smoke fleet-smoke bakeoff-smoke
 
@@ -42,8 +41,8 @@ fleet-smoke:
 	$(GO) run -race ./cmd/fleetsmoke
 
 # Flat-topology bake-off gate: the full five-fabric matrix at paper scale
-# with a tiny workload — byte-identical scorecards on 1 and 2 netsim
-# shards, no non-finite cells, and an audited De Bruijn self-routing run.
+# with a tiny workload — byte-identical scorecards on 1 and 4 cell
+# workers, no non-finite cells, and an audited De Bruijn self-routing run.
 bakeoff-smoke:
 	$(GO) run ./cmd/bakeoff -smoke >/dev/null
 

@@ -581,61 +581,17 @@ func BenchmarkBGPReconvergeDelta(b *testing.B) {
 	}
 }
 
-// --- Sharded packet engine ---
-
-// benchNetsimSharded measures conservative-window engine throughput on the
-// full-scale §5.1 DRing under a uniform Pareto workload. Every shard count
-// runs the identical workload (results are byte-identical), so the ns/op
-// ratios are the parallel speedup; on a single-vCPU host the workers
-// multiplex one core and the ratio instead measures window-barrier
-// overhead (see EXPERIMENTS.md).
-func benchNetsimSharded(b *testing.B, shards int) {
-	fs, err := spineless.PaperFabrics(rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := fs.DRing
-	rng := rand.New(rand.NewSource(3))
-	gen := spineless.GenFlowConfig(1200, 2*time.Millisecond)
-	gen.Sizes = spineless.ParetoSizes(30e3, 1.05, 300e3)
-	flows, err := spineless.GenerateFlows(g, spineless.UniformTM(len(g.Racks())), gen, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scheme, err := spineless.NewShortestUnion(g, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss, err := spineless.NewShardedSimulator(g, scheme, spineless.DefaultNetConfig(), shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ss.Run(flows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNetsimEventsSharded1(b *testing.B) { benchNetsimSharded(b, 1) }
-func BenchmarkNetsimEventsSharded2(b *testing.B) { benchNetsimSharded(b, 2) }
-func BenchmarkNetsimEventsSharded4(b *testing.B) { benchNetsimSharded(b, 4) }
-func BenchmarkNetsimEventsSharded8(b *testing.B) { benchNetsimSharded(b, 8) }
-
-// benchBakeoff runs the full five-fabric bake-off matrix (7 cells: every
-// fabric under SU(2) plus the two native schemes) at paper scale with the
-// smoke-sized workload — the cost of regenerating the cmd/bakeoff
-// scorecard. The shard count parameterizes the netsim engine inside every
-// cell; results are byte-identical across them.
-func benchBakeoff(b *testing.B, shards int) {
+// BenchmarkBakeoff runs the full five-fabric bake-off matrix (7 cells:
+// every fabric under SU(2) plus the two native schemes) at paper scale with
+// the smoke-sized workload — the cost of regenerating the cmd/bakeoff
+// scorecard.
+func BenchmarkBakeoff(b *testing.B) {
 	cfg := spineless.BakeoffScaled(1)
 	cfg.Util = 0.2
 	cfg.WindowSec = 0.002
 	cfg.MaxFlows = 200
 	cfg.MaxPairs = 64
 	cfg.LiveFlows = 120
-	cfg.Shards = shards
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sc, err := spineless.RunBakeoff(cfg)
@@ -647,6 +603,3 @@ func benchBakeoff(b *testing.B, shards int) {
 		}
 	}
 }
-
-func BenchmarkBakeoffShards1(b *testing.B)  { benchBakeoff(b, 1) }
-func BenchmarkBakeoffShards16(b *testing.B) { benchBakeoff(b, 16) }

@@ -7,8 +7,8 @@
 //
 // The default -scalex 2 runs at twice the paper's §6.3 scale (160 ToRs).
 // -smoke runs the whole matrix at paper scale with a tiny workload and
-// verifies the subsystem's contracts: byte-identical scorecards on 1 and 2
-// netsim shards, no non-finite numbers, and a serial audited De Bruijn
+// verifies the subsystem's contracts: byte-identical scorecards on 1 and 4
+// cell workers, no non-finite numbers, and an audited De Bruijn
 // self-routing run — the gate wired into `make check` and CI.
 package main
 
@@ -40,11 +40,10 @@ func main() {
 		liveflows = flag.Int("liveflows", 0, "flows in the resilience cell (0 = resilience default)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "parallel cell workers (0 = one per CPU); results are identical at any value")
-		shards    = flag.Int("shards", 0, "intra-cell netsim shards (0 = serial engine); results are identical at any count >= 1, incompatible with -audit")
-		doAudit   = flag.Bool("audit", false, "run every packet simulation under the runtime invariant auditor (violations abort; needs the serial engine)")
+		doAudit   = flag.Bool("audit", false, "run every packet simulation under the runtime invariant auditor (violations abort)")
 		storeDir  = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse finished cells")
 		csvOut    = flag.String("csv", "", "write the scorecard CSV to this file")
-		smoke     = flag.Bool("smoke", false, "run the CI smoke gate (tiny matrix; verifies shard invariance, completeness and an audited self-routing run) and exit")
+		smoke     = flag.Bool("smoke", false, "run the CI smoke gate (tiny matrix; verifies worker-count invariance, completeness and an audited self-routing run) and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -73,7 +72,6 @@ func main() {
 	cfg.LiveFlows = *liveflows
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.Audit = *doAudit
 	cfg.StoreDir = *storeDir
 	cfg.Logf = log.Printf
@@ -100,8 +98,8 @@ func main() {
 }
 
 // runSmoke is the CI gate: the full five-fabric matrix at paper scale with
-// a tiny workload, checked for shard invariance and completeness, plus a
-// serial audited De Bruijn self-routing cell.
+// a tiny workload, checked for worker-count invariance and completeness,
+// plus an audited De Bruijn self-routing cell.
 func runSmoke() {
 	cfg := bakeoff.Scaled(1)
 	cfg.Util = 0.2
@@ -111,18 +109,18 @@ func runSmoke() {
 	cfg.LiveFlows = 120
 
 	start := time.Now()
-	cfg.Shards = 1
+	cfg.Workers = 1
 	one, err := bakeoff.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Shards = 2
-	two, err := bakeoff.Run(cfg)
+	cfg.Workers = 4
+	four, err := bakeoff.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if one.Table() != two.Table() || one.CSV() != two.CSV() {
-		log.Fatal("smoke: scorecard differs between -shards 1 and -shards 2")
+	if one.Table() != four.Table() || one.CSV() != four.CSV() {
+		log.Fatal("smoke: scorecard differs between -workers 1 and -workers 4")
 	}
 	if err := one.CheckComplete(); err != nil {
 		log.Fatalf("smoke: %v", err)
@@ -131,9 +129,8 @@ func runSmoke() {
 		log.Fatalf("smoke: want 7 cells (5 fabrics + 2 native schemes), got %d", len(one.Cells))
 	}
 
-	// De Bruijn self-routing under the runtime invariant auditor, serial
-	// engine: shift-register routing with no FIB must be audit-clean.
-	cfg.Shards = 0
+	// De Bruijn self-routing under the runtime invariant auditor:
+	// shift-register routing with no FIB must be audit-clean.
 	cfg.Audit = true
 	cfg.Topos = []string{"debruijn"}
 	cfg.Schemes = []string{"selfroute"}
@@ -142,7 +139,7 @@ func runSmoke() {
 	}
 
 	fmt.Print(one.Table())
-	fmt.Printf("smoke OK: %d cells byte-identical across shard counts, audited self-routing clean (%v)\n",
+	fmt.Printf("smoke OK: %d cells byte-identical across worker counts, audited self-routing clean (%v)\n",
 		len(one.Cells), time.Since(start).Round(time.Millisecond))
 }
 

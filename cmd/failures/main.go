@@ -52,8 +52,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "parallel workers across fractions (0 = one per CPU); results are identical at any value")
 		doAudit   = flag.Bool("audit", false, "run packet simulations under the runtime invariant auditor (violations fail the trial)")
-		doTel     = flag.Bool("telemetry", false, "record per-link/per-flow telemetry and print a digest after the sweep (needs the serial engine; incompatible with -shards and -audit)")
-		shards    = flag.Int("shards", 0, "intra-trial netsim shards (0 = serial engine); results are identical at any count, incompatible with -audit")
+		doTel     = flag.Bool("telemetry", false, "record per-link/per-flow telemetry and print a digest after the sweep (incompatible with -audit)")
 		storeDir  = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-fraction rows")
 
 		live     = flag.Bool("live", false, "inject failures during a packet-level run (transient study)")
@@ -115,14 +114,8 @@ func main() {
 		V: 1, Topo: *topoKind, Supernodes: *m, Tors: *n, Ports: *ports,
 		K: *k, Flows: *flows, Seed: *seed,
 	}
-	if *doAudit && *shards > 0 {
-		log.Fatal("-audit needs the serial engine's event stream; drop -shards")
-	}
 	var rec *telemetry.Recorder
 	if *doTel {
-		if *shards > 0 {
-			log.Fatal("-telemetry needs the serial engine's event stream; drop -shards")
-		}
 		if *doAudit {
 			log.Fatal("-audit and -telemetry both need the simulator's single tracer slot; run them separately")
 		}
@@ -152,7 +145,6 @@ func main() {
 		cfg.PreserveConnectivity = *preserve
 		cfg.Workers = *workers
 		cfg.Audit = *doAudit
-		cfg.Shards = *shards
 		cfg.Telemetry = rec
 
 		fmt.Printf("fabric: %v, Shortest-Union(%d), seed=%d\n", g, *k, *seed)
@@ -185,7 +177,6 @@ func main() {
 	cfg.Fractions = fracs
 	cfg.Workers = *workers
 	cfg.Audit = *doAudit
-	cfg.Shards = *shards
 	cfg.Telemetry = rec
 
 	base.Mode = "static"

@@ -44,11 +44,10 @@ func main() {
 		dump     = flag.String("dump", "", "write per-flow FCT CSVs for every cell into this directory")
 		svgOut   = flag.String("svg", "", "write fig4a.svg and fig4b.svg into this directory")
 		doAudit  = flag.Bool("audit", false, "run every cell under the runtime invariant auditor (violations abort)")
-		doTel    = flag.Bool("telemetry", false, "record per-link/per-flow telemetry and print a digest after the run (needs the serial engine; incompatible with -shards and -audit)")
+		doTel    = flag.Bool("telemetry", false, "record per-link/per-flow telemetry and print a digest after the run (incompatible with -audit)")
 		extra    = flag.String("extra", "", "comma-separated bake-off fabrics to append as extra columns: xpander, debruijn, rng (each with its native scheme)")
 		trials   = flag.Int("trials", 1, "independently seeded arrival windows pooled per cell")
 		workers  = flag.Int("workers", 0, "parallel workers per fan-out (0 = one per CPU); results are identical at any value")
-		shards   = flag.Int("shards", 0, "intra-trial netsim shards (0 = serial engine); results are identical at any count, incompatible with -audit")
 		storeDir = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-cell results")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -103,19 +102,12 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Sizes = workload.PaperFlowSizes()
 	cfg.Audit = *doAudit
-	cfg.Shards = *shards
 	cfg.KeepFlows = *dump != ""
 	if *doAudit {
-		if *shards > 0 {
-			log.Fatal("-audit needs the serial engine's event stream; drop -shards")
-		}
 		log.Printf("invariant auditing enabled: any conservation/FIFO/TCP violation aborts the run")
 	}
 	var rec *telemetry.Recorder
 	if *doTel {
-		if *shards > 0 {
-			log.Fatal("-telemetry needs the serial engine's event stream; drop -shards")
-		}
 		if *doAudit {
 			log.Fatal("-audit and -telemetry both need the simulator's single tracer slot; run them separately")
 		}

@@ -36,7 +36,6 @@ func main() {
 		doAudit  = flag.Bool("audit", false, "cross-validate the flow-level model against netsim and the fluid bound first (violations abort)")
 		svgOut   = flag.String("svg", "", "write fig5a..fig5d SVG heatmaps into this directory")
 		workers  = flag.Int("workers", 0, "parallel workers per heatmap (0 = one per CPU); results are identical at any value")
-		shards   = flag.Int("shards", 0, "intra-run netsim shards for the -audit differential's packet leg (0 = serial engine under the invariant auditor)")
 		storeDir = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-panel heatmaps")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -72,7 +71,7 @@ func main() {
 		// check netsim (under the invariant auditor), flowsim, and the
 		// fluid FPTAS bound agree on a shared workload within the declared
 		// tolerance bands.
-		if err := auditModels(fs, *shards); err != nil {
+		if err := auditModels(fs); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("audit: netsim/flowsim/fluid agree on every fabric × scheme combination")
@@ -151,10 +150,8 @@ func main() {
 
 // auditModels runs the differential harness on every fabric × scheme
 // combination the heatmaps use, with a simultaneous-start, equal-size
-// workload spanning both host halves. shards > 0 runs the packet leg on
-// the sharded engine, turning the tolerance bands into a cross-engine
-// physics check.
-func auditModels(fs *core.FabricSet, shards int) error {
+// workload spanning both host halves.
+func auditModels(fs *core.FabricSet) error {
 	combos := []struct{ label, scheme string }{
 		{"DRing", "ecmp"}, {"DRing", "su2"}, {"leaf-spine", "ecmp"},
 	}
@@ -176,9 +173,8 @@ func auditModels(fs *core.FabricSet, shards int) error {
 			}
 		}
 		rep, err := audit.Differential(fabric, combo.Scheme, flows, audit.DiffConfig{
-			Net:    netsim.DefaultConfig(),
-			Link:   flowsim.DefaultConfig(),
-			Shards: shards,
+			Net:  netsim.DefaultConfig(),
+			Link: flowsim.DefaultConfig(),
 		})
 		if err != nil {
 			return fmt.Errorf("audit %s × %s: %w", c.label, c.scheme, err)

@@ -41,7 +41,6 @@ func main() {
 		doAudit  = flag.Bool("audit", false, "run every sweep point under the runtime invariant auditor (violations abort)")
 		svgOut   = flag.String("svg", "", "write fig6.svg into this directory")
 		workers  = flag.Int("workers", 0, "parallel sweep-point workers (0 = one per CPU); results are identical at any value")
-		shards   = flag.Int("shards", 0, "intra-trial netsim shards (0 = serial engine); results are identical at any count, incompatible with -audit")
 		storeDir = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-point results")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -74,12 +73,8 @@ func main() {
 	cfg.FCT.MaxFlows = *flows
 	cfg.FCT.Sizes = workload.PaperFlowSizes()
 	cfg.FCT.Audit = *doAudit
-	cfg.FCT.Shards = *shards
 	cfg.Workers = *workers
 	if *doAudit {
-		if *shards > 0 {
-			log.Fatal("-audit needs the serial engine's event stream; drop -shards")
-		}
 		log.Printf("invariant auditing enabled: any conservation/FIFO/TCP violation aborts the run")
 	}
 

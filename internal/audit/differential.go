@@ -8,7 +8,6 @@ import (
 	"spineless/internal/fluid"
 	"spineless/internal/netsim"
 	"spineless/internal/routing"
-	"spineless/internal/telemetry"
 	"spineless/internal/topology"
 	"spineless/internal/workload"
 )
@@ -33,19 +32,6 @@ type DiffConfig struct {
 	// Slack is the relative tolerance on the flowsim-vs-fluid bound,
 	// absorbing FPTAS and float rounding (default 0.01).
 	Slack float64
-	// Shards > 0 runs the packet leg on the sharded conservative-window
-	// engine with that many workers instead of the serial simulator. The
-	// invariant Auditor only observes the serial engine's single event
-	// stream, so that leg's runtime invariants go unchecked; the cross-model
-	// tolerance bands still apply, which makes the differential a
-	// cross-engine physics check on the sharded engine itself.
-	Shards int
-	// Telemetry is rejected in both engine modes and exists only so callers
-	// that thread one recorder through every run config get a loud error
-	// instead of a silently event-less sink: the sharded leg has no tracer
-	// slot at all, and the serial leg's slot is always occupied by the
-	// invariant Auditor — the differential's whole point.
-	Telemetry *telemetry.Recorder
 }
 
 func (c *DiffConfig) defaults() {
@@ -109,39 +95,22 @@ func Differential(g *topology.Graph, scheme routing.Scheme, flows []workload.Flo
 	if len(flows) == 0 {
 		return rep, fmt.Errorf("audit: differential needs at least one flow")
 	}
-	if cfg.Telemetry != nil {
-		if cfg.Shards > 0 {
-			return rep, fmt.Errorf("audit: Telemetry needs the serial engine's event stream; set Shards=0")
-		}
-		return rep, fmt.Errorf("audit: the differential's serial leg runs under the invariant Auditor, which owns the simulator's single tracer slot; run Telemetry separately")
-	}
 
-	// Packet level — audited on the serial engine, band-checked only on the
-	// sharded one.
-	var res netsim.Results
-	if cfg.Shards > 0 {
-		ss, err := netsim.NewSharded(g, scheme, cfg.Net, cfg.Shards)
-		if err != nil {
-			return rep, err
-		}
-		if res, err = ss.Run(flows); err != nil {
-			return rep, err
-		}
-	} else {
-		sim, err := netsim.New(g, scheme, cfg.Net)
-		if err != nil {
-			return rep, err
-		}
-		aud, err := Attach(sim, flows)
-		if err != nil {
-			return rep, err
-		}
-		if res, err = sim.Run(flows); err != nil {
-			return rep, err
-		}
-		if err := aud.Finish(res); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("netsim invariants: %v", err))
-		}
+	// Packet level, under the invariant Auditor.
+	sim, err := netsim.New(g, scheme, cfg.Net)
+	if err != nil {
+		return rep, err
+	}
+	aud, err := Attach(sim, flows)
+	if err != nil {
+		return rep, err
+	}
+	res, err := sim.Run(flows)
+	if err != nil {
+		return rep, err
+	}
+	if err := aud.Finish(res); err != nil {
+		rep.Violations = append(rep.Violations, fmt.Sprintf("netsim invariants: %v", err))
 	}
 	incomplete := 0
 	for i, fct := range res.FCTNS {

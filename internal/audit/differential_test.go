@@ -7,7 +7,6 @@ import (
 	"spineless/internal/flowsim"
 	"spineless/internal/netsim"
 	"spineless/internal/routing"
-	"spineless/internal/telemetry"
 	"spineless/internal/topology"
 	"spineless/internal/workload"
 )
@@ -106,37 +105,5 @@ func TestDifferentialRejectsEmptyWorkload(t *testing.T) {
 		Link: flowsim.DefaultConfig(),
 	}); err == nil {
 		t.Fatal("empty workload accepted")
-	}
-}
-
-// TestDifferentialTelemetryRejected is the failing-before guard test for
-// the audit config layer: the sharded leg has no tracer slot and the
-// serial leg's slot is owned by the Auditor, so a telemetry recorder must
-// be rejected loudly in both modes rather than silently observing nothing.
-func TestDifferentialTelemetryRejected(t *testing.T) {
-	g := topology.New("pair", 2, 6)
-	for i := 0; i < 2; i++ {
-		if err := g.AddLink(0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.SetServers(0, 4)
-	g.SetServers(1, 4)
-	flows := diffWorkload(g, 8, 500e3)
-	cfg := DiffConfig{
-		Net:       netsim.DefaultConfig(),
-		Link:      flowsim.DefaultConfig(),
-		Telemetry: telemetry.NewRecorder(telemetry.Config{}),
-	}
-	if _, err := Differential(g, routing.NewECMP(g), flows, cfg); err == nil {
-		t.Fatal("Telemetry accepted on the audited serial leg")
-	} else if !strings.Contains(err.Error(), "tracer slot") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	cfg.Shards = 2
-	if _, err := Differential(g, routing.NewECMP(g), flows, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted")
-	} else if !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("unhelpful error: %v", err)
 	}
 }

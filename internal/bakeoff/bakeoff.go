@@ -15,9 +15,9 @@
 //   - resilience — blackhole window and flow completion under the
 //     live fault-injection schedule (SU(K) routing, like cmd/failures).
 //
-// Every number replays byte-identically from the seed: the sharded netsim
-// engine is byte-identical at every shard count >= 1, flowsim and the
-// topology metrics are deterministic, and the cells are cached through
+// Every number replays byte-identically from the seed at any worker
+// count: netsim, flowsim and the topology metrics are deterministic, cells
+// are independent and reseed from Seed, and the cells are cached through
 // internal/store keyed by their full spec. The package is in spinelint's
 // SimulatorScope, so wall-clock and global-rand use is rejected at lint
 // time.
@@ -101,14 +101,8 @@ type Config struct {
 	// Workers bounds cell-level parallelism (0 = one per CPU). A pure
 	// throughput knob — cells are independent and reseed from Seed.
 	Workers int
-	// Shards > 0 runs every packet simulation on the sharded
-	// conservative-window engine with that many workers. Byte-identical at
-	// every count >= 1 but a distinct engine from the serial one, so the
-	// cache keys only record whether the engine was sharded, not the
-	// count. Incompatible with Audit.
-	Shards int
 	// Audit runs every packet simulation under the runtime invariant
-	// auditor; violations fail the run. Needs the serial engine.
+	// auditor; violations fail the run.
 	Audit bool
 
 	// StoreDir, when non-empty, caches finished cells content-addressed by
@@ -145,9 +139,6 @@ func (c Config) Validate() error {
 		if !knownTopo(topo) {
 			return fmt.Errorf("bakeoff: unknown topology %q (want dring, rrg, xpander, debruijn or rng)", topo)
 		}
-	}
-	if c.Audit && c.Shards > 0 {
-		return fmt.Errorf("bakeoff: -audit needs the serial engine's event stream; drop -shards")
 	}
 	if c.Util <= 0 || c.WindowSec <= 0 {
 		return fmt.Errorf("bakeoff: need positive util and window, have %g/%g", c.Util, c.WindowSec)
@@ -219,8 +210,7 @@ type Cell struct {
 }
 
 // cellSpec is the cache key of one cell: everything result-affecting and
-// nothing else (worker counts and shard counts beyond "sharded or not"
-// never change bytes).
+// nothing else (worker counts never change bytes).
 type cellSpec struct {
 	V          int     `json:"v"`
 	Switches   int     `json:"switches"`
@@ -235,7 +225,6 @@ type cellSpec struct {
 	MaxPairs   int     `json:"max_pairs"`
 	LiveFlows  int     `json:"live_flows"`
 	Seed       int64   `json:"seed"`
-	Sharded    bool    `json:"sharded"`
 }
 
 func (c Config) cellSpec(topo, scheme string) cellSpec {
@@ -244,7 +233,6 @@ func (c Config) cellSpec(topo, scheme string) cellSpec {
 		Ports: c.Ports, Topo: topo, Scheme: scheme, Util: c.Util,
 		WindowSec: c.WindowSec, MaxFlows: c.MaxFlows, Trials: c.Trials,
 		MaxPairs: c.MaxPairs, LiveFlows: c.LiveFlows, Seed: c.Seed,
-		Sharded: c.Shards > 0,
 	}
 }
 
@@ -361,7 +349,6 @@ func measureCell(cfg Config, topo, scheme string, g *topology.Graph) (Cell, erro
 	fct.Seed = cfg.Seed
 	fct.MaxFlows = cfg.MaxFlows
 	fct.Trials = cfg.Trials
-	fct.Shards = cfg.Shards
 	fct.Audit = cfg.Audit
 	fct.JobClasses = workload.ThreeTier()
 	fct.CapacityBps = float64(g.Servers()) * fct.Net.LinkRateBps / 2
@@ -396,7 +383,6 @@ func measureCell(cfg Config, topo, scheme string, g *topology.Graph) (Cell, erro
 	// is a property of the topology, shared by its schemes.
 	lc := resilience.DefaultLiveConfig()
 	lc.Seed = cfg.Seed
-	lc.Shards = cfg.Shards
 	lc.Audit = cfg.Audit
 	if cfg.LiveFlows > 0 {
 		lc.Flows = cfg.LiveFlows
@@ -414,8 +400,7 @@ func measureCell(cfg Config, topo, scheme string, g *topology.Graph) (Cell, erro
 
 // Run executes the bake-off matrix and returns the ranked scorecard.
 // Cells run in parallel across cfg.Workers and are cached one at a time
-// through cfg.StoreDir; results are byte-identical at any worker count and
-// at any shard count >= 1.
+// through cfg.StoreDir; results are byte-identical at any worker count.
 func Run(cfg Config) (*Scorecard, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -434,6 +419,7 @@ func Run(cfg Config) (*Scorecard, error) {
 		if err != nil {
 			return nil, err
 		}
+		g.Reindex() // a fabric's cells share it across workers; index it pre-fork
 		fabrics[topo] = g
 		for _, scheme := range cfg.schemesFor(topo) {
 			keys = append(keys, cellKey{topo, scheme})

@@ -20,31 +20,34 @@ func tinyConfig() Config {
 	return cfg
 }
 
-// TestRunShardInvariance is the subsystem's core contract: the scorecard —
+// TestRunWorkerInvariance is the subsystem's core contract: the scorecard —
 // every float, the ranking, the spec hash — is byte-identical at every
-// shard count >= 1.
-func TestRunShardInvariance(t *testing.T) {
+// worker count.
+func TestRunWorkerInvariance(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Topos = []string{"dring", "debruijn", "rng"}
 
-	cfg.Shards = 1
+	cfg.Workers = 1
 	one, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Shards = 2
-	two, err := Run(cfg)
+	cfg.Workers = 4
+	four, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := one.CheckComplete(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := one.Table(), two.Table(); got != want {
-		t.Fatalf("scorecard differs between 1 and 2 shards:\n--- shards=1\n%s\n--- shards=2\n%s", want, got)
+	if got, want := four.Table(), one.Table(); got != want {
+		t.Fatalf("scorecard differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", want, got)
 	}
-	if got, want := one.CSV(), two.CSV(); got != want {
-		t.Fatalf("CSV differs between 1 and 2 shards")
+	if four.CSV() != one.CSV() {
+		t.Fatalf("CSV differs between 1 and 4 workers")
+	}
+	if four.SpecHash != one.SpecHash {
+		t.Fatalf("spec hash differs between 1 and 4 workers: %s vs %s", one.SpecHash, four.SpecHash)
 	}
 	if len(one.Cells) != 5 { // dring, debruijn×2 schemes, rng×2 schemes
 		t.Fatalf("want 5 cells, got %d", len(one.Cells))
@@ -91,13 +94,6 @@ func TestConfigRejects(t *testing.T) {
 	cfg.Topos = []string{"mesh"}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `"mesh"`) {
 		t.Fatalf("unknown topology: got %v", err)
-	}
-
-	cfg = tinyConfig()
-	cfg.Audit = true
-	cfg.Shards = 4
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("audit+shards: got %v", err)
 	}
 
 	cfg = tinyConfig()

@@ -40,15 +40,6 @@ type FCTConfig struct {
 	// Workers bounds trial-level parallelism (0 = one per CPU). A pure
 	// throughput knob: it never affects results.
 	Workers int
-	// Shards > 0 runs each trial's packet simulation on the sharded
-	// conservative-window engine (netsim.NewSharded) with that many worker
-	// goroutines — intra-trial parallelism for the single-trial drivers that
-	// can't fan out across windows. Like Workers it never affects results:
-	// the sharded engine is byte-identical at every shard count, though it
-	// differs from the serial engine in two documented partition-local ways
-	// (DESIGN.md §13). 0 keeps the serial engine. Incompatible with Audit —
-	// the invariant auditor needs the serial engine's single event stream.
-	Shards int
 	// CapacityBps overrides the reference capacity the offered load is
 	// scaled against. 0 derives it from the fabric set's leaf-spine spec
 	// (the paper's spine-utilization rule).
@@ -81,9 +72,8 @@ type FCTConfig struct {
 	// time origin, so pooled series read as aggregate offered load). A
 	// recorder is scoped to one fabric: reuse across combos with different
 	// link counts is rejected at merge time. Purely observational — results
-	// are unchanged. Incompatible with Shards (the sharded engine has no
-	// totally-ordered event stream to observe) and with Audit (the
-	// invariant auditor owns the simulator's single tracer slot).
+	// are unchanged. Incompatible with Audit (the invariant auditor owns
+	// the simulator's single tracer slot).
 	Telemetry *telemetry.Recorder
 	// JobClasses, when non-empty, replaces the cfg.Sizes uniform-start
 	// workload with the Poisson-arrival job-class mix
@@ -176,12 +166,6 @@ func RunFCTMatrix(fs *FabricSet, combo Combo, m *workload.Matrix, cfg FCTConfig)
 // serialize workers on a mutex), and trial t's result lands in slot t — so
 // the pooled output is byte-identical from workers=1 to workers=N.
 func runTrials(cfg FCTConfig, combo Combo, one func(seed int64) (FCTResult, error)) (FCTResult, error) {
-	// The sharded engine rejects tracers at netsim.SetTracer too, but an
-	// early structured error beats a per-trial failure — and mirrors the
-	// Shards+Audit guard so no layer silently drops an observer again.
-	if cfg.Shards > 0 && cfg.Telemetry != nil {
-		return FCTResult{}, fmt.Errorf("core: Telemetry needs the serial engine's event stream; set Shards=0")
-	}
 	if cfg.Audit && cfg.Telemetry != nil {
 		return FCTResult{}, fmt.Errorf("core: Audit and Telemetry both need the simulator's single tracer slot; run them separately")
 	}
@@ -310,45 +294,29 @@ func runFCT(fs *FabricSet, combo Combo, m *workload.Matrix, placement []int, cfg
 	if err != nil {
 		return FCTResult{}, err
 	}
-	var res netsim.Results
+	sim, err := netsim.New(combo.Fabric, combo.Scheme, cfg.Net)
+	if err != nil {
+		return FCTResult{}, err
+	}
 	var aud *audit.Auditor
-	if cfg.Shards > 0 {
-		if cfg.Audit {
-			return FCTResult{}, fmt.Errorf("core: Audit needs the serial engine's event stream; set Shards=0")
+	if cfg.Audit {
+		if aud, err = audit.Attach(sim, flows); err != nil {
+			return FCTResult{}, err
 		}
-		if cfg.Telemetry != nil {
-			return FCTResult{}, fmt.Errorf("core: Telemetry needs the serial engine's event stream; set Shards=0")
+	}
+	if cfg.Telemetry != nil {
+		if classOf != nil {
+			_, err = cfg.Telemetry.AttachClassed(sim, classOf)
+		} else {
+			_, err = cfg.Telemetry.Attach(sim, len(flows))
 		}
-		ss, err := netsim.NewSharded(combo.Fabric, combo.Scheme, cfg.Net, cfg.Shards)
 		if err != nil {
 			return FCTResult{}, err
 		}
-		if res, err = ss.Run(flows); err != nil {
-			return FCTResult{}, err
-		}
-	} else {
-		sim, err := netsim.New(combo.Fabric, combo.Scheme, cfg.Net)
-		if err != nil {
-			return FCTResult{}, err
-		}
-		if cfg.Audit {
-			if aud, err = audit.Attach(sim, flows); err != nil {
-				return FCTResult{}, err
-			}
-		}
-		if cfg.Telemetry != nil {
-			if classOf != nil {
-				_, err = cfg.Telemetry.AttachClassed(sim, classOf)
-			} else {
-				_, err = cfg.Telemetry.Attach(sim, len(flows))
-			}
-			if err != nil {
-				return FCTResult{}, err
-			}
-		}
-		if res, err = sim.Run(flows); err != nil {
-			return FCTResult{}, err
-		}
+	}
+	res, err := sim.Run(flows)
+	if err != nil {
+		return FCTResult{}, err
 	}
 	if aud != nil {
 		if err := aud.Finish(res); err != nil {

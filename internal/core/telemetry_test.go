@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"spineless/internal/telemetry"
@@ -80,31 +79,6 @@ func TestRunFCTTelemetryAndClasses(t *testing.T) {
 	}
 	if workload.ClassTable(res.Classes) == "" {
 		t.Fatal("empty class table")
-	}
-}
-
-// TestTelemetryShardsRejected is the failing-before guard test: before
-// this guard existed, core only rejected Shards+Audit, so a tracer wired
-// to a sharded run would have been silently ignored.
-func TestTelemetryShardsRejected(t *testing.T) {
-	fs := tinyFabrics(t)
-	combo, err := NewCombo("ls", fs.LeafSpine, "ecmp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastFCTConfig()
-	cfg.Shards = 2
-	cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
-	if _, err := RunFCT(fs, combo, TMA2A, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry was accepted — the tracer would be silently ignored")
-	} else if !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-
-	// The same guard must hold on the multi-trial path.
-	cfg.Trials = 2
-	if _, err := RunFCT(fs, combo, TMA2A, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted under Trials>1")
 	}
 }
 

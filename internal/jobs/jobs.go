@@ -440,8 +440,8 @@ func (m *Manager) runJob(j *Job) {
 		}
 		if m.st != nil {
 			// Commit the hash preimage, not the submitted spec: Put verifies
-			// the archived spec hashes to the key, and hash-exempt fields
-			// (Shards, Telemetry) would break that and lose the entry.
+			// the archived spec hashes to the key, and the hash-exempt
+			// Telemetry field would break that and lose the entry.
 			specRaw, cerr := store.Canonical(j.Spec.HashForm())
 			if cerr == nil {
 				if perr := m.st.Put(j.Hash, specRaw, raw); perr != nil {

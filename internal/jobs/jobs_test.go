@@ -74,31 +74,26 @@ func TestSpecNormalizeHashStable(t *testing.T) {
 	}
 }
 
-// TestSpecHashShardExemption pins the shard-count cache exemption: every
-// positive shard count shares one key (results are shard-count-invariant),
-// but the serial engine keys separately from the sharded one.
-func TestSpecHashShardExemption(t *testing.T) {
-	base := Spec{Seed: 5}
-	h0, err := base.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := base
-	sharded.Shards = 2
-	h2, err := sharded.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded.Shards = 8
-	h8, err := sharded.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 != h8 {
-		t.Fatalf("shard counts fragment the cache: %s vs %s", h2, h8)
-	}
-	if h0 == h2 {
-		t.Fatal("serial and sharded engines share a cache key")
+// TestSpecHashGolden pins store keys: any change to Spec's JSON shape or
+// defaults that moves these values strands every result already stored.
+func TestSpecHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"fct", tinySpec(), "1aabbb3e37ada7b02f50fd92ee6b9d222180bedaf03e4dbbb875d7935116b8bd"},
+		{"fct defaults", Spec{Seed: 5}, "c000aad4a315fbbae2e3adb6e1163d5951df4531a5de6459f69fbdcf1cf8ac24"},
+		{"live", Spec{Kind: "live", Seed: 7, Faults: &FaultSpec{Fraction: 0.05, Flows: 50, WindowNS: 5e6}},
+			"fbbc3d60a215bc1bd1551fdb5ddcf6d69fdb55bee480ecb560f2f55b7259bf50"},
+	} {
+		got, err := c.spec.Hash()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s: store key moved: %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
@@ -577,22 +572,13 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestSpecTelemetryValidationAndHash pins the jobs-layer half of the
-// Shards+tracer guard (failing-before: Telemetry used to be silently
-// meaningless with Shards>0) and the cache-key exemption: observation
-// must not fragment the store.
+// TestSpecTelemetryValidationAndHash pins the cache-key exemption:
+// observation must not fragment the store.
 func TestSpecTelemetryValidationAndHash(t *testing.T) {
 	sp := tinySpec()
 	sp.Telemetry = true
-	sp.Shards = 2
-	if err := sp.Normalized().Validate(); err == nil {
-		t.Fatal("telemetry+shards validated — the recorder would observe nothing")
-	} else if !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	sp.Shards = 0
 	if err := sp.Normalized().Validate(); err != nil {
-		t.Fatalf("telemetry on the serial engine rejected: %v", err)
+		t.Fatalf("telemetry spec rejected: %v", err)
 	}
 
 	plain := tinySpec()
@@ -674,29 +660,29 @@ func TestTelemetryJobPublishesOnHub(t *testing.T) {
 	}
 }
 
-// TestShardedJobResultIsCached is the failing-before regression for the
+// TestTelemetryJobResultIsCached is the failing-before regression for the
 // hash-preimage store bug: runJob used to commit the submitted spec, whose
-// Shards field does not survive the hash exemption, so store.Put's
-// spec-hashes-to-key check failed and sharded results were silently never
+// Telemetry field does not survive the hash exemption, so store.Put's
+// spec-hashes-to-key check failed and observed results were silently never
 // cached.
-func TestShardedJobResultIsCached(t *testing.T) {
+func TestTelemetryJobResultIsCached(t *testing.T) {
 	m := newTestManager(t, Config{QueueDepth: 4, Executors: 1, TrialWorkers: 1})
 	sp := tinySpec()
-	sp.Shards = 2
+	sp.Telemetry = true
 	j, cached, err := m.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
-		t.Fatal("fresh sharded job served from cache")
+		t.Fatal("fresh telemetry job served from cache")
 	}
 	waitTerminal(t, j)
 	if st := j.Status(); st.State != StateDone {
 		t.Fatalf("job ended %s (%s)", st.State, st.Error)
 	}
-	// Any positive shard count shares the entry.
-	sp.Shards = 4
+	// The unobserved form of the spec shares the entry.
+	sp.Telemetry = false
 	if _, cached, err := m.Submit(sp); err != nil || !cached {
-		t.Fatalf("sharded resubmit: cached=%v err=%v", cached, err)
+		t.Fatalf("unobserved resubmit: cached=%v err=%v", cached, err)
 	}
 }

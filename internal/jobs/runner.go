@@ -98,7 +98,6 @@ func executeFCT(ctx context.Context, sp Spec, workers int, rec *telemetry.Record
 	cfg.Seed = sp.Seed
 	cfg.Trials = sp.Trials
 	cfg.MaxFlows = sp.MaxFlows
-	cfg.Shards = sp.Shards
 	cfg.Workers = workers
 	cfg.Ctx = ctx
 	cfg.OnTrial = onTrial
@@ -145,7 +144,6 @@ func executeLive(ctx context.Context, sp Spec, rec *telemetry.Recorder, onTrial 
 	cfg.PreserveConnectivity = f.PreserveConnectivity
 	cfg.Net = netsim.DefaultConfig()
 	cfg.Seed = sp.Seed
-	cfg.Shards = sp.Shards
 	cfg.Telemetry = rec
 	res, err := resilience.RunLive(g, cfg)
 	if err != nil {

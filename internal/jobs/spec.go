@@ -58,21 +58,10 @@ type Spec struct {
 	Trials int `json:"trials,omitempty"`
 	// MaxFlows caps generated flows per window (0 = uncapped).
 	MaxFlows int `json:"max_flows,omitempty"`
-	// Shards > 0 runs packet simulations on the sharded conservative-window
-	// engine with that many workers (netsim.NewSharded). Results are
-	// byte-identical at every positive shard count, so the store key
-	// collapses all of them to 1 — different counts share cache entries and
-	// dedupe in flight. Serial (0) keys separately: the sharded engine has
-	// two documented micro-departures from the serial event stream
-	// (DESIGN.md §13), so the two engines must not share
-	// determinism-audited cache entries.
-	Shards int `json:"shards,omitempty"`
 	// Telemetry attaches a live telemetry recorder to the run and publishes
 	// it on /v1/telemetry while the job executes. Purely observational: it
 	// never affects results, so — like worker counts — it is exempt from the
 	// store key. A cache hit executes nothing and therefore streams nothing.
-	// Requires the serial engine (Shards == 0): the sharded engine has no
-	// tracer slot, and a silently event-less recorder would be a lie.
 	Telemetry bool `json:"telemetry,omitempty"`
 	// Faults is the live-run fault schedule (required iff Kind == "live").
 	Faults *FaultSpec `json:"faults,omitempty"`
@@ -118,9 +107,6 @@ func (s Spec) Normalized() Spec {
 	s.Version = SpecVersion
 	if s.Kind == "" {
 		s.Kind = "fct"
-	}
-	if s.Shards < 0 {
-		s.Shards = 0
 	}
 	switch s.Kind {
 	case "fct":
@@ -215,9 +201,6 @@ func (s Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("jobs: unsupported spec version %d (want %d)", s.Version, SpecVersion)
 	}
-	if s.Telemetry && s.Shards > 0 {
-		return fmt.Errorf("jobs: telemetry needs the serial engine's event stream; set shards=0")
-	}
 	switch s.Kind {
 	case "fct":
 		switch s.Fabric {
@@ -270,26 +253,20 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Hash returns the spec's store key (normalizing first). The shard count
-// is exempt from the preimage beyond the engine choice: every Shards > 0
-// hashes as Shards = 1, because the sharded engine's results are
-// shard-count-invariant by construction. Telemetry is exempt entirely:
-// observation never changes what a run computes, so an observed and an
-// unobserved run must share one cache entry.
+// Hash returns the spec's store key (normalizing first). Telemetry is
+// exempt from the preimage: observation never changes what a run computes,
+// so an observed and an unobserved run must share one cache entry.
 func (s Spec) Hash() (string, error) {
 	return store.Key(s.HashForm())
 }
 
-// HashForm returns the normalized spec with the hash exemptions applied —
+// HashForm returns the normalized spec with the hash exemption applied —
 // the exact preimage of Hash. Store writers must commit this form, not the
 // submitted spec: store.Put verifies the spec it archives hashes to the
-// entry key, so an exempted field left in place (a sharded or telemetry
-// run) would fail the write and silently leave the result uncached.
+// entry key, so an exempted field left in place (a telemetry run) would
+// fail the write and silently leave the result uncached.
 func (s Spec) HashForm() Spec {
 	n := s.Normalized()
-	if n.Shards > 0 {
-		n.Shards = 1
-	}
 	n.Telemetry = false
 	return n
 }

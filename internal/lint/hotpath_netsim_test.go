@@ -49,52 +49,3 @@ func TestHotPathNetsimAgreesWithAllocPins(t *testing.T) {
 			strings.Join(hot, "\n"))
 	}
 }
-
-// TestHotPathShardedAgreesWithAllocPins is the same two-tool agreement for
-// the sharded engine's inner loop: vpSim.runWindow and drainRings are
-// annotated //lint:hotpath, netsim's TestShardHotPathAddsNoAllocs pins the
-// underlying primitives at zero allocations, and here the static walk over
-// the same call graph must come back clean — after the sanity checks prove
-// the walk actually reaches the packet and ring machinery.
-func TestHotPathShardedAgreesWithAllocPins(t *testing.T) {
-	fset, pkgs, err := Load("../..", []string{"./internal/netsim"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := NewProgram(fset, pkgs)
-
-	const root = "(*spineless/internal/netsim.vpSim).runWindow"
-	if prog.Graph.Nodes[root] == nil {
-		t.Fatalf("call graph has no node for %s; the walk would be vacuous", root)
-	}
-	wantReach := map[string]string{
-		"(*spineless/internal/netsim.vpSim).deliver": root,
-		"(*spineless/internal/netsim.vpSim).txDone":  root,
-		"(*spineless/internal/netsim.vpSim).alloc":   "(*spineless/internal/netsim.vpSim).drainRings",
-		"(*spineless/internal/netsim.spscRing).put":  "(*spineless/internal/netsim.vpSim).ringPut",
-		"spineless/internal/netsim.heapPush":         "(*spineless/internal/netsim.vpSim).push",
-	}
-	for want, from := range wantReach {
-		found := false
-		for _, c := range prog.Graph.Callees(from) {
-			if c == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("%s's callees %v lack %s; sharded hot-path reachability is broken",
-				from, prog.Graph.Callees(from), want)
-		}
-	}
-
-	var hot []string
-	for _, f := range prog.Run(nil, []ProgramChecker{&HotPath{}}) {
-		if f.Check == "hotpath" {
-			hot = append(hot, f.String())
-		}
-	}
-	if len(hot) > 0 {
-		t.Errorf("hotpath findings on the sharded engine contradict TestShardHotPathAddsNoAllocs:\n%s",
-			strings.Join(hot, "\n"))
-	}
-}

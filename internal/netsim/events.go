@@ -8,11 +8,6 @@ const (
 	evRTO                  // a flow's retransmission timer fires (idx = flow)
 	evFault                // the next batch of scheduled fault events applies
 	evReroute              // a time-varying routing phase boundary is reached
-
-	// evRecvStart is used only by the sharded engine: the receiver half of a
-	// flow resolves its ACK path in the partition owning the destination
-	// rack. The serial Simulator never schedules it.
-	evRecvStart
 )
 
 // event is one scheduled occurrence. seq breaks time ties so the event
@@ -29,10 +24,6 @@ type event struct {
 // eventHeap is a binary min-heap ordered by (t, seq). A hand-rolled heap
 // avoids container/heap's interface boxing on the simulator's hottest path.
 type eventHeap []event
-
-// heapPush/heapPop are engine-agnostic: the serial Simulator and the sharded
-// engine's per-partition sub-simulators both layer their own seq assignment
-// on top.
 
 //lint:hotpath
 func heapPush(h *eventHeap, ev event) {

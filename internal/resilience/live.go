@@ -72,16 +72,10 @@ type LiveConfig struct {
 	// Audit runs the packet simulation under the runtime invariant auditor
 	// (internal/audit); any violation fails the run. Results are unchanged.
 	Audit bool
-	// Shards > 0 runs the packet simulation on the sharded
-	// conservative-window engine with that many workers. Byte-identical at
-	// every shard count >= 1, but a distinct engine from the serial one
-	// (DESIGN.md §13 documents the two partition-local departures), so
-	// compare sharded runs with sharded runs. Incompatible with Audit.
-	Shards int
 	// Telemetry, when non-nil, binds a telemetry sink to the run so the
 	// outage is observable as time series (blackhole drop rate, link
 	// utilization) alongside the end-of-run transient summary. Purely
-	// observational. Incompatible with Shards and with Audit — see
+	// observational. Incompatible with Audit — see
 	// core.FCTConfig.Telemetry.
 	Telemetry *telemetry.Recorder
 }
@@ -145,9 +139,6 @@ func RunLive(g *topology.Graph, cfg LiveConfig) (LiveResult, error) {
 	}
 	if cfg.FailAtNS < 0 || cfg.DetectionDelayNS < 0 || cfg.RoundDelayNS < 0 {
 		return LiveResult{}, fmt.Errorf("resilience: negative fault timing")
-	}
-	if cfg.Shards > 0 && cfg.Telemetry != nil {
-		return LiveResult{}, fmt.Errorf("resilience: Telemetry needs the serial engine's event stream; set Shards=0")
 	}
 	if cfg.Audit && cfg.Telemetry != nil {
 		return LiveResult{}, fmt.Errorf("resilience: Audit and Telemetry both need the simulator's single tracer slot; run them separately")
@@ -235,47 +226,31 @@ func RunLive(g *topology.Graph, cfg LiveConfig) (LiveResult, error) {
 		return LiveResult{}, err
 	}
 
-	var out netsim.Results
-	if cfg.Shards > 0 {
-		if cfg.Audit {
-			return LiveResult{}, fmt.Errorf("resilience: Audit needs the serial engine; set Shards=0")
-		}
-		ss, err := netsim.NewSharded(g, tv, cfg.Net, cfg.Shards)
-		if err != nil {
+	sim, err := netsim.New(g, tv, cfg.Net)
+	if err != nil {
+		return LiveResult{}, err
+	}
+	if err := sim.InstallFaults(sched); err != nil {
+		return LiveResult{}, err
+	}
+	var aud *audit.Auditor
+	if cfg.Audit {
+		if aud, err = audit.Attach(sim, flows); err != nil {
 			return LiveResult{}, err
 		}
-		if err := ss.InstallFaults(sched); err != nil {
+	}
+	if cfg.Telemetry != nil {
+		if _, err = cfg.Telemetry.Attach(sim, len(flows)); err != nil {
 			return LiveResult{}, err
 		}
-		if out, err = ss.Run(flows); err != nil {
-			return LiveResult{}, err
-		}
-	} else {
-		sim, err := netsim.New(g, tv, cfg.Net)
-		if err != nil {
-			return LiveResult{}, err
-		}
-		if err := sim.InstallFaults(sched); err != nil {
-			return LiveResult{}, err
-		}
-		var aud *audit.Auditor
-		if cfg.Audit {
-			if aud, err = audit.Attach(sim, flows); err != nil {
-				return LiveResult{}, err
-			}
-		}
-		if cfg.Telemetry != nil {
-			if _, err = cfg.Telemetry.Attach(sim, len(flows)); err != nil {
-				return LiveResult{}, err
-			}
-		}
-		if out, err = sim.Run(flows); err != nil {
-			return LiveResult{}, err
-		}
-		if aud != nil {
-			if err := aud.Finish(out); err != nil {
-				return LiveResult{}, fmt.Errorf("resilience: live run at fraction %.3f: %w", cfg.Fraction, err)
-			}
+	}
+	out, err := sim.Run(flows)
+	if err != nil {
+		return LiveResult{}, err
+	}
+	if aud != nil {
+		if err := aud.Finish(out); err != nil {
+			return LiveResult{}, fmt.Errorf("resilience: live run at fraction %.3f: %w", cfg.Fraction, err)
 		}
 	}
 

@@ -38,15 +38,10 @@ type StudyConfig struct {
 	// Audit runs each fraction's FCT replay under the runtime invariant
 	// auditor (internal/audit); violations fail that fraction's trial.
 	Audit bool
-	// Shards > 0 runs each fraction's FCT replay on the sharded
-	// conservative-window engine with that many workers. Results are
-	// byte-identical at every shard count; incompatible with Audit, which
-	// observes the serial engine's event stream.
-	Shards int
 	// Telemetry, when non-nil, binds one telemetry sink per fraction's FCT
 	// replay (fractions share the fabric, so the merged snapshot is
-	// well-formed). Purely observational. Incompatible with Shards and
-	// with Audit — see core.FCTConfig.Telemetry.
+	// well-formed). Purely observational. Incompatible with Audit — see
+	// core.FCTConfig.Telemetry.
 	Telemetry *telemetry.Recorder
 }
 
@@ -86,9 +81,6 @@ type StudyRow struct {
 func Study(g *topology.Graph, cfg StudyConfig) ([]StudyRow, error) {
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("resilience: K must be >= 2")
-	}
-	if cfg.Shards > 0 && cfg.Telemetry != nil {
-		return nil, fmt.Errorf("resilience: Telemetry needs the serial engine's event stream; set Shards=0")
 	}
 	if cfg.Audit && cfg.Telemetry != nil {
 		return nil, fmt.Errorf("resilience: Audit and Telemetry both need the simulator's single tracer slot; run them separately")
@@ -208,23 +200,6 @@ func replayUniform(g *topology.Graph, scheme routing.Scheme, cfg StudyConfig, rn
 	}, rng)
 	if err != nil {
 		return metrics.FCTStats{}, err
-	}
-	if cfg.Shards > 0 {
-		if cfg.Audit {
-			return metrics.FCTStats{}, fmt.Errorf("resilience: Audit needs the serial engine's event stream; set Shards=0")
-		}
-		if cfg.Telemetry != nil {
-			return metrics.FCTStats{}, fmt.Errorf("resilience: Telemetry needs the serial engine's event stream; set Shards=0")
-		}
-		ss, err := netsim.NewSharded(g, scheme, cfg.Net, cfg.Shards)
-		if err != nil {
-			return metrics.FCTStats{}, err
-		}
-		res, err := ss.Run(flows)
-		if err != nil {
-			return metrics.FCTStats{}, err
-		}
-		return metrics.SummarizeFCT(res.FCTNS), nil
 	}
 	sim, err := netsim.New(g, scheme, cfg.Net)
 	if err != nil {

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"strings"
 	"testing"
 
 	"spineless/internal/netsim"
@@ -82,36 +81,24 @@ func TestLiveTelemetryDropSeriesMatchesTransient(t *testing.T) {
 	}
 }
 
-// TestLiveTelemetryShardsRejected is the failing-before guard test for the
-// resilience Live path.
-func TestLiveTelemetryShardsRejected(t *testing.T) {
+// TestLiveTelemetryAuditRejected: both observers need the simulator's
+// single tracer slot on the resilience Live path.
+func TestLiveTelemetryAuditRejected(t *testing.T) {
 	g := ringFabric(t)
 	cfg := liveTestConfig()
-	cfg.Shards = 2
 	cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
-	if _, err := RunLive(g, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted — the tracer would be silently ignored")
-	} else if !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	cfg.Shards = 0
 	cfg.Audit = true
 	if _, err := RunLive(g, cfg); err == nil {
 		t.Fatal("Audit+Telemetry accepted")
 	}
 }
 
-// TestStudyTelemetryShardsRejected covers the Study sweep layer.
-func TestStudyTelemetryShardsRejected(t *testing.T) {
+// TestStudyTelemetryAuditRejected covers the Study sweep layer.
+func TestStudyTelemetryAuditRejected(t *testing.T) {
 	g := ringFabric(t)
 	cfg := DefaultStudyConfig()
 	cfg.Flows = 50
-	cfg.Shards = 2
 	cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
-	if _, err := Study(g, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted in Study")
-	}
-	cfg.Shards = 0
 	cfg.Audit = true
 	if _, err := Study(g, cfg); err == nil {
 		t.Fatal("Audit+Telemetry accepted in Study")

@@ -206,6 +206,20 @@ func TestSubmitErrors(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", code)
 	}
+	// A field the spec schema dropped is rejected like any unknown field,
+	// and the error names it.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"kind":"fct","seed":1,"shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"shards\"`) {
+		t.Errorf("removed spec field: status %d, body %s", resp.StatusCode, body)
+	}
 	code, _ = postSpec(t, ts, `not json`)
 	if code != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d", code)
@@ -592,13 +606,6 @@ func TestTelemetryStreamAndHeatmap(t *testing.T) {
 	var fr TelemetryFrame
 	if err := json.Unmarshal(bytes.TrimSpace(body), &fr); err != nil {
 		t.Fatalf("one-frame body %q: %v", body, err)
-	}
-
-	// Rejecting a sharded telemetry spec is the serve-visible half of the
-	// config-layer guard.
-	shardSpec := strings.Replace(telemetrySpec(2), `"seed":1`, `"seed":1,"shards":2`, 1)
-	if code, _ := postSpec(t, ts, shardSpec); code != http.StatusBadRequest {
-		t.Fatalf("telemetry+shards spec accepted with status %d", code)
 	}
 
 	m.Cancel(sub.Job)

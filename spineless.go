@@ -244,14 +244,6 @@ func NewSimulator(g *Graph, scheme Scheme, cfg NetConfig) (*netsim.Simulator, er
 	return netsim.New(g, scheme, cfg)
 }
 
-// NewShardedSimulator builds the conservative-window parallel simulator
-// with the given worker count (clamped to [1, 16]). Results are
-// byte-identical at every shard count; DESIGN.md §13 documents its two
-// micro-departures from the serial engine's event stream.
-func NewShardedSimulator(g *Graph, scheme Scheme, cfg NetConfig, shards int) (*netsim.ShardedSimulator, error) {
-	return netsim.NewSharded(g, scheme, cfg, shards)
-}
-
 // DefaultNetConfig returns the §5.3 packet-simulator defaults.
 func DefaultNetConfig() NetConfig { return netsim.DefaultConfig() }
 
@@ -455,5 +447,5 @@ type BakeoffScorecard = bakeoff.Scorecard
 func BakeoffScaled(x int) BakeoffConfig { return bakeoff.Scaled(x) }
 
 // RunBakeoff executes the bake-off matrix and returns the ranked
-// scorecard; byte-identical at any worker count and any shard count >= 1.
+// scorecard; byte-identical at any worker count.
 func RunBakeoff(cfg BakeoffConfig) (*BakeoffScorecard, error) { return bakeoff.Run(cfg) }
