@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"spineless/internal/bakeoff"
-	"spineless/internal/prof"
+	"spineless/internal/cli"
 )
 
 func main() {
@@ -38,22 +38,22 @@ func main() {
 		trials    = flag.Int("trials", 0, "independently seeded FCT arrival windows pooled per cell (0 or 1 = single window)")
 		maxpairs  = flag.Int("maxpairs", 512, "cap on long flows in the throughput cell (0 = one per server)")
 		liveflows = flag.Int("liveflows", 0, "flows in the resilience cell (0 = resilience default)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "parallel cell workers (0 = one per CPU); results are identical at any value")
-		doAudit   = flag.Bool("audit", false, "run every packet simulation under the runtime invariant auditor (violations abort)")
-		storeDir  = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse finished cells")
 		csvOut    = flag.String("csv", "", "write the scorecard CSV to this file")
 		smoke     = flag.Bool("smoke", false, "run the CI smoke gate (tiny matrix; verifies worker-count invariance, completeness and an audited self-routing run) and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		shared    = cli.Register(flag.CommandLine, "seed", "workers", "audit", "store", "cpuprofile", "memprofile")
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	// bakeoff.Run opens the cell cache itself (library callers set StoreDir
+	// too), so the directory is handed to it and Start holds no second
+	// handle on it.
+	storeDir := shared.Store
+	shared.Store = ""
+	run, err := shared.Start("bakeoff")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
+	defer run.Close()
 
 	if *smoke {
 		runSmoke()
@@ -70,14 +70,11 @@ func main() {
 	cfg.Trials = *trials
 	cfg.MaxPairs = *maxpairs
 	cfg.LiveFlows = *liveflows
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Audit = *doAudit
-	cfg.StoreDir = *storeDir
+	cfg.Seed = shared.Seed
+	cfg.Workers = shared.Workers
+	cfg.Audit = shared.Audit
+	cfg.StoreDir = storeDir
 	cfg.Logf = log.Printf
-	if *doAudit {
-		log.Printf("invariant auditing enabled: any conservation/FIFO/TCP violation aborts the run")
-	}
 
 	start := time.Now()
 	sc, err := bakeoff.Run(cfg)

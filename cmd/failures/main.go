@@ -30,11 +30,11 @@ import (
 	"strings"
 	"time"
 
+	"spineless/internal/cli"
 	"spineless/internal/core"
-	"spineless/internal/memo"
 	"spineless/internal/parallel"
 	"spineless/internal/resilience"
-	"spineless/internal/telemetry"
+	"spineless/internal/store"
 	"spineless/internal/topology"
 )
 
@@ -49,11 +49,7 @@ func main() {
 		k         = flag.Int("k", 2, "Shortest-Union K")
 		fractions = flag.String("fractions", "0,0.01,0.05,0.10", "comma-separated link-failure fractions")
 		flows     = flag.Int("flows", 300, "uniform-workload flows for FCT replay (0 = skip; live mode requires > 0)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "parallel workers across fractions (0 = one per CPU); results are identical at any value")
-		doAudit   = flag.Bool("audit", false, "run packet simulations under the runtime invariant auditor (violations fail the trial)")
-		doTel     = flag.Bool("telemetry", false, "record per-link/per-flow telemetry and print a digest after the sweep (incompatible with -audit)")
-		storeDir  = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-fraction rows")
+		shared    = cli.Register(flag.CommandLine, "seed", "workers", "audit", "telemetry", "store")
 
 		live     = flag.Bool("live", false, "inject failures during a packet-level run (transient study)")
 		failAt   = flag.Duration("fail-at", 2*time.Millisecond, "live: absolute sim time of the failure")
@@ -68,8 +64,13 @@ func main() {
 	)
 	flag.Parse()
 
+	run, err := shared.Start("failures")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer run.Close()
+
 	var g *topology.Graph
-	var err error
 	switch *topoKind {
 	case "dring":
 		g, err = topology.DRing(topology.Uniform(*m, *n, *ports))
@@ -78,7 +79,7 @@ func main() {
 		if derr != nil {
 			log.Fatal(derr)
 		}
-		g, err = core.MatchedRRG(dr, rand.New(rand.NewSource(*seed)))
+		g, err = core.MatchedRRG(dr, rand.New(rand.NewSource(shared.Seed)))
 	case "xpander", "debruijn", "rng":
 		// Bake-off fabrics on the dring's equipment budget: same switch
 		// count, radix, server total and network-degree budget (uniform
@@ -88,7 +89,7 @@ func main() {
 		if derr != nil {
 			log.Fatal(derr)
 		}
-		g, err = core.FlatFabric(*topoKind, dr.N(), 4**n, *ports, dr.Servers(), rand.New(rand.NewSource(*seed)))
+		g, err = core.FlatFabric(*topoKind, dr.N(), 4**n, *ports, dr.Servers(), rand.New(rand.NewSource(shared.Seed)))
 	default:
 		log.Fatalf("unknown topology %q (want dring, rrg, xpander, debruijn or rng)", *topoKind)
 	}
@@ -105,34 +106,16 @@ func main() {
 		fracs = append(fracs, v)
 	}
 
-	cache, err := memo.Open(*storeDir, "failures", log.Printf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cache.Close()
+	cache, rec := run.Cache, run.Telemetry
 	base := cellSpec{
 		V: 1, Topo: *topoKind, Supernodes: *m, Tors: *n, Ports: *ports,
-		K: *k, Flows: *flows, Seed: *seed,
-	}
-	var rec *telemetry.Recorder
-	if *doTel {
-		if *doAudit {
-			log.Fatal("-audit and -telemetry both need the simulator's single tracer slot; run them separately")
-		}
-		rec = telemetry.NewRecorder(telemetry.Config{})
-		if cache != nil {
-			// Cache hits execute no simulation, so the digest would read
-			// as an idle fabric; run fresh instead. The deferred Close
-			// still runs on the original handle.
-			log.Printf("-telemetry requested: result cache bypassed for this run")
-			cache = nil
-		}
+		K: *k, Flows: *flows, Seed: shared.Seed,
 	}
 
 	if *live {
 		cfg := resilience.DefaultLiveConfig()
 		cfg.K = *k
-		cfg.Seed = *seed
+		cfg.Seed = shared.Seed
 		cfg.Flows = *flows
 		cfg.FailAtNS = failAt.Nanoseconds()
 		cfg.DetectionDelayNS = detect.Nanoseconds()
@@ -143,11 +126,11 @@ func main() {
 		cfg.GrayLoss = *grayLoss
 		cfg.GrayRateFactor = *grayRate
 		cfg.PreserveConnectivity = *preserve
-		cfg.Workers = *workers
-		cfg.Audit = *doAudit
+		cfg.Workers = shared.Workers
+		cfg.Audit = shared.Audit
 		cfg.Telemetry = rec
 
-		fmt.Printf("fabric: %v, Shortest-Union(%d), seed=%d\n", g, *k, *seed)
+		fmt.Printf("fabric: %v, Shortest-Union(%d), seed=%d\n", g, *k, shared.Seed)
 		fmt.Printf("live faults: fail at %v, detect %v, %v/round; flap=%d gray=%d (loss %.1f%%, rate ×%.2f)\n\n",
 			*failAt, *detect, *roundDel, *flap, *gray, *grayLoss*100, *grayRate)
 		base.Mode = "live"
@@ -173,14 +156,14 @@ func main() {
 	cfg := resilience.DefaultStudyConfig()
 	cfg.K = *k
 	cfg.Flows = *flows
-	cfg.Seed = *seed
+	cfg.Seed = shared.Seed
 	cfg.Fractions = fracs
-	cfg.Workers = *workers
-	cfg.Audit = *doAudit
+	cfg.Workers = shared.Workers
+	cfg.Audit = shared.Audit
 	cfg.Telemetry = rec
 
 	base.Mode = "static"
-	fmt.Printf("fabric: %v, Shortest-Union(%d), seed=%d\n\n", g, *k, *seed)
+	fmt.Printf("fabric: %v, Shortest-Union(%d), seed=%d\n\n", g, *k, shared.Seed)
 	rows, err := cachedStudy(cache, g, cfg, base)
 	if rows != nil {
 		fmt.Println(resilience.Table(rows))
@@ -221,7 +204,7 @@ type cellSpec struct {
 // cachedLiveSweep is resilience.LiveSweep with a per-fraction cache,
 // preserving its semantics exactly: failed fractions contribute a
 // TrialError and no row (and are never cached), rows keep fraction order.
-func cachedLiveSweep(cache *memo.Cache, g *topology.Graph, cfg resilience.LiveConfig, fracs []float64, base cellSpec) ([]resilience.LiveResult, error) {
+func cachedLiveSweep(cache *store.Cache, g *topology.Graph, cfg resilience.LiveConfig, fracs []float64, base cellSpec) ([]resilience.LiveResult, error) {
 	results := make([]resilience.LiveResult, len(fracs))
 	errs := make([]error, len(fracs))
 	_ = parallel.ForEach(cfg.Workers, len(fracs), func(i int) error {
@@ -232,7 +215,7 @@ func cachedLiveSweep(cache *memo.Cache, g *topology.Graph, cfg resilience.LiveCo
 		label := fmt.Sprintf("fraction %.3f", fracs[i])
 		errs[i] = core.Trial(label, func() error {
 			var e error
-			results[i], e = memo.Do(cache, label, spec, func() (resilience.LiveResult, error) {
+			results[i], _, e = store.Memoize(cache, label, spec, func() (resilience.LiveResult, error) {
 				return resilience.RunLive(g, c)
 			})
 			return e
@@ -258,7 +241,7 @@ func cachedLiveSweep(cache *memo.Cache, g *topology.Graph, cfg resilience.LiveCo
 // a single-fraction Study (re-deriving the base FIB/RIB, which a hit skips
 // entirely); failed fractions keep Study's semantics — an Err-marked row, a
 // TrialError, and nothing cached.
-func cachedStudy(cache *memo.Cache, g *topology.Graph, cfg resilience.StudyConfig, base cellSpec) ([]resilience.StudyRow, error) {
+func cachedStudy(cache *store.Cache, g *topology.Graph, cfg resilience.StudyConfig, base cellSpec) ([]resilience.StudyRow, error) {
 	if cache == nil {
 		return resilience.Study(g, cfg)
 	}
@@ -268,7 +251,7 @@ func cachedStudy(cache *memo.Cache, g *topology.Graph, cfg resilience.StudyConfi
 		f := cfg.Fractions[i]
 		spec := base
 		spec.Fraction = f
-		row, err := memo.Do(cache, fmt.Sprintf("fraction %.3f", f), spec, func() (resilience.StudyRow, error) {
+		row, _, err := store.Memoize(cache, fmt.Sprintf("fraction %.3f", f), spec, func() (resilience.StudyRow, error) {
 			single := cfg
 			single.Fractions = []float64{f}
 			rs, serr := resilience.Study(g, single)

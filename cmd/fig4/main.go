@@ -14,17 +14,15 @@ import (
 	"log"
 	"math/rand"
 	"os"
-
 	"path/filepath"
 	"strings"
 	"time"
 
+	"spineless/internal/cli"
 	"spineless/internal/core"
-	"spineless/internal/memo"
 	"spineless/internal/metrics"
 	"spineless/internal/parallel"
-	"spineless/internal/prof"
-	"spineless/internal/telemetry"
+	"spineless/internal/store"
 	"spineless/internal/trace"
 	"spineless/internal/viz"
 	"spineless/internal/workload"
@@ -38,29 +36,23 @@ func main() {
 		scale    = flag.Int("scale", 4, "scale-down factor for the default run (divides 48 and 16)")
 		util     = flag.Float64("util", 0.30, "offered load as a fraction of spine capacity")
 		window   = flag.Float64("window", 0.01, "flow arrival window, seconds")
-		seed     = flag.Int64("seed", 1, "random seed (run is fully deterministic given the seed)")
 		maxFlows = flag.Int("maxflows", 0, "cap on generated flows per cell (0 = uncapped)")
 		claim    = flag.Bool("claim", false, "also check the §6.1 'up to 7× lower FCT' claim on FB-skewed")
 		dump     = flag.String("dump", "", "write per-flow FCT CSVs for every cell into this directory")
 		svgOut   = flag.String("svg", "", "write fig4a.svg and fig4b.svg into this directory")
-		doAudit  = flag.Bool("audit", false, "run every cell under the runtime invariant auditor (violations abort)")
-		doTel    = flag.Bool("telemetry", false, "record per-link/per-flow telemetry and print a digest after the run (incompatible with -audit)")
 		extra    = flag.String("extra", "", "comma-separated bake-off fabrics to append as extra columns: xpander, debruijn, rng (each with its native scheme)")
 		trials   = flag.Int("trials", 1, "independently seeded arrival windows pooled per cell")
-		workers  = flag.Int("workers", 0, "parallel workers per fan-out (0 = one per CPU); results are identical at any value")
-		storeDir = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-cell results")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		shared   = cli.Register(flag.CommandLine, "seed", "audit", "telemetry", "workers", "store", "cpuprofile", "memprofile")
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	run, err := shared.Start("fig4")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
+	defer run.Close()
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(shared.Seed))
 	var fs *core.FabricSet
 	if *paper {
 		fs, err = core.PaperFabrics(rng)
@@ -71,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("fabrics: %v | %v | %v\n", fs.LeafSpine, fs.RRG, fs.DRing)
-	fmt.Printf("seed=%d util=%.2f window=%.3fs flow sizes: Pareto(mean=100KB, alpha=1.05)\n\n", *seed, *util, *window)
+	fmt.Printf("seed=%d util=%.2f window=%.3fs flow sizes: Pareto(mean=100KB, alpha=1.05)\n\n", shared.Seed, *util, *window)
 
 	combos, err := core.PaperCombos(fs)
 	if err != nil {
@@ -80,7 +72,7 @@ func main() {
 	if *extra != "" {
 		for _, name := range strings.Split(*extra, ",") {
 			name = strings.TrimSpace(name)
-			g, err := core.ExtraFabric(fs, name, *seed)
+			g, err := core.ExtraFabric(fs, name, shared.Seed)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -96,45 +88,25 @@ func main() {
 	cfg := core.DefaultFCTConfig()
 	cfg.Util = *util
 	cfg.WindowSec = *window
-	cfg.Seed = *seed
+	cfg.Seed = shared.Seed
 	cfg.MaxFlows = *maxFlows
 	cfg.Trials = *trials
-	cfg.Workers = *workers
+	cfg.Workers = shared.Workers
 	cfg.Sizes = workload.PaperFlowSizes()
-	cfg.Audit = *doAudit
+	cfg.Audit = shared.Audit
+	cfg.Telemetry = run.Telemetry
 	cfg.KeepFlows = *dump != ""
-	if *doAudit {
-		log.Printf("invariant auditing enabled: any conservation/FIFO/TCP violation aborts the run")
-	}
-	var rec *telemetry.Recorder
-	if *doTel {
-		if *doAudit {
-			log.Fatal("-audit and -telemetry both need the simulator's single tracer slot; run them separately")
-		}
-		rec = telemetry.NewRecorder(telemetry.Config{})
-		cfg.Telemetry = rec
-	}
 	if *dump != "" {
 		if err := os.MkdirAll(*dump, 0o755); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	cache, err := memo.Open(*storeDir, "fig4", log.Printf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cache.Close()
+	cache := run.Cache
 	if cache != nil && cfg.KeepFlows {
 		// Per-flow dumps would bloat cache entries by orders of magnitude;
 		// run fresh instead.
 		log.Printf("-dump requested: result cache bypassed for this run")
-		cache = nil
-	}
-	if cache != nil && rec != nil {
-		// Cache hits execute no simulation, so the digest would read as an
-		// idle fabric; run fresh instead.
-		log.Printf("-telemetry requested: result cache bypassed for this run")
 		cache = nil
 	}
 
@@ -177,10 +149,10 @@ func main() {
 	fmt.Println("(b) 99th percentile FCT (ms)")
 	fmt.Println(p99.String())
 
-	if rec != nil {
+	if run.Telemetry != nil {
 		// Cells span three differently shaped fabrics, so the merged
 		// snapshot is totals-only (Mixed) by construction.
-		fmt.Println(rec.Snapshot().Digest(5))
+		fmt.Println(run.Telemetry.Snapshot().Digest(5))
 	}
 
 	if *svgOut != "" {
@@ -249,7 +221,7 @@ type fig4Cell struct {
 // cell is looked up (and on a miss computed and committed) independently,
 // preserving Fig4Row's combo-level parallelism and bit-identical output —
 // cells are independent because every RunFCT reseeds from cfg.Seed.
-func cachedFig4Row(cache *memo.Cache, fs *core.FabricSet, combos []core.Combo, kind core.TMKind, cfg core.FCTConfig, paper bool, scale int) ([]core.FCTResult, error) {
+func cachedFig4Row(cache *store.Cache, fs *core.FabricSet, combos []core.Combo, kind core.TMKind, cfg core.FCTConfig, paper bool, scale int) ([]core.FCTResult, error) {
 	out := make([]core.FCTResult, len(combos))
 	err := parallel.ForEach(cfg.Workers, len(combos), func(i int) error {
 		spec := fig4Cell{
@@ -258,7 +230,7 @@ func cachedFig4Row(cache *memo.Cache, fs *core.FabricSet, combos []core.Combo, k
 			Seed: cfg.Seed, Trials: cfg.Trials, MaxFlows: cfg.MaxFlows,
 		}
 		label := fmt.Sprintf("%s × %s", combos[i].Label, kind)
-		r, err := memo.Do(cache, label, spec, func() (core.FCTResult, error) {
+		r, _, err := store.Memoize(cache, label, spec, func() (core.FCTResult, error) {
 			return core.RunFCT(fs, combos[i], kind, cfg)
 		})
 		if err != nil {

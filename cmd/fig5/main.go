@@ -14,12 +14,12 @@ import (
 	"path/filepath"
 
 	"spineless/internal/audit"
+	"spineless/internal/cli"
 	"spineless/internal/core"
 	"spineless/internal/flowsim"
-	"spineless/internal/memo"
 	"spineless/internal/metrics"
 	"spineless/internal/netsim"
-	"spineless/internal/prof"
+	"spineless/internal/store"
 	"spineless/internal/viz"
 	"spineless/internal/workload"
 )
@@ -28,32 +28,27 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fig5: ")
 	var (
-		paper    = flag.Bool("paper", false, "full-scale §5.1 fabrics (C,S up to 1400 as in the paper)")
-		scale    = flag.Int("scale", 4, "scale-down factor for the default run")
-		seed     = flag.Int64("seed", 1, "random seed")
-		density  = flag.Int("flows", 2, "long-running flows per host (sampling density)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of ASCII heatmaps")
-		doAudit  = flag.Bool("audit", false, "cross-validate the flow-level model against netsim and the fluid bound first (violations abort)")
-		svgOut   = flag.String("svg", "", "write fig5a..fig5d SVG heatmaps into this directory")
-		workers  = flag.Int("workers", 0, "parallel workers per heatmap (0 = one per CPU); results are identical at any value")
-		storeDir = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-panel heatmaps")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		paper   = flag.Bool("paper", false, "full-scale §5.1 fabrics (C,S up to 1400 as in the paper)")
+		scale   = flag.Int("scale", 4, "scale-down factor for the default run")
+		density = flag.Int("flows", 2, "long-running flows per host (sampling density)")
+		csv     = flag.Bool("csv", false, "emit CSV instead of ASCII heatmaps")
+		svgOut  = flag.String("svg", "", "write fig5a..fig5d SVG heatmaps into this directory")
+		shared  = cli.Register(flag.CommandLine, "seed", "audit", "workers", "store", "cpuprofile", "memprofile")
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	run, err := shared.Start("fig5")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
+	defer run.Close()
 	if *svgOut != "" {
 		if err := os.MkdirAll(*svgOut, 0o755); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(shared.Seed))
 	var fs *core.FabricSet
 	if *paper {
 		fs, err = core.PaperFabrics(rng)
@@ -63,9 +58,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fabrics: %v vs %v (seed=%d)\n\n", fs.DRing, fs.LeafSpine, *seed)
+	fmt.Printf("fabrics: %v vs %v (seed=%d)\n\n", fs.DRing, fs.LeafSpine, shared.Seed)
 
-	if *doAudit {
+	if shared.Audit {
 		// Figure 5 is computed entirely in the flow-level model, so its
 		// audit is differential: on each fabric × scheme the heatmap uses,
 		// check netsim (under the invariant auditor), flowsim, and the
@@ -87,15 +82,9 @@ func main() {
 	large := gridTicks(hostCap/15, hostCap*45/100, 5)
 
 	cfg := core.DefaultThroughputConfig()
-	cfg.Seed = *seed
+	cfg.Seed = shared.Seed
 	cfg.FlowsPerHost = *density
-	cfg.Workers = *workers
-
-	cache, err := memo.Open(*storeDir, "fig5", log.Printf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cache.Close()
+	cfg.Workers = shared.Workers
 
 	panels := []struct {
 		name   string
@@ -119,9 +108,9 @@ func main() {
 		}
 		spec := fig5Panel{
 			V: 1, Paper: *paper, Scale: *scale, Scheme: p.scheme,
-			Ticks: p.ticks, Seed: *seed, FlowsPerHost: *density,
+			Ticks: p.ticks, Seed: shared.Seed, FlowsPerHost: *density,
 		}
-		h, err := memo.Do(cache, p.name, spec, func() (*metrics.Heatmap, error) {
+		h, _, err := store.Memoize(run.Cache, p.name, spec, func() (*metrics.Heatmap, error) {
 			return core.CSRatioHeatmap(dr, ls, p.ticks, p.ticks, cfg)
 		})
 		if err != nil {

@@ -16,11 +16,11 @@ import (
 	"strings"
 	"time"
 
+	"spineless/internal/cli"
 	"spineless/internal/core"
-	"spineless/internal/memo"
 	"spineless/internal/metrics"
 	"spineless/internal/parallel"
-	"spineless/internal/prof"
+	"spineless/internal/store"
 	"spineless/internal/viz"
 	"spineless/internal/workload"
 )
@@ -29,29 +29,24 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fig6: ")
 	var (
-		sweep    = flag.String("supernodes", "7,9,11,13,15", "comma-separated supernode counts (paper: 42..90 racks)")
-		tors     = flag.Int("tors", 6, "ToRs per supernode (§6.3 uses 6)")
-		ports    = flag.Int("ports", 60, "switch radix (§6.3 uses 60)")
-		scheme   = flag.String("scheme", "ecmp", "routing scheme for both fabrics (ecmp, su2, ...)")
-		topo     = flag.String("topo", "dring", "numerator fabric: dring (paper), xpander, debruijn or rng (same equipment budget; denominator RRG is matched to it)")
-		util     = flag.Float64("util", 0.5, "offered load per server as a fraction of half its NIC rate")
-		window   = flag.Float64("window", 0.004, "flow arrival window, seconds")
-		seed     = flag.Int64("seed", 1, "random seed")
-		flows    = flag.Int("maxflows", 0, "cap on flows per point (0 = uncapped; capping skews per-server load across the sweep)")
-		doAudit  = flag.Bool("audit", false, "run every sweep point under the runtime invariant auditor (violations abort)")
-		svgOut   = flag.String("svg", "", "write fig6.svg into this directory")
-		workers  = flag.Int("workers", 0, "parallel sweep-point workers (0 = one per CPU); results are identical at any value")
-		storeDir = flag.String("store", "", "content-addressed result cache directory; repeated runs reuse per-point results")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		sweep  = flag.String("supernodes", "7,9,11,13,15", "comma-separated supernode counts (paper: 42..90 racks)")
+		tors   = flag.Int("tors", 6, "ToRs per supernode (§6.3 uses 6)")
+		ports  = flag.Int("ports", 60, "switch radix (§6.3 uses 60)")
+		scheme = flag.String("scheme", "ecmp", "routing scheme for both fabrics (ecmp, su2, ...)")
+		topo   = flag.String("topo", "dring", "numerator fabric: dring (paper), xpander, debruijn or rng (same equipment budget; denominator RRG is matched to it)")
+		util   = flag.Float64("util", 0.5, "offered load per server as a fraction of half its NIC rate")
+		window = flag.Float64("window", 0.004, "flow arrival window, seconds")
+		flows  = flag.Int("maxflows", 0, "cap on flows per point (0 = uncapped; capping skews per-server load across the sweep)")
+		svgOut = flag.String("svg", "", "write fig6.svg into this directory")
+		shared = cli.Register(flag.CommandLine, "seed", "audit", "workers", "store", "cpuprofile", "memprofile")
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	run, err := shared.Start("fig6")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
+	defer run.Close()
 
 	counts, err := parseInts(*sweep)
 	if err != nil {
@@ -69,26 +64,18 @@ func main() {
 	cfg.Topology = *topo
 	cfg.FCT.Util = *util
 	cfg.FCT.WindowSec = *window
-	cfg.FCT.Seed = *seed
+	cfg.FCT.Seed = shared.Seed
 	cfg.FCT.MaxFlows = *flows
 	cfg.FCT.Sizes = workload.PaperFlowSizes()
-	cfg.FCT.Audit = *doAudit
-	cfg.Workers = *workers
-	if *doAudit {
-		log.Printf("invariant auditing enabled: any conservation/FIFO/TCP violation aborts the run")
-	}
+	cfg.FCT.Audit = shared.Audit
+	cfg.Workers = shared.Workers
 
 	fmt.Printf("%s(%d ToRs/supernode, %d ports) vs equipment-matched RRG, uniform traffic, %s routing, seed=%d\n\n",
-		*topo, *tors, *ports, *scheme, *seed)
+		*topo, *tors, *ports, *scheme, shared.Seed)
 	var t metrics.Table
 	t.AddRow("supernodes", "racks", "servers", fmt.Sprintf("p99 FCT(%s)/FCT(RRG)", *topo), "median ratio")
 	var xs, p99s, medians []float64
 	start := time.Now()
-	cache, err := memo.Open(*storeDir, "fig6", log.Printf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cache.Close()
 	// Sweep points run in parallel across -workers and are cached one at a
 	// time: each is independent and reseeds from the config, so a per-point
 	// sweep is bit-identical to one ScaleSweep call over every count.
@@ -97,10 +84,10 @@ func main() {
 		spec := fig6Point{
 			V: 2, Topo: *topo, Supernodes: counts[i], Tors: *tors, Ports: *ports,
 			Scheme: *scheme, Util: *util, WindowSec: *window,
-			Seed: *seed, MaxFlows: *flows,
+			Seed: shared.Seed, MaxFlows: *flows,
 		}
 		label := fmt.Sprintf("%d supernodes", counts[i])
-		p, err := memo.Do(cache, label, spec, func() (core.ScalePoint, error) {
+		p, _, err := store.Memoize(run.Cache, label, spec, func() (core.ScalePoint, error) {
 			one, err := core.ScaleSweep(counts[i:i+1], cfg)
 			if err != nil {
 				return core.ScalePoint{}, err

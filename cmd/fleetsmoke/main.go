@@ -339,7 +339,7 @@ func run(n, load int, seed int64, timeout time.Duration, verbose bool) error {
 	// Byte-identical to a clean run, for every job.
 	for i := 0; i < load; i++ {
 		sp, _ := smokeSpec(int64(i+1), 20)
-		clean, err := jobs.Execute(ctx, sp, 2, nil)
+		clean, err := jobs.Execute(ctx, sp, 2, nil, nil)
 		if err != nil {
 			return fmt.Errorf("clean run of job %d: %w", i, err)
 		}

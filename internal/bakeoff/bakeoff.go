@@ -31,7 +31,6 @@ import (
 
 	"spineless/internal/core"
 	"spineless/internal/flowsim"
-	"spineless/internal/memo"
 	"spineless/internal/parallel"
 	"spineless/internal/resilience"
 	"spineless/internal/store"
@@ -405,7 +404,7 @@ func Run(cfg Config) (*Scorecard, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cache, err := memo.Open(cfg.StoreDir, "bakeoff", cfg.Logf)
+	cache, err := store.OpenCache(cfg.StoreDir, "bakeoff", cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +429,7 @@ func Run(cfg Config) (*Scorecard, error) {
 	err = parallel.ForEach(cfg.Workers, len(keys), func(i int) error {
 		k := keys[i]
 		label := k.topo + "/" + k.scheme
-		cell, err := memo.Do(cache, label, cfg.cellSpec(k.topo, k.scheme), func() (Cell, error) {
+		cell, _, err := store.Memoize(cache, label, cfg.cellSpec(k.topo, k.scheme), func() (Cell, error) {
 			return measureCell(cfg, k.topo, k.scheme, fabrics[k.topo])
 		})
 		if err != nil {

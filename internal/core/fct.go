@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"spineless/internal/audit"
 	"spineless/internal/metrics"
 	"spineless/internal/netsim"
 	"spineless/internal/parallel"
 	"spineless/internal/routing"
-	"spineless/internal/telemetry"
 	"spineless/internal/workload"
 )
 
@@ -47,11 +45,8 @@ type FCTConfig struct {
 	// KeepFlows retains the generated flow set and raw per-flow FCTs in the
 	// result (for CSV export); off by default to keep results small.
 	KeepFlows bool
-	// Audit runs every trial under the runtime invariant auditor
-	// (internal/audit): any violation — broken packet conservation, FIFO
-	// corruption, TCP insanity — fails the experiment instead of silently
-	// skewing the figures. Adds tracing overhead; results are unchanged.
-	Audit bool
+	// Observers selects how every trial window's simulation is watched.
+	Observers
 	// Ctx, when non-nil, cancels the experiment between trials: no new
 	// trial window starts after Ctx is done and RunFCT returns Ctx's error
 	// (unless an earlier trial already failed — the lowest-index error
@@ -67,14 +62,6 @@ type FCTConfig struct {
 	// monotone); it must not block for long and must not mutate experiment
 	// state. Single-window runs report (1, 1) on completion.
 	OnTrial func(done, total int)
-	// Telemetry, when non-nil, attaches one telemetry sink per trial window
-	// and the recorder merges them live (trials share the [0, WindowSec)
-	// time origin, so pooled series read as aggregate offered load). A
-	// recorder is scoped to one fabric: reuse across combos with different
-	// link counts is rejected at merge time. Purely observational — results
-	// are unchanged. Incompatible with Audit (the invariant auditor owns
-	// the simulator's single tracer slot).
-	Telemetry *telemetry.Recorder
 	// JobClasses, when non-empty, replaces the cfg.Sizes uniform-start
 	// workload with the Poisson-arrival job-class mix
 	// (workload.GenerateClassedFlows): per-class sizes and arrival shares,
@@ -166,9 +153,6 @@ func RunFCTMatrix(fs *FabricSet, combo Combo, m *workload.Matrix, cfg FCTConfig)
 // serialize workers on a mutex), and trial t's result lands in slot t — so
 // the pooled output is byte-identical from workers=1 to workers=N.
 func runTrials(cfg FCTConfig, combo Combo, one func(seed int64) (FCTResult, error)) (FCTResult, error) {
-	if cfg.Audit && cfg.Telemetry != nil {
-		return FCTResult{}, fmt.Errorf("core: Audit and Telemetry both need the simulator's single tracer slot; run them separately")
-	}
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -298,30 +282,9 @@ func runFCT(fs *FabricSet, combo Combo, m *workload.Matrix, placement []int, cfg
 	if err != nil {
 		return FCTResult{}, err
 	}
-	var aud *audit.Auditor
-	if cfg.Audit {
-		if aud, err = audit.Attach(sim, flows); err != nil {
-			return FCTResult{}, err
-		}
-	}
-	if cfg.Telemetry != nil {
-		if classOf != nil {
-			_, err = cfg.Telemetry.AttachClassed(sim, classOf)
-		} else {
-			_, err = cfg.Telemetry.Attach(sim, len(flows))
-		}
-		if err != nil {
-			return FCTResult{}, err
-		}
-	}
-	res, err := sim.Run(flows)
+	res, err := cfg.Observers.Run(sim, flows, classOf)
 	if err != nil {
-		return FCTResult{}, err
-	}
-	if aud != nil {
-		if err := aud.Finish(res); err != nil {
-			return FCTResult{}, fmt.Errorf("core: %s: %w", combo.Label, err)
-		}
+		return FCTResult{}, fmt.Errorf("core: %s: %w", combo.Label, err)
 	}
 	out := FCTResult{
 		Combo:      combo.Label,

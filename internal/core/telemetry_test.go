@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"spineless/internal/telemetry"
@@ -20,8 +21,8 @@ func fastClasses() []workload.Class {
 // TestRunFCTTelemetryAndClasses runs the Poisson job-class workload over
 // two parallel trials with a telemetry recorder attached and checks that
 // (a) every trial bound a sink, (b) per-class goodput and the per-class
-// FCT attribution both partition the run, and (c) attaching telemetry
-// never changes the measured results.
+// FCT attribution both partition the run, and (c) neither observer — the
+// recorder or the invariant auditor — changes any field of the result.
 func TestRunFCTTelemetryAndClasses(t *testing.T) {
 	fs := tinyFabrics(t)
 	combo, err := NewCombo("DRing su2", fs.DRing, "su2")
@@ -39,15 +40,23 @@ func TestRunFCTTelemetryAndClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cfg.Observers = Observers{Audit: true}
+	audited, err := RunFCT(fs, combo, TMA2A, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(audited, bare) {
+		t.Fatalf("auditing changed results: %+v vs %+v", audited, bare)
+	}
+
 	rec := telemetry.NewRecorder(telemetry.Config{Classes: 3})
-	cfg.Telemetry = rec
+	cfg.Observers = Observers{Telemetry: rec}
 	res, err := RunFCT(fs, combo, TMA2A, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if res.Stats != bare.Stats || res.Flows != bare.Flows {
-		t.Fatalf("telemetry changed results: %+v vs %+v", res.Stats, bare.Stats)
+	if !reflect.DeepEqual(res, bare) {
+		t.Fatalf("telemetry changed results: %+v vs %+v", res, bare)
 	}
 	if rec.Sinks() != 2 {
 		t.Fatalf("%d sinks bound, want one per trial", rec.Sinks())

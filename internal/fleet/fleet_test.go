@@ -227,7 +227,7 @@ func TestReplacementOnWorkerDeath(t *testing.T) {
 	}
 
 	// The survivor's bytes must equal an independent clean computation.
-	clean, err := jobs.Execute(ctx, sp.Normalized(), 1, nil)
+	clean, err := jobs.Execute(ctx, sp.Normalized(), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,7 +425,7 @@ func (m *Manager) runJob(j *Job) {
 	}
 
 	start := time.Now()
-	res, err := ExecuteObserved(ctx, j.Spec, m.cfg.TrialWorkers, rec, func(done, total int) {
+	res, err := Execute(ctx, j.Spec, m.cfg.TrialWorkers, rec, func(done, total int) {
 		j.progress(done, total)
 	})
 	elapsed := time.Since(start)
@@ -500,7 +500,7 @@ func (m *Manager) maybeAudit(hitNo uint64, hash string, sp Spec) {
 			m.auditActive = false
 			m.mu.Unlock()
 		}()
-		res, err := Execute(m.ctx, sp, m.cfg.TrialWorkers, nil)
+		res, err := Execute(m.ctx, sp, m.cfg.TrialWorkers, nil, nil)
 		if err != nil {
 			m.logf("audit %s: re-execution failed: %v", shortHash(hash), err)
 			return

@@ -134,7 +134,7 @@ func TestSpecValidateBakeoffFabrics(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("fct fabric %q rejected: %v", fabric, err)
 		}
-		res, err := Execute(context.Background(), sp, 1, nil)
+		res, err := Execute(context.Background(), sp, 1, nil, nil)
 		if err != nil {
 			t.Fatalf("fct fabric %q failed to execute: %v", fabric, err)
 		}

@@ -31,20 +31,14 @@ func (r Result) SimEvents() uint64 {
 }
 
 // Execute runs a normalized, validated spec to completion. workers bounds
-// trial-level parallelism (0 = one per CPU); onTrial receives monotonic
-// progress from the trial loop; ctx cancels between trials. Neither
-// workers, onTrial nor ctx can affect the result of a run that completes —
-// that is the determinism contract the result cache relies on.
-func Execute(ctx context.Context, sp Spec, workers int, onTrial func(done, total int)) (Result, error) {
-	return ExecuteObserved(ctx, sp, workers, nil, onTrial)
-}
-
-// ExecuteObserved is Execute with a telemetry recorder attached to the
-// run's simulators (nil = unobserved, identical to Execute). The recorder
-// is write-only for the run and read-concurrently by streamers; like
-// workers and onTrial, it cannot affect the result — observation is the
-// one side effect the determinism contract permits.
-func ExecuteObserved(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int)) (Result, error) {
+// trial-level parallelism (0 = one per CPU); rec, when non-nil, is a
+// telemetry recorder attached to the run's simulators, write-only for the
+// run and read concurrently by streamers; onTrial receives monotonic
+// progress from the trial loop; ctx cancels between trials. None of
+// workers, rec, onTrial or ctx can affect the result of a run that
+// completes — that is the determinism contract the result cache relies on,
+// and observation is the one side effect it permits.
+func Execute(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int)) (Result, error) {
 	switch sp.Kind {
 	case "fct":
 		res, err := executeFCT(ctx, sp, workers, rec, onTrial)

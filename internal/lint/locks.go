@@ -14,11 +14,10 @@ import (
 //   - re-locking the same mutex while it is held (self-deadlock);
 //   - a blocking operation — channel send/receive, select without default,
 //     WaitGroup/Cond Wait, time.Sleep, an HTTP round trip — executed while
-//     the lock is held, which turns one slow peer into a fleet-wide stall;
-//   - sync.Mutex/RWMutex/WaitGroup/Once/Cond values copied by assignment
-//     or range (the copylocks class; go vet overlaps on call arguments,
-//     this covers the assignment/range forms in one place with our pragma
-//     machinery).
+//     the lock is held, which turns one slow peer into a fleet-wide stall.
+//
+// Locks copied by value are go vet's copylocks check, which runs beside
+// this one in `make check`.
 //
 // The path analysis is a forward walk from each Lock statement through the
 // remainder of its enclosing blocks. It is deliberately conservative:
@@ -73,7 +72,6 @@ func (c *Locks) Run(p *Pass) {
 			}
 			return true // literals nested inside are visited separately
 		})
-		c.checkCopies(p, f)
 	}
 }
 
@@ -460,89 +458,4 @@ func caseBodies(s ast.Stmt) [][]ast.Stmt {
 		out = append(out, cl.(*ast.CaseClause).Body)
 	}
 	return out
-}
-
-// checkCopies flags sync primitives copied by value through assignment,
-// declaration, or range.
-func (c *Locks) checkCopies(p *Pass, f *ast.File) {
-	report := func(pos ast.Node, what string) {
-		p.Reportf(pos.Pos(), c.Name(), "%s copies a lock by value; use a pointer", what)
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				// `_ = x` is the silence-unused idiom: the copy is discarded,
-				// not used, so there is no aliased lock to misuse.
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					continue
-				}
-				if copiesLockValue(p, rhs) {
-					report(n, "assignment")
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			if t := p.Info.Types[n.X].Type; t != nil {
-				var elem types.Type
-				switch u := t.Underlying().(type) {
-				case *types.Slice:
-					elem = u.Elem()
-				case *types.Array:
-					elem = u.Elem()
-				case *types.Map:
-					elem = u.Elem()
-				}
-				if elem != nil && containsLockType(elem, 0) {
-					report(n.Value, "range value")
-				}
-			}
-		}
-		return true
-	})
-}
-
-// copiesLockValue reports whether evaluating e yields a by-value copy of a
-// lock-containing type: a plain variable/field/deref read. Composite
-// literals and function calls construct fresh values and are fine.
-func copiesLockValue(p *Pass, e ast.Expr) bool {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return false
-	}
-	t := p.Info.Types[e].Type
-	return t != nil && containsLockType(t, 0)
-}
-
-// containsLockType reports whether t transitively contains a sync
-// primitive by value.
-func containsLockType(t types.Type, depth int) bool {
-	if depth > 4 {
-		return false
-	}
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" {
-			switch named.Obj().Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockType(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockType(u.Elem(), depth+1)
-	}
-	return false
 }

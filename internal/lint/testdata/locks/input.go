@@ -151,27 +151,3 @@ func (c *counter) goroutineIsSeparate(ch chan int) {
 	}()
 	c.mu.Unlock()
 }
-
-// copyByAssign copies a mutex-bearing struct by value.
-func copyByAssign(src *counter) {
-	dst := *src // finding: copies c.mu by value
-	_ = dst
-}
-
-// copyByRange copies each element (and its mutex) per iteration.
-func copyByRange(all []counter) int {
-	total := 0
-	for _, c := range all { // finding: range value copies the mutex
-		total += c.n
-	}
-	return total
-}
-
-// rangeByIndex avoids the copy: clean.
-func rangeByIndex(all []counter) int {
-	total := 0
-	for i := range all {
-		total += all[i].n
-	}
-	return total
-}

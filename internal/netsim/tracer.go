@@ -63,10 +63,16 @@ type Tracer interface {
 }
 
 // SetTracer installs t as the run's tracer. It must be called before Run;
-// passing nil keeps tracing disabled (the default).
+// passing nil keeps tracing disabled (the default). The simulator has one
+// tracer slot: installing a second tracer over an installed one is an
+// error, never a silent replacement — a displaced invariant auditor would
+// report a clean run it did not watch.
 func (s *Simulator) SetTracer(t Tracer) error {
 	if len(s.flows) != 0 {
 		return fmt.Errorf("netsim: SetTracer after Run")
+	}
+	if t != nil && s.tracer != nil {
+		return fmt.Errorf("netsim: the tracer slot already holds a %T; cannot also install a %T (one tracer per run)", s.tracer, t)
 	}
 	s.tracer = t
 	return nil

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +64,42 @@ func TestNilTracerAddsNoAllocs(t *testing.T) {
 	if int64(nilAllocs) != int64(tracedAllocs) {
 		t.Fatalf("nil-tracer run allocates %.0f, traced run %.0f — hooks are no longer allocation-free",
 			nilAllocs, tracedAllocs)
+	}
+}
+
+// TestSetTracerRefusesSecondTracer is the regression test for the tracer
+// slot silently replacing its occupant. The experiment layers attach
+// observers in one place (core.Observers), but the spineless facade hands
+// out NewSimulator, AttachAuditor and NewTelemetryRecorder separately, so a
+// caller can attach an auditor and then a telemetry sink to one simulator;
+// the second install must fail loudly instead of voiding the audit. A nil
+// tracer on a fresh simulator stays legal and SetTracer after Run stays an
+// error.
+func TestSetTracerRefusesSecondTracer(t *testing.T) {
+	g := pairFabric(t, 1, 2)
+	sim, err := New(g, routing.NewECMP(g), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetTracer(nil); err != nil {
+		t.Fatalf("nil tracer on a fresh simulator: %v", err)
+	}
+	first := &countTracer{}
+	if err := sim.SetTracer(first); err != nil {
+		t.Fatal(err)
+	}
+	err = sim.SetTracer(&countTracer{})
+	if err == nil || !strings.Contains(err.Error(), "tracer") || !strings.Contains(err.Error(), "already") {
+		t.Fatalf("second SetTracer: err = %v, want one saying a tracer is already installed", err)
+	}
+	if _, err := sim.Run([]workload.Flow{{ID: 1, Src: 0, Dst: 2, SizeBytes: 20e3}}); err != nil {
+		t.Fatal(err)
+	}
+	if first.calls == 0 {
+		t.Fatal("the first tracer was displaced: it observed nothing")
+	}
+	if err := sim.SetTracer(nil); err == nil {
+		t.Fatal("SetTracer after Run succeeded")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"spineless/internal/audit"
 	"spineless/internal/bgp"
 	"spineless/internal/core"
 	"spineless/internal/faults"
@@ -12,7 +11,6 @@ import (
 	"spineless/internal/netsim"
 	"spineless/internal/parallel"
 	"spineless/internal/routing"
-	"spineless/internal/telemetry"
 	"spineless/internal/topology"
 	"spineless/internal/workload"
 )
@@ -69,15 +67,10 @@ type LiveConfig struct {
 	// CPU). Fractions are fully independent runs, so the sweep is
 	// bit-identical at any worker count.
 	Workers int
-	// Audit runs the packet simulation under the runtime invariant auditor
-	// (internal/audit); any violation fails the run. Results are unchanged.
-	Audit bool
-	// Telemetry, when non-nil, binds a telemetry sink to the run so the
-	// outage is observable as time series (blackhole drop rate, link
-	// utilization) alongside the end-of-run transient summary. Purely
-	// observational. Incompatible with Audit — see
-	// core.FCTConfig.Telemetry.
-	Telemetry *telemetry.Recorder
+	// Observers selects how the packet simulation is watched; with
+	// telemetry the outage is observable as time series (blackhole drop
+	// rate, link utilization) alongside the end-of-run transient summary.
+	core.Observers
 }
 
 // DefaultLiveConfig fails 5% of trunks 2 ms into a 20 ms run, with 1 ms
@@ -139,9 +132,6 @@ func RunLive(g *topology.Graph, cfg LiveConfig) (LiveResult, error) {
 	}
 	if cfg.FailAtNS < 0 || cfg.DetectionDelayNS < 0 || cfg.RoundDelayNS < 0 {
 		return LiveResult{}, fmt.Errorf("resilience: negative fault timing")
-	}
-	if cfg.Audit && cfg.Telemetry != nil {
-		return LiveResult{}, fmt.Errorf("resilience: Audit and Telemetry both need the simulator's single tracer slot; run them separately")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -233,25 +223,9 @@ func RunLive(g *topology.Graph, cfg LiveConfig) (LiveResult, error) {
 	if err := sim.InstallFaults(sched); err != nil {
 		return LiveResult{}, err
 	}
-	var aud *audit.Auditor
-	if cfg.Audit {
-		if aud, err = audit.Attach(sim, flows); err != nil {
-			return LiveResult{}, err
-		}
-	}
-	if cfg.Telemetry != nil {
-		if _, err = cfg.Telemetry.Attach(sim, len(flows)); err != nil {
-			return LiveResult{}, err
-		}
-	}
-	out, err := sim.Run(flows)
+	out, err := cfg.Observers.Run(sim, flows, nil)
 	if err != nil {
-		return LiveResult{}, err
-	}
-	if aud != nil {
-		if err := aud.Finish(out); err != nil {
-			return LiveResult{}, fmt.Errorf("resilience: live run at fraction %.3f: %w", cfg.Fraction, err)
-		}
+		return LiveResult{}, fmt.Errorf("resilience: live run at fraction %.3f: %w", cfg.Fraction, err)
 	}
 
 	res.Blackholed = out.Stats.Blackholed

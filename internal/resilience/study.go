@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 
-	"spineless/internal/audit"
 	"spineless/internal/bgp"
 	"spineless/internal/core"
 	"spineless/internal/metrics"
 	"spineless/internal/netsim"
 	"spineless/internal/parallel"
 	"spineless/internal/routing"
-	"spineless/internal/telemetry"
 	"spineless/internal/topology"
 	"spineless/internal/workload"
 )
@@ -35,14 +33,9 @@ type StudyConfig struct {
 	// fraction reseeds independently from Seed and shares only immutable
 	// base state, so the sweep is bit-identical at any worker count.
 	Workers int
-	// Audit runs each fraction's FCT replay under the runtime invariant
-	// auditor (internal/audit); violations fail that fraction's trial.
-	Audit bool
-	// Telemetry, when non-nil, binds one telemetry sink per fraction's FCT
-	// replay (fractions share the fabric, so the merged snapshot is
-	// well-formed). Purely observational. Incompatible with Audit — see
-	// core.FCTConfig.Telemetry.
-	Telemetry *telemetry.Recorder
+	// Observers selects how each fraction's FCT replay is watched; an audit
+	// violation fails that fraction's trial.
+	core.Observers
 }
 
 // DefaultStudyConfig sweeps 1%, 5% and 10% link failures under SU(2).
@@ -81,9 +74,6 @@ type StudyRow struct {
 func Study(g *topology.Graph, cfg StudyConfig) ([]StudyRow, error) {
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("resilience: K must be >= 2")
-	}
-	if cfg.Audit && cfg.Telemetry != nil {
-		return nil, fmt.Errorf("resilience: Audit and Telemetry both need the simulator's single tracer slot; run them separately")
 	}
 	baseFib, err := routing.NewShortestUnion(g, cfg.K)
 	if err != nil {
@@ -205,25 +195,9 @@ func replayUniform(g *topology.Graph, scheme routing.Scheme, cfg StudyConfig, rn
 	if err != nil {
 		return metrics.FCTStats{}, err
 	}
-	var aud *audit.Auditor
-	if cfg.Audit {
-		if aud, err = audit.Attach(sim, flows); err != nil {
-			return metrics.FCTStats{}, err
-		}
-	}
-	if cfg.Telemetry != nil {
-		if _, err = cfg.Telemetry.Attach(sim, len(flows)); err != nil {
-			return metrics.FCTStats{}, err
-		}
-	}
-	res, err := sim.Run(flows)
+	res, err := cfg.Observers.Run(sim, flows, nil)
 	if err != nil {
 		return metrics.FCTStats{}, err
-	}
-	if aud != nil {
-		if err := aud.Finish(res); err != nil {
-			return metrics.FCTStats{}, err
-		}
 	}
 	return metrics.SummarizeFCT(res.FCTNS), nil
 }

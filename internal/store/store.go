@@ -399,11 +399,51 @@ func (s *Store) Close() error {
 	return nil
 }
 
+// Cache is a store opened for one command-line tool: the handle the figure
+// drivers and the bake-off memoize their cells through. Keys are namespaced
+// by the tool, so several tools can share one directory. A nil *Cache is
+// disabled: every cell computes.
+type Cache struct {
+	st   *Store
+	tool string
+	logf func(format string, args ...any)
+}
+
+// OpenCache opens (or creates) the store at dir for the named tool. An
+// empty dir returns a nil (disabled) cache. logf, when non-nil, receives
+// one hit/miss line per memoized cell.
+func OpenCache(dir, tool string, logf func(format string, args ...any)) (*Cache, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &Cache{st: st, tool: tool, logf: logf}, nil
+}
+
+// Close flushes the store index. Safe on a nil cache.
+func (c *Cache) Close() error {
+	if c == nil {
+		return nil
+	}
+	return c.st.Close()
+}
+
+// toolSpec is the hash preimage of one memoized cell: the caller's spec
+// under its tool tag, so two tools' cells with coincidentally equal specs
+// never share a key. Its JSON is part of every committed key.
+type toolSpec struct {
+	Tool string `json:"tool"`
+	Spec any    `json:"spec"`
+}
+
 // Outcome classifies one Memoize call.
 type Outcome int
 
 const (
-	// OutcomeBypass: no store configured; computed directly.
+	// OutcomeBypass: no cache configured; computed directly.
 	OutcomeBypass Outcome = iota
 	// OutcomeHit: served from the cache without computing.
 	OutcomeHit
@@ -429,33 +469,41 @@ func (o Outcome) String() string {
 	}
 }
 
-// Memoize returns the cached result for spec, computing and committing it
-// on a miss. A nil store computes directly (OutcomeBypass). On a hit the
-// value is decoded from the committed bytes, so hit and miss observers see
-// results that round-trip through the identical JSON document.
-func Memoize[T any](st *Store, spec any, compute func() (T, error)) (T, Outcome, error) {
-	var zero T
-	if st == nil {
-		v, err := compute()
+// Memoize returns the cached result of one cell, computing and committing
+// it on a miss. spec must hold everything the result depends on and nothing
+// result-neutral; label only names the cell in the hit/miss log line. A nil
+// cache computes directly (OutcomeBypass). On a hit the value is decoded
+// from the committed bytes, so hit and miss observers see results that
+// round-trip through the identical JSON document.
+func Memoize[T any](c *Cache, label string, spec any, compute func() (T, error)) (v T, outcome Outcome, err error) {
+	if c == nil {
+		v, err = compute()
 		return v, OutcomeBypass, err
 	}
-	hash, err := Key(spec)
+	defer func() {
+		if err == nil && c.logf != nil {
+			c.logf("cache %-4s %s", outcome, label)
+		}
+	}()
+	var zero T
+	cell := toolSpec{Tool: c.tool, Spec: spec}
+	hash, err := Key(cell)
 	if err != nil {
 		return zero, OutcomeBypass, err
 	}
-	if e, ok := st.Get(hash); ok {
-		var v T
-		if err := json.Unmarshal(e.Result, &v); err == nil {
-			return v, OutcomeHit, nil
+	if e, ok := c.st.Get(hash); ok {
+		var hit T
+		if err := json.Unmarshal(e.Result, &hit); err == nil {
+			return hit, OutcomeHit, nil
 		}
 		// Entry decodes as JSON but not as T (schema drift): recompute and
 		// overwrite below.
 	}
-	v, err := compute()
+	v, err = compute()
 	if err != nil {
 		return zero, OutcomeMiss, err
 	}
-	specRaw, err := Canonical(spec)
+	specRaw, err := Canonical(cell)
 	if err != nil {
 		return v, OutcomeUncacheable, nil
 	}
@@ -463,7 +511,7 @@ func Memoize[T any](st *Store, spec any, compute func() (T, error)) (T, Outcome,
 	if err != nil {
 		return v, OutcomeUncacheable, nil
 	}
-	if err := st.Put(hash, specRaw, resRaw); err != nil {
+	if err := c.st.Put(hash, specRaw, resRaw); err != nil {
 		return v, OutcomeUncacheable, nil
 	}
 	return v, OutcomeMiss, nil

@@ -339,10 +339,14 @@ func TestConcurrentSameHashWriters(t *testing.T) {
 }
 
 func TestMemoize(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+	var logged []string
+	c, err := OpenCache(t.TempDir(), "test", func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	type res struct {
 		P99   float64 `json:"p99"`
 		Flows int     `json:"flows"`
@@ -354,31 +358,82 @@ func TestMemoize(t *testing.T) {
 		return res{P99: 1.5, Flows: 10}, nil
 	}
 
-	v1, o1, err := Memoize(st, spec, compute)
+	v1, o1, err := Memoize(c, "cell", spec, compute)
 	if err != nil || o1 != OutcomeMiss || calls != 1 {
 		t.Fatalf("first call: %v %v calls=%d", v1, o1, calls)
 	}
-	v2, o2, err := Memoize(st, spec, compute)
+	v2, o2, err := Memoize(c, "cell", spec, compute)
 	if err != nil || o2 != OutcomeHit || calls != 1 {
 		t.Fatalf("second call: %v %v calls=%d err=%v", v2, o2, calls, err)
 	}
 	if !reflect.DeepEqual(v1, v2) {
 		t.Fatalf("hit differs from miss: %+v vs %+v", v1, v2)
 	}
+	if want := []string{"cache miss cell", "cache hit  cell"}; !reflect.DeepEqual(logged, want) {
+		t.Fatalf("log lines = %q, want %q", logged, want)
+	}
 
-	// nil store bypasses.
-	_, o3, err := Memoize(nil, spec, compute)
+	// A nil cache — what OpenCache returns for an unset directory — bypasses.
+	off, err := OpenCache("", "test", nil)
+	if err != nil || off != nil || off.Close() != nil {
+		t.Fatalf("OpenCache with no directory = %v, %v; want a nil cache", off, err)
+	}
+	_, o3, err := Memoize(off, "cell", spec, compute)
 	if err != nil || o3 != OutcomeBypass || calls != 2 {
 		t.Fatalf("bypass: %v calls=%d", o3, calls)
+	}
+
+	// The same spec under another tool tag is a different cell.
+	other, err := OpenCache(c.st.Dir(), "other", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, o, err := Memoize(other, "cell", spec, compute); err != nil || o != OutcomeMiss {
+		t.Fatalf("other tool's cell: %v err=%v, want a miss", o, err)
 	}
 
 	// NaN results are uncacheable but still returned.
 	nan := func() (map[string]float64, error) {
 		return map[string]float64{"v": nanValue()}, nil
 	}
-	_, o4, err := Memoize(st, map[string]any{"exp": "nan"}, nan)
+	_, o4, err := Memoize(c, "nan", map[string]any{"exp": "nan"}, nan)
 	if err != nil || o4 != OutcomeUncacheable {
 		t.Fatalf("nan outcome = %v err=%v", o4, err)
+	}
+}
+
+// TestMemoizeGoldenKeys pins where each command-line tool's cells live in a
+// -store directory. One cell per tool — the JSON its driver's spec struct
+// encodes to (fig4Cell, fig5Panel, fig6Point, failures' and bakeoff's
+// cellSpec; the structs live in main packages) — must file under the key
+// recorded from the tree that still had internal/memo. A change to the
+// {"tool","spec"} preimage would orphan every existing store, and fails
+// here first.
+func TestMemoizeGoldenKeys(t *testing.T) {
+	for _, tc := range []struct{ tool, spec, want string }{
+		{"fig4", `{"v":1,"scale":4,"combo":"DRing (su2)","tm":"A2A","util":0.3,"window_sec":0.002,"seed":1,"trials":1,"max_flows":120}`,
+			"58807aa8502fd64a3fb1de8ebd69d979e3fcbcb1129974bed71c16e3606e9b23"},
+		{"fig5", `{"v":1,"scale":4,"scheme":"su2","ticks":[1,4,8,12,16],"seed":1,"flows_per_host":2}`,
+			"6f463efe280d6c7f2508860503ad5e74cc04ea127c4bffa09e1ff4ea3962394b"},
+		{"fig6", `{"v":2,"topo":"dring","supernodes":5,"tors":3,"ports":20,"scheme":"ecmp","util":0.5,"window_sec":0.004,"seed":1}`,
+			"0fd88fecd4e389b1241199b0198a2981615676fb1420ce1b488ff8fd2c407231"},
+		{"failures", `{"v":1,"mode":"live","topo":"dring","supernodes":8,"tors":2,"ports":24,"k":2,"flows":120,"seed":1,"fraction":0.05,` +
+			`"fail_at_ns":2000000,"detect_ns":1000000,"round_ns":500000,"window_ns":20000000,"gray_loss":0.05,"gray_rate":1}`,
+			"0ef9049166393fc2bf3acbaef970df6a567855e4eb1c792282f7b7ed59907ece"},
+		{"bakeoff", `{"v":1,"switches":80,"supernodes":12,"ports":64,"topo":"debruijn","scheme":"selfroute","util":0.2,"window_sec":0.002,` +
+			`"max_flows":200,"trials":0,"max_pairs":64,"live_flows":120,"seed":1}`,
+			"805e13442d4284c7c232771d4335579b93fe42fbe15ff01509801e2e404771cd"},
+	} {
+		c, err := OpenCache(t.TempDir(), tc.tool, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Memoize(c, tc.tool, json.RawMessage(tc.spec), func() (int, error) { return 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.st.Hashes(); len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s cell filed under %v, want %s", tc.tool, got, tc.want)
+		}
 	}
 }
 

@@ -49,10 +49,6 @@ type (
 	LeafSpineSpec = topology.LeafSpineSpec
 	// DRingSpec describes a DRing supergraph (§3.2).
 	DRingSpec = topology.DRingSpec
-	// NSRStats reports Network-Server Ratios (§3.1).
-	NSRStats = topology.NSRStats
-	// PathStats summarizes rack-to-rack shortest paths.
-	PathStats = topology.PathStats
 )
 
 // Routing (§4).
@@ -67,24 +63,13 @@ type (
 type (
 	// NetConfig parameterizes the packet-level TCP simulator.
 	NetConfig = netsim.Config
-	// NetResults reports per-flow completion times.
-	NetResults = netsim.Results
 	// FlowConfig parameterizes the max-min throughput model.
 	FlowConfig = flowsim.Config
 )
 
-// Runtime verification (DESIGN.md §9).
-type (
-	// Tracer observes packet-simulator data-plane events; a nil tracer
-	// costs nothing.
-	Tracer = netsim.Tracer
-	// Auditor checks simulator invariants through the Tracer hooks.
-	Auditor = audit.Auditor
-	// DiffConfig parameterizes the netsim/flowsim/fluid cross-validation.
-	DiffConfig = audit.DiffConfig
-	// DiffReport holds the three models' throughputs and any violations.
-	DiffReport = audit.DiffReport
-)
+// Auditor checks simulator invariants through the simulator's tracer hooks
+// (DESIGN.md §9).
+type Auditor = audit.Auditor
 
 // Telemetry (DESIGN.md §14).
 type (
@@ -94,9 +79,6 @@ type (
 	// TelemetryRecorder rolls Tracer events into a live fabric digital
 	// twin; thread it through FCTConfig.Telemetry or attach it directly.
 	TelemetryRecorder = telemetry.Recorder
-	// TelemetrySnapshot is a merged, time-ordered view of the recorder's
-	// retained window.
-	TelemetrySnapshot = telemetry.Snapshot
 )
 
 // Workloads (§5.2).
@@ -141,9 +123,6 @@ const (
 	TMFBSkewedRP  = core.TMFBSkewedRP
 	TMFBUniformRP = core.TMFBUniformRP
 )
-
-// PaperLeafSpine is the §5.1 baseline: leaf-spine(48,16).
-var PaperLeafSpine = topology.PaperLeafSpine
 
 // LeafSpine builds a leaf-spine fabric.
 func LeafSpine(spec LeafSpineSpec) (*Graph, error) { return topology.LeafSpine(spec) }
@@ -200,9 +179,6 @@ func RunFCT(fs *FabricSet, combo Combo, kind TMKind, cfg FCTConfig) (FCTResult, 
 	return core.RunFCT(fs, combo, kind, cfg)
 }
 
-// AllTMKinds lists the Figure 4 workloads in presentation order.
-func AllTMKinds() []TMKind { return core.AllTMKinds() }
-
 // CSThroughput measures aggregate max-min throughput of a C-S pattern.
 func CSThroughput(combo Combo, c, s int, cfg core.ThroughputConfig) (float64, error) {
 	return core.CSThroughput(combo, c, s, cfg)
@@ -248,7 +224,9 @@ func NewSimulator(g *Graph, scheme Scheme, cfg NetConfig) (*netsim.Simulator, er
 func DefaultNetConfig() NetConfig { return netsim.DefaultConfig() }
 
 // AttachAuditor installs the runtime invariant auditor on a simulator
-// before Run; Finish(results) reports every violation (DESIGN.md §9).
+// before Run; Finish(results) reports every violation (DESIGN.md §9). A
+// simulator has one tracer slot: attaching a telemetry recorder to the same
+// simulator afterwards is an error, not a silent replacement.
 func AttachAuditor(sim *netsim.Simulator, flows []Flow) (*Auditor, error) {
 	return audit.Attach(sim, flows)
 }
@@ -257,12 +235,6 @@ func AttachAuditor(sim *netsim.Simulator, flows []Flow) (*Auditor, error) {
 // take the package defaults (100µs buckets, 512-bucket window, 1 class).
 func NewTelemetryRecorder(cfg TelemetryConfig) *TelemetryRecorder {
 	return telemetry.NewRecorder(cfg)
-}
-
-// Differential cross-validates the packet, flow-level and fluid models on
-// one workload and reports disagreements beyond the tolerance bands.
-func Differential(g *Graph, scheme Scheme, flows []Flow, cfg DiffConfig) (DiffReport, error) {
-	return audit.Differential(g, scheme, flows, cfg)
 }
 
 // SummarizeFCT converts per-flow nanosecond FCTs into statistics.
@@ -275,12 +247,6 @@ func GenerateFlows(g *Graph, m *Matrix, cfg workload.GenConfig, rng *rand.Rand) 
 
 // UniformTM returns the uniform/A2A matrix over n racks.
 func UniformTM(n int) *Matrix { return workload.Uniform(n) }
-
-// FBSkewedTM synthesizes the skewed Facebook-like matrix (§5.2).
-func FBSkewedTM(n int, rng *rand.Rand) *Matrix { return workload.FBSkewed(n, rng) }
-
-// PaperFlowSizes is the §5.2 Pareto(mean 100KB, alpha 1.05) distribution.
-func PaperFlowSizes() workload.SizeDist { return workload.PaperFlowSizes() }
 
 // GenFlowConfig is a convenience constructor for flow generation with the
 // paper's flow-size distribution: n flows arriving uniformly over a window.
@@ -311,36 +277,6 @@ func FailureStudy(g *Graph, cfg FailureStudyConfig) ([]FailureStudyRow, error) {
 	return resilience.Study(g, cfg)
 }
 
-// NewAdaptiveCombo builds the §7 coarse-grained adaptive scheme: hot rack
-// pairs (by demand concentration, plus all adjacent pairs with demand) use
-// Shortest-Union(K); the rest use ECMP.
-func NewAdaptiveCombo(label string, g *Graph, m *Matrix, cfg core.AdaptiveConfig) (Combo, error) {
-	return core.NewAdaptiveCombo(label, g, m, cfg)
-}
-
-// DefaultAdaptiveConfig escalates pairs at ≥4× mean demand to SU(2).
-func DefaultAdaptiveConfig() core.AdaptiveConfig { return core.DefaultAdaptiveConfig() }
-
-// DragonflySpec describes a canonical Dragonfly fabric (§7 "other static
-// networks").
-type DragonflySpec = topology.DragonflySpec
-
-// Dragonfly builds a flat Dragonfly fabric.
-func Dragonfly(spec DragonflySpec) (*Graph, error) { return topology.Dragonfly(spec) }
-
-// ExpandReport quantifies rewiring cost of incremental expansion (§3.2).
-type ExpandReport = topology.ExpandReport
-
-// ExpandDRing grows a DRing at the ring seam, reporting rewiring cost.
-func ExpandDRing(old DRingSpec, extra []int) (*Graph, DRingSpec, ExpandReport, error) {
-	return topology.ExpandDRing(old, extra)
-}
-
-// ExpandRRG grows a random regular graph Jellyfish-style.
-func ExpandRRG(g *Graph, newSwitches, degree int, rng *rand.Rand) (*Graph, ExpandReport, error) {
-	return topology.ExpandRRG(g, newSwitches, degree, rng)
-}
-
 // IdealThroughput computes the fluid-model maximum concurrent throughput of
 // a rack-level matrix on a fabric (the §2 ideal-routing reference [13,22]).
 // eps is the FPTAS accuracy (0 → 0.1).
@@ -348,24 +284,15 @@ func IdealThroughput(g *Graph, m *Matrix, eps float64) (float64, error) {
 	return core.IdealThroughput(g, m, eps)
 }
 
-// NewWeighted wraps a FIB with WCMP-style path-count-weighted hashing.
-func NewWeighted(fib *Fib) Scheme { return routing.NewWeighted(fib) }
-
-// MigrationPlan is a connectivity-preserving rewiring sequence.
-type MigrationPlan = topology.MigrationPlan
-
 // PlanMigration orders the §5.1 rewiring (e.g. leaf-spine → flat) as single
 // cable moves that never partition the fabric.
-func PlanMigration(from, to *Graph) (MigrationPlan, error) {
+func PlanMigration(from, to *Graph) (topology.MigrationPlan, error) {
 	return topology.PlanMigration(from, to)
 }
 
-// OSPFDomain is a link-state control plane over a fabric (§2's "OSPF with
-// ECMP" baseline).
-type OSPFDomain = ospf.Domain
-
-// NewOSPF builds an OSPF domain; call Flood to converge it.
-func NewOSPF(g *Graph) *OSPFDomain { return ospf.New(g) }
+// NewOSPF builds an OSPF domain — a link-state control plane over a fabric
+// (§2's "OSPF with ECMP" baseline); call Flood to converge it.
+func NewOSPF(g *Graph) *ospf.Domain { return ospf.New(g) }
 
 // CSModel draws a §5.2 C-S instance: nClients hosts packed into the fewest
 // racks, nServers hosts packed into the fewest remaining racks.
@@ -414,38 +341,12 @@ func RunBurst(combo Combo, spec workload.BurstSpec, net NetConfig, seed int64) (
 // DefaultBurst is a 64 MB burst fanned out to 8 racks.
 func DefaultBurst() workload.BurstSpec { return workload.DefaultBurst() }
 
-// DeBruijnSpec sizes a De Bruijn fabric: Symbols^Digits switches with
-// shift-register wiring (the "selfroute" scheme needs no FIB on it).
-type DeBruijnSpec = topology.DeBruijnSpec
+// BakeoffScaled returns the flat-topology bake-off configuration at x times
+// the paper's §6.3 scale: every candidate fabric on one equipment budget,
+// measured and ranked (cmd/bakeoff).
+func BakeoffScaled(x int) bakeoff.Config { return bakeoff.Scaled(x) }
 
-// NewDeBruijnFabric builds the undirected, degree-regularized De Bruijn
-// fabric; construction is fully deterministic.
-func NewDeBruijnFabric(spec DeBruijnSpec) (*Graph, error) { return topology.DeBruijn(spec) }
-
-// FitDeBruijn picks the De Bruijn spec closest to an equipment budget.
-func FitDeBruijn(switches, ports, wantDegree int) (DeBruijnSpec, error) {
-	return topology.FitDeBruijn(switches, ports, wantDegree)
-}
-
-// RNGSpec sizes an AWS-style random neighbor graph (union of uniform
-// perfect matchings; "spvlb" is its native routing scheme).
-type RNGSpec = topology.RNGSpec
-
-// NewRNGFabric builds the random neighbor graph from the seeded rng.
-func NewRNGFabric(spec RNGSpec, rng *rand.Rand) (*Graph, error) { return topology.RNG(spec, rng) }
-
-// BakeoffConfig parameterizes the flat-topology bake-off: every candidate
-// fabric on one equipment budget, measured and ranked (cmd/bakeoff).
-type BakeoffConfig = bakeoff.Config
-
-// BakeoffScorecard is the ranked bake-off result with per-metric winners
-// and the spec hash that reproduces it.
-type BakeoffScorecard = bakeoff.Scorecard
-
-// BakeoffScaled returns the bake-off configuration at x times the paper's
-// §6.3 scale.
-func BakeoffScaled(x int) BakeoffConfig { return bakeoff.Scaled(x) }
-
-// RunBakeoff executes the bake-off matrix and returns the ranked
-// scorecard; byte-identical at any worker count.
-func RunBakeoff(cfg BakeoffConfig) (*BakeoffScorecard, error) { return bakeoff.Run(cfg) }
+// RunBakeoff executes the bake-off matrix and returns the ranked scorecard
+// with per-metric winners and the spec hash that reproduces it;
+// byte-identical at any worker count.
+func RunBakeoff(cfg bakeoff.Config) (*bakeoff.Scorecard, error) { return bakeoff.Run(cfg) }

@@ -86,8 +86,21 @@ func TestFacadeSimulatorAndFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The facade hands out the simulator and both observers separately, so
+	// nothing above the tracer slot can stop a caller attaching both: the
+	// second attach must fail and leave the auditor watching the run.
+	aud, err := spineless.AttachAuditor(sim, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spineless.NewTelemetryRecorder(spineless.TelemetryConfig{}).Attach(sim, len(flows)); err == nil {
+		t.Fatal("a telemetry sink displaced the attached auditor")
+	}
 	res, err := sim.Run(flows)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aud.Finish(res); err != nil {
 		t.Fatal(err)
 	}
 	st := spineless.SummarizeFCT(res.FCTNS)
