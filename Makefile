@@ -1,7 +1,7 @@
 GO ?= go
 
 # PR number stamped into the committed benchmark baseline (BENCH_$(BENCH_PR).json).
-BENCH_PR ?= 15
+BENCH_PR ?= 17
 # The key benchmarks the baseline records: the netsim hot path (bare and
 # with a telemetry sink attached), one Figure 4 row, the Figure 5 panel in
 # serial and parallel variants, FIB construction, the max-min allocator

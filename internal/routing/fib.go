@@ -1,10 +1,10 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"spineless/internal/parallel"
 	"spineless/internal/topology"
@@ -32,23 +32,45 @@ type Fib struct {
 	layers int
 	n      int
 
-	// Reversed virtual adjacency: for Dijkstra from the delivery node.
-	rev [][]varc
-	// Forward virtual adjacency: for next-hop extraction.
-	fwd [][]varc
+	// Virtual adjacency in CSR form: rev drives the shortest-path search
+	// from the delivery node, fwd the next-hop extraction.
+	rev, fwd adjacency
 
-	// Per destination switch: cost-to-go and equal-cost next hops.
-	ctg  [][]int32
-	next [][][]int32
-	// npaths[dst][vnode] counts min-cost virtual paths from vnode to the
-	// delivery node (saturating), for weighted next-hop selection.
-	npaths [][]int64
+	// cols[dst] is the forwarding column toward destination switch dst.
+	cols []column
 }
 
 type varc struct {
 	to   int32
 	cost int8
 }
+
+// adjacency is a CSR arc table: vnode u's arcs are arcs[off[u]:off[u+1]].
+type adjacency struct {
+	off  []int32
+	arcs []varc
+}
+
+func (a *adjacency) of(u int) []varc { return a.arcs[a.off[u]:a.off[u+1]] }
+
+// column is one destination's forwarding state over every vnode. It is
+// immutable once built, so Rebase shares whole columns between FIBs.
+type column struct {
+	// ctg is the cost-to-go to the delivery node (unreachable at or above it).
+	ctg []int32
+	// Equal-cost next hops of vnode u are nh[off[u]:off[u+1]], in forward
+	// arc order — hashed next-hop choice indexes into that order.
+	off, nh []int32
+	// npaths counts min-cost virtual paths to the delivery node
+	// (saturating), for weighted next-hop selection.
+	npaths []int64
+}
+
+func (c *column) hops(u int) []int32 { return c.nh[c.off[u]:c.off[u+1]] }
+
+// unreachable is the cost-to-go of a vnode with no path to the delivery
+// node; halving MaxInt32 keeps cost+ctg from overflowing.
+const unreachable = int32(math.MaxInt32 / 2)
 
 // NewECMP builds standard shortest-path ECMP forwarding state for g.
 func NewECMP(g *topology.Graph) *Fib {
@@ -85,11 +107,6 @@ func (f *Fib) router(vn int) int           { return vn % f.n }
 // deliveryLayer is the layer hosting servers (VRF K).
 func (f *Fib) deliveryLayer() int { return f.layers - 1 }
 
-func (f *Fib) addArc(from, to, cost int) {
-	f.fwd[from] = append(f.fwd[from], varc{to: int32(to), cost: int8(cost)})
-	f.rev[to] = append(f.rev[to], varc{to: int32(from), cost: int8(cost)})
-}
-
 // pairArcs emits the virtual arcs one occurrence of the directed physical
 // adjacency u→w induces — the single source of truth shared by buildEdges
 // and Rebase's arc diff.
@@ -111,106 +128,173 @@ func (f *Fib) pairArcs(u, w int, emit func(x, y, cost int)) {
 	emit(f.vnode(0, u), f.vnode(0, w), 1)
 }
 
-func (f *Fib) buildEdges() {
-	v := f.layers * f.n
-	f.fwd = make([][]varc, v)
-	f.rev = make([][]varc, v)
+// eachArc emits every virtual arc in build order: routers ascending, each
+// router's neighbors in adjacency order.
+func (f *Fib) eachArc(emit func(x, y, cost int)) {
 	for u := 0; u < f.n; u++ {
 		for _, w := range f.g.Neighbors(u) {
-			f.pairArcs(u, w, f.addArc)
+			f.pairArcs(u, w, emit)
 		}
 	}
+}
+
+// buildEdges lays the virtual graph out as two CSR tables: one pass counts
+// each vnode's out- and in-arcs, a prefix sum turns the counts into offsets,
+// and a second pass drops every arc into its slot — so a vnode's arcs keep
+// the order eachArc emits them in.
+func (f *Fib) buildEdges() {
+	v := f.layers * f.n
+	f.fwd.off = make([]int32, v+1)
+	f.rev.off = make([]int32, v+1)
+	f.eachArc(func(x, y, _ int) {
+		f.fwd.off[x+1]++
+		f.rev.off[y+1]++
+	})
+	for u := 0; u < v; u++ {
+		f.fwd.off[u+1] += f.fwd.off[u]
+		f.rev.off[u+1] += f.rev.off[u]
+	}
+	f.fwd.arcs = make([]varc, f.fwd.off[v])
+	f.rev.arcs = make([]varc, f.rev.off[v])
+	fill := make([]int32, 2*v)
+	fwdFill, revFill := fill[:v], fill[v:]
+	copy(fwdFill, f.fwd.off)
+	copy(revFill, f.rev.off)
+	f.eachArc(func(x, y, cost int) {
+		f.fwd.arcs[fwdFill[x]] = varc{to: int32(y), cost: int8(cost)}
+		fwdFill[x]++
+		f.rev.arcs[revFill[y]] = varc{to: int32(x), cost: int8(cost)}
+		revFill[y]++
+	})
 }
 
 // buildAll computes per-destination forwarding state. Destinations are
 // independent — buildDst(dst) reads only the immutable virtual adjacency and
-// writes only slot dst of ctg/next/npaths — so the loop fans out across
-// CPUs. Each destination's Dijkstra is internally deterministic, which makes
-// the assembled FIB bit-identical at any worker count.
+// its result lands in slot dst of cols — so the loop fans out across CPUs.
+// Each destination's search is internally deterministic, which makes the
+// assembled FIB bit-identical at any worker count.
 func (f *Fib) buildAll() {
-	f.ctg = make([][]int32, f.n)
-	f.next = make([][][]int32, f.n)
-	f.npaths = make([][]int64, f.n)
+	f.cols = make([]column, f.n)
 	_ = parallel.ForEach(0, f.n, func(dst int) error {
-		f.buildDst(dst)
+		f.cols[dst] = f.buildDst(dst)
 		return nil
 	})
 }
 
-// buildDst runs Dijkstra over reversed virtual arcs from the delivery node
-// of dst, then records every arc on an equal-cost shortest path.
-func (f *Fib) buildDst(dst int) {
+// buildScratch is the working memory of one buildDst call. Everything in it
+// is overwritten before it is read, so which call used it last never shows
+// in a column.
+type buildScratch struct {
+	ring  [][]int32 // Dial's buckets, indexed by distance mod len(ring)
+	nh    []int32   // next hops of every vnode, before the exact-size copy
+	order []int32   // reachable vnodes by increasing cost-to-go
+	level []int32   // counting-sort histogram over cost-to-go
+}
+
+// scratchPool hands buildDst its working memory, so a FIB build allocates per
+// destination, not per (destination, vnode). A pool rather than a per-worker
+// value because parallel.ForEach owns the workers; scratch holds no result
+// state, so reuse order cannot reach the output.
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// buildDst finds every vnode's cost-to-go to the delivery node of dst over
+// reversed virtual arcs, then records every arc on an equal-cost shortest
+// path and counts the paths through it.
+//
+// Arc costs are the integers 1..K (1 for ECMP), so the search is Dial's
+// bucket queue rather than a heap: while distance d is being settled every
+// queued vnode has a tentative distance in (d, d+K], which K+1 buckets
+// indexed by distance mod (K+1) hold without collision. A vnode is queued
+// again each time its distance improves; the stale copies are skipped when
+// their bucket comes up.
+func (f *Fib) buildDst(dst int) column {
 	v := f.layers * f.n
-	const inf = int32(math.MaxInt32 / 2)
-	ctg := make([]int32, v)
-	for i := range ctg {
-		ctg[i] = inf
-	}
 	target := f.vnode(f.deliveryLayer(), dst)
+	s := scratchPool.Get().(*buildScratch)
+	defer scratchPool.Put(s)
+
+	head := make([]int32, 2*v+1)
+	ctg, off := head[:v:v], head[v:]
+	for i := range ctg {
+		ctg[i] = unreachable
+	}
 	ctg[target] = 0
-	pq := &vheap{{node: int32(target), dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(vitem)
-		if it.dist > ctg[it.node] {
-			continue
-		}
-		for _, a := range f.rev[it.node] {
-			nd := it.dist + int32(a.cost)
-			if nd < ctg[a.to] {
-				ctg[a.to] = nd
-				heap.Push(pq, vitem{node: a.to, dist: nd})
+	nring := max(f.K, 1) + 1
+	for len(s.ring) < nring {
+		s.ring = append(s.ring, nil)
+	}
+	ring := s.ring[:nring]
+	ring[0] = append(ring[0][:0], int32(target))
+	far := int32(0) // the largest distance settled
+	for d, queued := int32(0), 1; queued > 0; d++ {
+		b := d % int32(nring)
+		// Every arc costs at least 1, so settling bucket b never appends to it.
+		for _, u := range ring[b] {
+			if ctg[u] != d {
+				continue // superseded by a shorter distance
+			}
+			far = d
+			for _, a := range f.rev.of(int(u)) {
+				if nd := d + int32(a.cost); nd < ctg[a.to] {
+					ctg[a.to] = nd
+					nb := nd % int32(nring)
+					ring[nb] = append(ring[nb], a.to)
+					queued++
+				}
 			}
 		}
+		queued -= len(ring[b])
+		ring[b] = ring[b][:0]
 	}
-	next := make([][]int32, v)
+
+	nh := s.nh[:0]
 	for u := 0; u < v; u++ {
-		if ctg[u] >= inf || u == target {
-			continue
-		}
-		for _, a := range f.fwd[u] {
-			if ctg[u] == int32(a.cost)+ctg[a.to] {
-				next[u] = append(next[u], a.to)
+		if ctg[u] < unreachable && u != target {
+			for _, a := range f.fwd.of(u) {
+				if ctg[u] == int32(a.cost)+ctg[a.to] {
+					nh = append(nh, a.to)
+				}
 			}
 		}
+		off[u+1] = int32(len(nh))
 	}
-	f.ctg[dst] = ctg
-	f.next[dst] = next
+	s.nh = nh
+	col := column{ctg: ctg, off: off, nh: append([]int32(nil), nh...), npaths: make([]int64, v)}
 
 	// Count min-cost paths: cost-to-go strictly decreases along equal-cost
-	// arcs, so processing vnodes by increasing ctg is a topological order.
-	counts := make([]int64, v)
-	counts[target] = 1
-	order := make([]int32, 0, v)
-	for u := 0; u < v; u++ {
-		if ctg[u] < inf {
-			order = append(order, int32(u))
+	// arcs, so processing vnodes by increasing ctg is a topological order. A
+	// counting sort over ctg, filled in vnode order, breaks ties on vnode id.
+	level := append(s.level[:0], make([]int32, far+2)...) // level[c]: where cost c starts in order
+	for _, c := range ctg {
+		if c < unreachable {
+			level[c+1]++
 		}
 	}
-	// Equal-cost vnodes are frequent; break ties on vnode id so the
-	// processing order (and any float accumulation downstream) is a total
-	// order independent of the unstable-sort permutation.
-	sort.SliceStable(order, func(a, b int) bool {
-		if ctg[order[a]] != ctg[order[b]] {
-			return ctg[order[a]] < ctg[order[b]]
+	for c := int32(0); c <= far; c++ {
+		level[c+1] += level[c]
+	}
+	order := append(s.order[:0], make([]int32, level[far+1])...)
+	for u, c := range ctg {
+		if c < unreachable {
+			order[level[c]] = int32(u)
+			level[c]++
 		}
-		return order[a] < order[b]
-	})
+	}
+	s.level, s.order = level, order
 	const saturate = int64(1) << 40
-	for _, u := range order {
-		if u == int32(target) {
-			continue
-		}
+	col.npaths[target] = 1
+	for _, u := range order[1:] { // order[0] is the target, the only vnode at 0
 		var c int64
-		for _, nh := range next[u] {
-			c += counts[nh]
+		for _, x := range col.hops(int(u)) {
+			c += col.npaths[x]
 			if c >= saturate {
 				c = saturate
 				break
 			}
 		}
-		counts[u] = c
+		col.npaths[u] = c
 	}
-	f.npaths[dst] = counts
+	return col
 }
 
 // deltaArc is one virtual arc a link change adds to or removes from the
@@ -223,10 +307,10 @@ type deltaArc struct {
 
 // Rebase builds forwarding state for g2 — the same fabric with some links
 // changed — by reusing every per-destination column of this FIB the changes
-// provably cannot affect, and re-running Dijkstra only for the rest. The
-// returned Fib is independent of this one for all queries (columns are
-// immutable after build; unaffected ones are shared, not copied), and is
-// bit-identical to a from-scratch build on g2.
+// provably cannot affect, and rebuilding only the rest. The returned Fib is
+// independent of this one for all queries (columns are immutable after
+// build; unaffected ones are shared, not copied), and is bit-identical to a
+// from-scratch build on g2.
 //
 // The affectedness test is per destination d, against this FIB's cost-to-go:
 // a removed virtual arc x→y matters iff it is tight (ctg[x] == cost+ctg[y] —
@@ -241,12 +325,13 @@ type deltaArc struct {
 // tight (ctg[x] == cost+ctg[y] — it carried an equal-cost shortest path), an
 // added arc iff it strictly improves (ctg[x] > cost+ctg[y]); if neither
 // fires, every shortest distance for d is unchanged. Second, order: hashed
-// next-hop choice indexes into next[·], whose order follows adjacency order,
-// and RemoveLink swap-removes — it reorders the endpoint's whole neighbor
-// list. So for every router whose adjacency sequence changed, the tight-arc
-// sequences at its vnodes are compared between old and new adjacency; any
-// difference (content or order, including parallel-trunk multiplicity)
-// forces a rebuild. g2 must have the same switch count as the original.
+// next-hop choice indexes into a vnode's hop run, whose order follows
+// adjacency order, and RemoveLink swap-removes — it reorders the endpoint's
+// whole neighbor list. So for every router whose adjacency sequence changed,
+// the tight-arc sequences at its vnodes are compared between old and new
+// adjacency; any difference (content or order, including parallel-trunk
+// multiplicity) forces a rebuild. g2 must have the same switch count as the
+// original.
 func (f *Fib) Rebase(g2 *topology.Graph) (*Fib, error) {
 	if g2.N() != f.n {
 		return nil, fmt.Errorf("routing: Rebase needs an identical switch set (have %d switches, got %d)", f.n, g2.N())
@@ -276,16 +361,12 @@ func (f *Fib) Rebase(g2 *topology.Graph) (*Fib, error) {
 		}
 	}
 
-	nf.ctg = make([][]int32, f.n)
-	nf.next = make([][][]int32, f.n)
-	nf.npaths = make([][]int64, f.n)
+	nf.cols = make([]column, f.n)
 	_ = parallel.ForEach(0, f.n, func(dst int) error {
 		if f.dstAffected(nf, dst, delta, seqVnodes) {
-			nf.buildDst(dst)
+			nf.cols[dst] = nf.buildDst(dst)
 		} else {
-			nf.ctg[dst] = f.ctg[dst]
-			nf.next[dst] = f.next[dst]
-			nf.npaths[dst] = f.npaths[dst]
+			nf.cols[dst] = f.cols[dst]
 		}
 		return nil
 	})
@@ -329,7 +410,7 @@ func diffOccurrences(a, b []int) []int {
 // trusts this FIB's ctg for the new graph, which the distance checks
 // establish by returning early when any distance could move.
 func (f *Fib) dstAffected(nf *Fib, dst int, delta []deltaArc, seqVnodes []int32) bool {
-	ctg := f.ctg[dst]
+	ctg := f.cols[dst].ctg
 	for _, a := range delta {
 		d := a.cost + ctg[a.y] // ctg is capped at MaxInt32/2, no overflow
 		if a.removed {
@@ -340,13 +421,12 @@ func (f *Fib) dstAffected(nf *Fib, dst int, delta []deltaArc, seqVnodes []int32)
 			return true
 		}
 	}
-	const inf = int32(math.MaxInt32 / 2)
 	target := int32(f.vnode(f.deliveryLayer(), dst))
 	for _, x := range seqVnodes {
-		if ctg[x] >= inf || x == target {
+		if ctg[x] >= unreachable || x == target {
 			continue // buildDst records no next hops here in either build
 		}
-		oldF, newF := f.fwd[x], nf.fwd[x]
+		oldF, newF := f.fwd.of(int(x)), nf.fwd.of(int(x))
 		i := 0
 		mismatch := false
 		for _, a := range newF {
@@ -377,31 +457,12 @@ func (f *Fib) dstAffected(nf *Fib, dst int, delta []deltaArc, seqVnodes []int32)
 	return false
 }
 
-type vitem struct {
-	node int32
-	dist int32
-}
-
-type vheap []vitem
-
-func (h vheap) Len() int            { return len(h) }
-func (h vheap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h vheap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *vheap) Push(x interface{}) { *h = append(*h, x.(vitem)) }
-func (h *vheap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
 // Distance returns the virtual-graph distance from src's delivery node to
 // dst's delivery node: the physical hop distance for ECMP, and max(L, K)
 // for Shortest-Union(K) (§4, Theorem 1). It returns -1 if unreachable.
 func (f *Fib) Distance(src, dst int) int {
-	d := f.ctg[dst][f.vnode(f.deliveryLayer(), src)]
-	if d >= math.MaxInt32/2 {
+	d := f.cols[dst].ctg[f.vnode(f.deliveryLayer(), src)]
+	if d >= unreachable {
 		return -1
 	}
 	return int(d)
@@ -416,15 +477,15 @@ func (f *Fib) Path(src, dst int, flowID uint64) []int {
 	state := f.vnode(f.deliveryLayer(), src)
 	// Every virtual arc costs at least 1, so the cost-to-go bounds the hop
 	// count and the path is allocated once.
-	d := f.ctg[dst][state]
-	if d >= math.MaxInt32/2 {
-		return nil // unreachable
+	col := &f.cols[dst]
+	d := col.ctg[state]
+	if d >= unreachable {
+		return nil
 	}
 	path := make([]int, 1, d+1)
 	path[0] = src
-	next := f.next[dst]
 	for hop := 0; state != target; hop++ {
-		nh := next[state]
+		nh := col.hops(state)
 		state = int(nh[hashChoice(flowID, hop, f.router(state), len(nh))])
 		path = append(path, f.router(state))
 		if hop > f.layers*f.n {
@@ -447,7 +508,7 @@ func (f *Fib) PathSet(src, dst, maxPaths int) [][]int {
 	}
 	target := f.vnode(f.deliveryLayer(), dst)
 	start := f.vnode(f.deliveryLayer(), src)
-	next := f.next[dst]
+	col := &f.cols[dst]
 
 	var out [][]int
 	seen := map[string]bool{}
@@ -463,7 +524,7 @@ func (f *Fib) PathSet(src, dst, maxPaths int) [][]int {
 			}
 			return maxPaths == 0 || len(out) < maxPaths
 		}
-		for _, nh := range next[state] {
+		for _, nh := range col.hops(state) {
 			r := f.router(int(nh))
 			if onPath[r] {
 				continue
@@ -497,16 +558,26 @@ func (f *Fib) NextHopRouters(src, dst int) []int {
 	if src == dst {
 		return nil
 	}
-	seen := map[int]bool{}
 	var out []int
-	for _, nh := range f.next[dst][f.vnode(f.deliveryLayer(), src)] {
-		r := f.router(int(nh))
-		if !seen[r] {
-			seen[r] = true
+	for _, nh := range f.cols[dst].hops(f.vnode(f.deliveryLayer(), src)) {
+		// Sets are at most degree·K long, so a scan beats a map.
+		if r := f.router(int(nh)); !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// diverse reports whether src has at least two distinct next-hop switches
+// toward dst.
+func (f *Fib) diverse(src, dst int) bool {
+	hops := f.cols[dst].hops(f.vnode(f.deliveryLayer(), src))
+	for _, nh := range hops {
+		if f.router(int(nh)) != f.router(int(hops[0])) {
+			return true
+		}
+	}
+	return false
 }
 
 // Weighted wraps a Fib with WCMP-style forwarding: at every hop the next
@@ -531,14 +602,17 @@ func (w Weighted) Path(src, dst int, flowID uint64) []int {
 	}
 	target := f.vnode(f.deliveryLayer(), dst)
 	state := f.vnode(f.deliveryLayer(), src)
-	path := []int{src}
-	next := f.next[dst]
-	counts := f.npaths[dst]
+	col := &f.cols[dst]
+	d := col.ctg[state]
+	if d >= unreachable {
+		return nil
+	}
+	// As in Fib.Path, the cost-to-go bounds the hop count.
+	path := make([]int, 1, d+1)
+	path[0] = src
+	counts := col.npaths
 	for hop := 0; state != target; hop++ {
-		nh := next[state]
-		if len(nh) == 0 {
-			return nil
-		}
+		nh := col.hops(state)
 		var total int64
 		for _, x := range nh {
 			total += counts[x]
@@ -578,20 +652,29 @@ type VNode struct {
 // dst in the virtual graph, for cross-validation against the BGP control
 // plane. VRFs are 1-based; for ECMP the only valid vrf is 1.
 func (f *Fib) VirtualNextHops(vrf, router, dst int) []VNode {
+	return f.AppendVirtualNextHops(nil, vrf, router, dst)
+}
+
+// AppendVirtualNextHops appends VirtualNextHops(vrf, router, dst) to buf and
+// returns the extended slice, so a caller sweeping every (vnode, destination)
+// reuses one buffer.
+func (f *Fib) AppendVirtualNextHops(buf []VNode, vrf, router, dst int) []VNode {
 	layer := vrf - 1
 	if layer < 0 || layer >= f.layers {
-		return nil
+		return buf
 	}
-	var out []VNode
-	seen := map[int]bool{}
-	for _, nh := range f.next[dst][f.vnode(layer, router)] {
-		if seen[int(nh)] {
-			continue // parallel links duplicate virtual arcs
+	start := len(buf)
+next:
+	for _, nh := range f.cols[dst].hops(f.vnode(layer, router)) {
+		vn := VNode{VRF: int(nh)/f.n + 1, Router: f.router(int(nh))}
+		for _, seen := range buf[start:] {
+			if seen == vn {
+				continue next // parallel links duplicate virtual arcs
+			}
 		}
-		seen[int(nh)] = true
-		out = append(out, VNode{VRF: int(nh)/f.n + 1, Router: f.router(int(nh))})
+		buf = append(buf, vn)
 	}
-	return out
+	return buf
 }
 
 // K returns the scheme's K (0 for plain ECMP).

@@ -1,9 +1,14 @@
 package routing
 
 import (
+	"container/heap"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spineless/internal/topology"
 )
@@ -342,15 +347,16 @@ func TestPathSetCap(t *testing.T) {
 }
 
 // TestFibPathAllocatesOnce: the cost-to-go bounds the hop count, so Path
-// sizes its result before walking — one allocation under ECMP and
-// Shortest-Union alike, and an unreachable destination is still nil.
+// sizes its result before walking — one allocation under ECMP,
+// Shortest-Union and the weighted walk alike, and an unreachable destination
+// is still nil.
 func TestFibPathAllocatesOnce(t *testing.T) {
 	g, _ := smallDRing(t)
 	su2, err := NewShortestUnion(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []*Fib{NewECMP(g), su2} {
+	for _, f := range []Scheme{NewECMP(g), su2, NewWeighted(su2)} {
 		flow := uint64(0)
 		allocs := testing.AllocsPerRun(200, func() {
 			src, dst := int(flow)%g.N(), int(flow*7+3)%g.N()
@@ -371,7 +377,266 @@ func TestFibPathAllocatesOnce(t *testing.T) {
 	if err := island.AddLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if p := NewECMP(island).Path(0, 2, 1); p != nil {
-		t.Fatalf("path to an unreachable switch = %v, want nil", p)
+	for _, f := range []Scheme{NewECMP(island), NewWeighted(NewECMP(island))} {
+		if p := f.Path(0, 2, 1); p != nil {
+			t.Fatalf("%s: path to an unreachable switch = %v, want nil", f.Name(), p)
+		}
+	}
+}
+
+// TestFibBuildAllocs pins FIB construction at O(destinations) allocations:
+// the paper-scale Shortest-Union(2) build took 74,199 when every (destination,
+// vnode) owned a next-hop slice and every heap push boxed its item.
+func TestFibBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
+	g, err := topology.DRing(topology.PaperDRing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewShortestUnion(g, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("NewShortestUnion(DRing, 2) allocates %.0f objects on %d switches, want at most 1000", allocs, g.N())
+	}
+}
+
+// referenceFib is the FIB construction the CSR/bucket-queue build replaced,
+// kept as its oracle: append-built adjacency lists, a container/heap
+// Dijkstra, one next-hop slice per vnode and a stable comparison sort for the
+// path-count order.
+type referenceFib struct {
+	ctg    [][]int32
+	next   [][][]int32
+	npaths [][]int64
+}
+
+type refItem struct{ node, dist int32 }
+
+type refHeap []refItem
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+func buildReference(f *Fib) referenceFib {
+	v := f.layers * f.n
+	fwd, rev := make([][]varc, v), make([][]varc, v)
+	f.eachArc(func(x, y, cost int) {
+		fwd[x] = append(fwd[x], varc{to: int32(y), cost: int8(cost)})
+		rev[y] = append(rev[y], varc{to: int32(x), cost: int8(cost)})
+	})
+	ref := referenceFib{make([][]int32, f.n), make([][][]int32, f.n), make([][]int64, f.n)}
+	for dst := 0; dst < f.n; dst++ {
+		ref.ctg[dst], ref.next[dst], ref.npaths[dst] = buildDstReference(f, fwd, rev, dst)
+	}
+	return ref
+}
+
+func buildDstReference(f *Fib, fwd, rev [][]varc, dst int) ([]int32, [][]int32, []int64) {
+	v := f.layers * f.n
+	ctg := make([]int32, v)
+	for i := range ctg {
+		ctg[i] = unreachable
+	}
+	target := f.vnode(f.deliveryLayer(), dst)
+	ctg[target] = 0
+	pq := &refHeap{{node: int32(target), dist: 0}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(refItem)
+		if it.dist > ctg[it.node] {
+			continue
+		}
+		for _, a := range rev[it.node] {
+			nd := it.dist + int32(a.cost)
+			if nd < ctg[a.to] {
+				ctg[a.to] = nd
+				heap.Push(pq, refItem{node: a.to, dist: nd})
+			}
+		}
+	}
+	next := make([][]int32, v)
+	for u := 0; u < v; u++ {
+		if ctg[u] >= unreachable || u == target {
+			continue
+		}
+		for _, a := range fwd[u] {
+			if ctg[u] == int32(a.cost)+ctg[a.to] {
+				next[u] = append(next[u], a.to)
+			}
+		}
+	}
+
+	counts := make([]int64, v)
+	counts[target] = 1
+	order := make([]int32, 0, v)
+	for u := 0; u < v; u++ {
+		if ctg[u] < unreachable {
+			order = append(order, int32(u))
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if ctg[order[a]] != ctg[order[b]] {
+			return ctg[order[a]] < ctg[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	const saturate = int64(1) << 40
+	for _, u := range order {
+		if u == int32(target) {
+			continue
+		}
+		var c int64
+		for _, nh := range next[u] {
+			c += counts[nh]
+			if c >= saturate {
+				c = saturate
+				break
+			}
+		}
+		counts[u] = c
+	}
+	return ctg, next, counts
+}
+
+// path is Path's hashed forwarding walk over the reference next-hop lists.
+func (r referenceFib) path(f *Fib, src, dst int, flowID uint64) []int {
+	target, state := f.vnode(f.deliveryLayer(), dst), f.vnode(f.deliveryLayer(), src)
+	if src == dst {
+		return []int{src}
+	}
+	if r.ctg[dst][state] >= unreachable {
+		return nil
+	}
+	path := []int{src}
+	for hop := 0; state != target; hop++ {
+		nh := r.next[dst][state]
+		state = int(nh[hashChoice(flowID, hop, f.router(state), len(nh))])
+		path = append(path, f.router(state))
+	}
+	return path
+}
+
+// pathSet is PathSet's depth-first enumeration over the reference lists.
+func (r referenceFib) pathSet(f *Fib, src, dst int) [][]int {
+	target, start := f.vnode(f.deliveryLayer(), dst), f.vnode(f.deliveryLayer(), src)
+	var out [][]int
+	seen := map[string]bool{}
+	onPath := map[int]bool{src: true}
+	cur := []int{src}
+	var dfs func(state int)
+	dfs = func(state int) {
+		if state == target {
+			if k := physPathKey(cur); !seen[k] {
+				seen[k] = true
+				out = append(out, append([]int(nil), cur...))
+			}
+			return
+		}
+		for _, nh := range r.next[dst][state] {
+			if rt := f.router(int(nh)); !onPath[rt] {
+				onPath[rt] = true
+				cur = append(cur, rt)
+				dfs(int(nh))
+				cur = cur[:len(cur)-1]
+				delete(onPath, rt)
+			}
+		}
+	}
+	dfs(start)
+	return out
+}
+
+// TestFibMatchesReference holds the CSR/bucket-queue build to the
+// construction it replaced, on seeds drawn fresh each run: over the five
+// bake-off fabric builders, a graph with a parallel trunk and a disconnected
+// graph, for ECMP and K ∈ {2, 3, 4}, every column must carry the reference's
+// cost-to-go, every vnode's next-hop sequence (order and multiplicity, which
+// hashed choice depends on) and path counts, and Path and PathSet must agree
+// for every ordered rack pair.
+func TestFibMatchesReference(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	must := func(g *topology.Graph, err error) *topology.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	trunked := topology.New("trunked", 5, 8)
+	for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {2, 3}, {2, 3}, {3, 4}, {4, 0}} {
+		if err := trunked.AddLink(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	islands := topology.New("islands", 7, 4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}} {
+		if err := islands.AddLink(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fabrics := []*topology.Graph{
+		must(topology.DRing(topology.Uniform(5+rng.Intn(3), 2+rng.Intn(2), 24))),
+		must(topology.RegularRRG("rrg", 14+2*rng.Intn(4), 3+rng.Intn(3), rng)),
+		must(topology.Xpander(12+rng.Intn(8), 3+rng.Intn(2), rng)),
+		must(topology.DeBruijn(topology.DeBruijnSpec{Symbols: 2 + rng.Intn(2), Digits: 3, Ports: 12})),
+		must(topology.RNG(topology.RNGSpec{Switches: 12 + 2*rng.Intn(5), Degree: 3 + rng.Intn(3), Ports: 12}, rng)),
+		trunked,
+		islands,
+	}
+	for _, g := range fabrics {
+		for _, k := range []int{0, 2, 3, 4} {
+			f := NewECMP(g)
+			if k > 0 {
+				var err error
+				if f, err = NewShortestUnion(g, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref := buildReference(f)
+			for dst := range f.cols {
+				col := &f.cols[dst]
+				if !reflect.DeepEqual(col.ctg, ref.ctg[dst]) {
+					t.Fatalf("%s K=%d: ctg toward %d differs from the reference", g.Name, k, dst)
+				}
+				if !reflect.DeepEqual(col.npaths, ref.npaths[dst]) {
+					t.Fatalf("%s K=%d: path counts toward %d differ from the reference", g.Name, k, dst)
+				}
+				for u := range ref.next[dst] {
+					if got, want := col.hops(u), ref.next[dst][u]; !slices.Equal(got, want) {
+						t.Fatalf("%s K=%d: next hops of vnode %d toward %d = %v, reference %v", g.Name, k, u, dst, got, want)
+					}
+				}
+			}
+			for src := 0; src < f.n; src++ {
+				for dst := 0; dst < f.n; dst++ {
+					for flow := uint64(0); flow < 8; flow++ {
+						id := flow*0x9e3779b97f4a7c15 + uint64(seed)
+						if got, want := f.Path(src, dst, id), ref.path(f, src, dst, id); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s K=%d: Path(%d,%d,%d) = %v, reference %v", g.Name, k, src, dst, id, got, want)
+						}
+					}
+					if src == dst {
+						continue
+					}
+					if got, want := f.PathSet(src, dst, 0), ref.pathSet(f, src, dst); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s K=%d: PathSet(%d,%d) = %v, reference %v", g.Name, k, src, dst, got, want)
+					}
+				}
+			}
+		}
 	}
 }

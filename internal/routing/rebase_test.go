@@ -12,14 +12,20 @@ import (
 // the new fabric, column by column — the Rebase bit-identity contract.
 func rebaseEqual(t *testing.T, name string, got, want *Fib) {
 	t.Helper()
-	if !reflect.DeepEqual(got.ctg, want.ctg) {
-		t.Fatalf("%s: Rebase ctg differs from fresh build", name)
+	for d := range want.cols {
+		g, w := got.cols[d], want.cols[d]
+		if !reflect.DeepEqual(g.ctg, w.ctg) {
+			t.Fatalf("%s: Rebase ctg toward %d differs from fresh build", name, d)
+		}
+		if !reflect.DeepEqual(g.off, w.off) || !reflect.DeepEqual(g.nh, w.nh) {
+			t.Fatalf("%s: Rebase next-hop sets toward %d differ from fresh build", name, d)
+		}
+		if !reflect.DeepEqual(g.npaths, w.npaths) {
+			t.Fatalf("%s: Rebase path counts toward %d differ from fresh build", name, d)
+		}
 	}
-	if !reflect.DeepEqual(got.next, want.next) {
-		t.Fatalf("%s: Rebase next-hop sets differ from fresh build", name)
-	}
-	if !reflect.DeepEqual(got.npaths, want.npaths) {
-		t.Fatalf("%s: Rebase path counts differ from fresh build", name)
+	if !reflect.DeepEqual(got.fwd, want.fwd) || !reflect.DeepEqual(got.rev, want.rev) {
+		t.Fatalf("%s: Rebase virtual adjacency differs from fresh build", name)
 	}
 }
 
@@ -68,7 +74,7 @@ func TestRebaseMatchesFreshBuild(t *testing.T) {
 				rebaseEqual(t, name, got, build(failed, k))
 				shared := 0
 				for d := 0; d < g.N(); d++ {
-					if &got.ctg[d][0] == &base.ctg[d][0] {
+					if &got.cols[d].ctg[0] == &base.cols[d].ctg[0] {
 						shared++
 					}
 				}
@@ -106,9 +112,8 @@ func TestRebaseParallelTrunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebaseEqual(t, "trunk", got, NewECMP(thinned))
-	if len(base.next[1][base.vnode(0, 0)]) != 2 || len(got.next[1][got.vnode(0, 0)]) != 1 {
-		t.Fatalf("trunk multiplicity not reflected in next-hop sets: %d → %d",
-			len(base.next[1][base.vnode(0, 0)]), len(got.next[1][got.vnode(0, 0)]))
+	if before, after := len(base.cols[1].hops(base.vnode(0, 0))), len(got.cols[1].hops(got.vnode(0, 0))); before != 2 || after != 1 {
+		t.Fatalf("trunk multiplicity not reflected in next-hop sets: %d → %d", before, after)
 	}
 }
 

@@ -17,17 +17,18 @@ import (
 // into a bitmap, so the result is an immutable Adaptive composition of two
 // immutable schemes and inherits the Scheme concurrency contract for free.
 func NewSPVLB(g *topology.Graph) *Adaptive {
-	ecmp := NewECMP(g)
+	vlb := NewVLB(g)
+	ecmp := vlb.ecmp // one FIB serves the shortest-path half and both VLB legs
 	n := g.N()
 	starved := make([]bool, n*n)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src != dst {
-				starved[src*n+dst] = len(ecmp.NextHopRouters(src, dst)) < 2
+				starved[src*n+dst] = !ecmp.diverse(src, dst)
 			}
 		}
 	}
-	return NewAdaptive("spvlb", ecmp, NewVLB(g), func(src, dst int) bool {
+	return NewAdaptive("spvlb", ecmp, vlb, func(src, dst int) bool {
 		return starved[src*n+dst]
 	})
 }

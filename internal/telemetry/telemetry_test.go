@@ -45,7 +45,11 @@ func TestTelemetryAddsNoAllocs(t *testing.T) {
 	g := pairFabric(t, 2, 4)
 	flows := crossFlows(12, 40e3)
 
-	probe, err := netsim.New(g, routing.NewECMP(g), netsim.DefaultConfig())
+	// One FIB for every run: its construction draws scratch from a sync.Pool,
+	// which the race detector empties at random, so a build inside the
+	// measured closure would make the two counts differ by chance.
+	ecmp := routing.NewECMP(g)
+	probe, err := netsim.New(g, ecmp, netsim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func TestTelemetryAddsNoAllocs(t *testing.T) {
 
 	run := func(tr netsim.Tracer) float64 {
 		return testing.AllocsPerRun(5, func() {
-			sim, err := netsim.New(g, routing.NewECMP(g), netsim.DefaultConfig())
+			sim, err := netsim.New(g, ecmp, netsim.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
