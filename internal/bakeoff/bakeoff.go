@@ -418,7 +418,6 @@ func Run(cfg Config) (*Scorecard, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.Reindex() // a fabric's cells share it across workers; index it pre-fork
 		fabrics[topo] = g
 		for _, scheme := range cfg.schemesFor(topo) {
 			keys = append(keys, cellKey{topo, scheme})

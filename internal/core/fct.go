@@ -177,7 +177,6 @@ func runTrials(cfg FCTConfig, combo Combo, one func(seed int64) (FCTResult, erro
 		if pw, ok := combo.Scheme.(routing.Prewarmer); ok {
 			pw.Prewarm()
 		}
-		combo.Fabric.Reindex() // lazy server index is a write; build it pre-fork
 	}
 	trials := make([]FCTResult, cfg.Trials)
 	var done atomic.Int64
@@ -315,11 +314,6 @@ func Fig4Row(fs *FabricSet, combos []Combo, kind TMKind, cfg FCTConfig) ([]FCTRe
 		ctx = context.Background()
 	}
 	out := make([]FCTResult, len(combos))
-	if parallel.Workers(cfg.Workers) > 1 {
-		for _, c := range combos {
-			c.Fabric.Reindex() // combos can share a fabric; index it pre-fork
-		}
-	}
 	err := parallel.ForEachCtx(ctx, cfg.Workers, len(combos), func(i int) error {
 		r, err := RunFCT(fs, combos[i], kind, cfg)
 		if err != nil {

@@ -64,7 +64,6 @@ func CSRatioHeatmap(num, den Combo, clients, servers []int, cfg ThroughputConfig
 			if pw, ok := combo.Scheme.(routing.Prewarmer); ok {
 				pw.Prewarm()
 			}
-			combo.Fabric.Reindex() // lazy server index is a write; build it pre-fork
 		}
 	}
 	err := parallel.ForEach(cfg.Workers, len(clients)*len(servers), func(i int) error {

@@ -42,9 +42,9 @@ type PathFlow struct {
 
 // MaxMin returns the max-min fair rate (bits/s) of every flow.
 //
-// Cost is O(Σ path hops) to index the instance plus O(loaded resources) per
-// filling level, and the number of allocations does not depend on the number
-// of flows (DESIGN.md §16).
+// Cost is one adjacency-row scan per path hop to index the instance plus
+// O(loaded resources) per filling level, and the number of allocations does
+// not depend on the number of flows (DESIGN.md §16).
 func MaxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
 	if cfg.LinkRateBps <= 0 {
 		return nil, fmt.Errorf("flowsim: non-positive link rate")
@@ -60,10 +60,11 @@ func MaxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) 
 
 // instance is one max-min problem in index form. A resource is anything
 // with a capacity: a directed network link (parallel copies aggregated) or
-// a host's uplink or downlink. Directed links are numbered first, in
-// (switch, sorted neighbour) order; host resources follow in the order the
-// flow list first uses them — so the numbering is a function of the graph
-// and the flow list alone.
+// a host's uplink or downlink. The link u→v is the topology port of its
+// first copy in u's adjacency row (Graph.PortOffsets); ports of further
+// copies stay unused. Host resources follow the ports in the order the flow
+// list first uses them — so the numbering is a function of the graph and
+// the flow list alone.
 type instance struct {
 	cap    []float64 // capacity per resource
 	rem    []float64 // capacity not yet handed out
@@ -89,36 +90,9 @@ func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, er
 		return nil, fmt.Errorf("flowsim: %d flows cross %d resources, more than the index holds", len(flows), crossings)
 	}
 
-	// Dense link index: switch u's distinct neighbours, sorted, are
-	// nbr[off[u]:off[u+1]], and the position of v there is the resource id
-	// of the directed link u→v.
-	ports := 0
-	for u := 0; u < n; u++ {
-		ports += g.NetworkDegree(u)
-	}
-	in := &instance{cap: make([]float64, 0, ports+2*min(servers, len(flows)))}
-	off := make([]int32, n+1)
-	nbr := make([]int32, 0, ports)
-	for u := 0; u < n; u++ {
-		first := len(nbr)
-		for _, v := range g.Neighbors(u) {
-			nbr = append(nbr, int32(v))
-		}
-		slices.Sort(nbr[first:])
-		w := first
-		for j := first; j < len(nbr); {
-			k := j
-			for k < len(nbr) && nbr[k] == nbr[j] {
-				k++
-			}
-			nbr[w] = nbr[j]
-			w++
-			in.cap = append(in.cap, float64(k-j)*cfg.LinkRateBps)
-			j = k
-		}
-		nbr = nbr[:w]
-		off[u+1] = int32(w)
-	}
+	off := g.PortOffsets()
+	ports := int(off[n])
+	in := &instance{cap: make([]float64, ports, ports+2*min(servers, len(flows)))}
 
 	// Host resources, assigned on first use; -1 means not yet.
 	hostIDs := make([]int32, 2*servers)
@@ -154,12 +128,13 @@ func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, er
 			if v < 0 || v >= n {
 				return nil, fmt.Errorf("flowsim: flow %d: path %v names switch %d, out of range [0,%d)", i, f.Path, v, n)
 			}
-			r := off[u]
-			for r < off[u+1] && nbr[r] < int32(v) {
-				r++
-			}
-			if r == off[u+1] || nbr[r] != int32(v) {
+			j := g.Port(u, v, 0)
+			if j < 0 {
 				return nil, fmt.Errorf("flowsim: flow %d: path %v uses nonexistent link %d→%d", i, f.Path, u, v)
+			}
+			r := off[u] + int32(j)
+			if in.cap[r] <= 0 { // first use: the capacity is not set yet
+				in.cap[r] = float64(g.LinkMultiplicity(u, v)) * cfg.LinkRateBps
 			}
 			in.flowRes = append(in.flowRes, r)
 		}

@@ -438,8 +438,9 @@ func randomFlows(g *topology.Graph, s routing.Scheme, n, hot int, rng *rand.Rand
 }
 
 // TestMaxMinMatchesReference: bit-identical rates on all five fabric
-// builders at core.ScaledFabrics(4) size, under every scheme that applies,
-// over uniform and NIC-skewed flow sets of varying size.
+// builders at core.ScaledFabrics(4) size, plus a trunked and a
+// swap-reordered copy of the RRG, under every scheme that applies, over
+// uniform and NIC-skewed flow sets of varying size.
 func TestMaxMinMatchesReference(t *testing.T) {
 	spec := topology.LeafSpineSpec{X: 12, Y: 4}
 	ls, err := topology.LeafSpine(spec)
@@ -466,7 +467,7 @@ func TestMaxMinMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*topology.Graph{ls, rrg, dring, debruijn, rng} {
+	for _, g := range []*topology.Graph{ls, rrg, dring, debruijn, rng, trunked(t, rrg), swapReordered(t, rrg)} {
 		su2, err := routing.NewShortestUnion(g, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -496,6 +497,60 @@ func TestMaxMinMatchesReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// trunked returns a copy of g with a second copy of every third link, so
+// link capacities aggregate parallel copies.
+func trunked(t *testing.T, g *topology.Graph) *topology.Graph {
+	t.Helper()
+	out := g.Clone()
+	out.Name = g.Name + "-trunked"
+	out.Ports = 0
+	k := 0
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v && k%3 == 0 {
+				if err := out.AddLink(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k++
+		}
+	}
+	return out
+}
+
+// swapReordered returns a copy of g with the same links whose adjacency rows
+// RemoveLink's swap-remove has permuted: every seventh link is removed and
+// added back.
+func swapReordered(t *testing.T, g *topology.Graph) *topology.Graph {
+	t.Helper()
+	out := g.Clone()
+	out.Name = g.Name + "-reordered"
+	k := 0
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v && k%7 == 0 {
+				if !out.RemoveLink(u, v) {
+					t.Fatalf("link %d-%d missing", u, v)
+				}
+				if err := out.AddLink(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k++
+		}
+	}
+	moved := 0
+	for u := 0; u < g.N(); u++ {
+		if !slices.Equal(out.Neighbors(u), g.Neighbors(u)) {
+			moved++
+		}
+	}
+	if moved < g.N()/2 {
+		t.Fatalf("swap-remove permuted %d of %d rows; the graph is barely reordered", moved, g.N())
+	}
+	return out
 }
 
 // TestMaxMinMatchesReferenceEdgeCases covers the shapes random routing on
@@ -552,15 +607,17 @@ func TestMaxMinMatchesReferenceEdgeCases(t *testing.T) {
 	})
 }
 
-// TestResourceNumberingIsDeterministic: directed links are numbered in
-// (switch, neighbour) order and host resources in first-use order, whatever
-// order the graph's adjacency lists happen to be in — nothing follows map
-// iteration order, as the numbering once did.
+// TestResourceNumberingIsDeterministic: the directed link u→v is the
+// topology port of its first copy — Σ_{w<u} deg(w) plus the position of v's
+// first entry in u's adjacency row — and host resources follow every port in
+// first-use order. The fabric has parallel trunks, so "first copy" is
+// pinned. Nothing follows map iteration order, as the numbering once did.
 func TestResourceNumberingIsDeterministic(t *testing.T) {
-	g, err := topology.DRing(topology.Uniform(6, 2, 20))
+	dring, err := topology.DRing(topology.Uniform(6, 2, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := trunked(t, dring)
 	flows := randomFlows(g, routing.NewECMP(g), 300, 0, rand.New(rand.NewSource(7)))
 	a, err := newInstance(g, flows, DefaultConfig())
 	if err != nil {
@@ -577,23 +634,29 @@ func TestResourceNumberingIsDeterministic(t *testing.T) {
 	}
 	// The link part of the numbering, spelled out.
 	want := map[[2]int]int32{}
+	ports := 0
 	for u := 0; u < g.N(); u++ {
-		nb := slices.Clone(g.Neighbors(u))
-		slices.Sort(nb)
-		for _, v := range slices.Compact(nb) {
-			want[[2]int{u, v}] = int32(len(want))
+		for j, v := range g.Neighbors(u) {
+			if _, seen := want[[2]int{u, v}]; !seen {
+				want[[2]int{u, v}] = int32(ports + j)
+			}
 		}
+		ports += g.NetworkDegree(u)
 	}
 	for i, f := range flows {
 		res := a.flowRes[a.flowOff[i]:a.flowOff[i+1]]
 		for h := 0; h+1 < len(f.Path); h++ {
-			if got := res[1+h]; got != want[[2]int{f.Path[h], f.Path[h+1]}] {
-				t.Fatalf("flow %d hop %d→%d is resource %d, want %d", i, f.Path[h], f.Path[h+1], got, want[[2]int{f.Path[h], f.Path[h+1]}])
+			u, v := f.Path[h], f.Path[h+1]
+			if got := res[1+h]; got != want[[2]int{u, v}] {
+				t.Fatalf("flow %d hop %d→%d is resource %d, want %d", i, u, v, got, want[[2]int{u, v}])
+			}
+			if c := a.cap[res[1+h]]; c != float64(g.LinkMultiplicity(u, v))*DefaultConfig().LinkRateBps {
+				t.Fatalf("link %d→%d has capacity %v, want multiplicity × rate", u, v, c)
 			}
 		}
 	}
-	if first := a.flowRes[0]; first != int32(len(want)) {
-		t.Fatalf("first host resource is %d, want %d (right after the links)", first, len(want))
+	if first := a.flowRes[0]; first != int32(ports) {
+		t.Fatalf("first host resource is %d, want %d (right after the ports)", first, ports)
 	}
 }
 

@@ -25,8 +25,7 @@ func (s *Simulator) InstallFaults(sched *faults.Schedule) error {
 	}
 	events := sched.Sorted()
 	for _, e := range events {
-		if e.A < 0 || e.B < 0 || e.A >= s.nSwitch || e.B >= s.nSwitch ||
-			len(s.pairLinks(e.A, e.B)) == 0 {
+		if e.A < 0 || e.A >= s.g.N() || !s.g.HasLink(e.A, e.B) {
 			return fmt.Errorf("netsim: fault %s on non-existent link %d-%d", e.Kind, e.A, e.B)
 		}
 	}
@@ -49,8 +48,13 @@ func (s *Simulator) applyDueFaults() {
 }
 
 func (s *Simulator) applyFault(e faults.Event) {
-	for _, key := range [2][2]int{{e.A, e.B}, {e.B, e.A}} {
-		for _, id := range s.pairLinks(key[0], key[1]) {
+	for _, dir := range [2][2]int{{e.A, e.B}, {e.B, e.A}} {
+		u, v := dir[0], dir[1]
+		for j, w := range s.g.Neighbors(u) {
+			if w != v {
+				continue
+			}
+			id := s.portOff[u] + int32(j)
 			l := &s.links[id]
 			switch e.Kind {
 			case faults.LinkDown:

@@ -28,14 +28,9 @@ type Simulator struct {
 	tv           routing.TimeScheme
 
 	links []link
-	// Dense directed-pair adjacency: the parallel link ids of switch pair
-	// (u, v) are nlLinks[nlStart[u*nSwitch+v] : nlStart[u*nSwitch+v+1]].
-	// Flat prefix-sum indexing replaces the former map[[2]int][]int32 — the
-	// lookup sits on the path-expansion hot path, and the map cost both a
-	// hash per hop and one heap allocation per directed link at construction.
-	nSwitch  int
-	nlStart  []int32
-	nlLinks  []int32
+	// Switch links are numbered by topology's port numbering: u's j-th
+	// adjacency entry is link portOff[u]+j. Host links follow.
+	portOff  []int32
 	hostUp   []int32
 	hostDown []int32
 
@@ -163,7 +158,9 @@ type flowState struct {
 	fct     int64
 }
 
-// New builds a simulator for fabric g routed by scheme.
+// New builds a simulator for fabric g routed by scheme. Switch links are
+// numbered from g's adjacency here, so g must not change while the simulator
+// is in use.
 func New(g *topology.Graph, scheme routing.Scheme, cfg Config) (*Simulator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -185,30 +182,11 @@ func New(g *topology.Graph, scheme routing.Scheme, cfg Config) (*Simulator, erro
 		})
 		return id
 	}
-	// Two passes build the prefix-sum adjacency without per-pair slices:
-	// count parallel copies per directed pair, then assign link ids in the
-	// same (u, neighbor-order) sequence the map-based construction used, so
-	// per-pair copy order — and hence flow hashing — is unchanged.
-	ns := g.N()
-	s.nSwitch = ns
-	s.nlStart = make([]int32, ns*ns+1)
-	for u := 0; u < ns; u++ {
-		for _, v := range g.Neighbors(u) {
-			s.nlStart[u*ns+v+1]++
-		}
-	}
-	for i := 1; i < len(s.nlStart); i++ {
-		s.nlStart[i] += s.nlStart[i-1]
-	}
-	s.nlLinks = make([]int32, s.nlStart[len(s.nlStart)-1])
-	s.links = make([]link, 0, len(s.nlLinks)+2*g.Servers())
-	fill := make([]int32, ns*ns)
-	for u := 0; u < ns; u++ {
-		for _, v := range g.Neighbors(u) {
-			k := u*ns + v
-			s.nlLinks[s.nlStart[k]+fill[k]] = addLink(cfg.LinkRateBps, cfg.LinkDelayNS)
-			fill[k]++
-		}
+	s.portOff = g.PortOffsets()
+	ports := int(s.portOff[g.N()])
+	s.links = make([]link, 0, ports+2*g.Servers())
+	for range ports {
+		addLink(cfg.LinkRateBps, cfg.LinkDelayNS)
 	}
 	n := g.Servers()
 	s.hostUp = make([]int32, n)
@@ -333,13 +311,6 @@ func (s *Simulator) initSender(f *flowState, idx int32) {
 	}
 }
 
-// pairLinks returns the parallel link ids of the directed switch pair u→v
-// (empty when no link exists).
-func (s *Simulator) pairLinks(u, v int) []int32 {
-	k := u*s.nSwitch + v
-	return s.nlLinks[s.nlStart[k]:s.nlStart[k+1]]
-}
-
 // allocLinkIDs hands out a zero-length slice with capacity n carved from a
 // chunked arena, so per-flow path expansion does not hit the heap. The
 // capacity is exact: an append past n would fall back to a fresh heap slice
@@ -367,11 +338,12 @@ func (s *Simulator) expandPath(srcHost, dstHost int, swPath []int, flowID uint64
 	out := s.allocLinkIDs(len(swPath) + 1)
 	out = append(out, s.hostUp[srcHost])
 	for h := 0; h+1 < len(swPath); h++ {
-		copies := s.pairLinks(swPath[h], swPath[h+1])
+		u, v := swPath[h], swPath[h+1]
 		// The modulo must stay in uint64: converting the shifted hash to
 		// int first yields a negative index whenever the top bit is set
 		// (reachable via the flowlet rehash on any trunked pair).
-		out = append(out, copies[(flowID>>uint(h%32))%uint64(len(copies))])
+		c := (flowID >> uint(h%32)) % uint64(s.g.LinkMultiplicity(u, v))
+		out = append(out, s.portOff[u]+int32(s.g.Port(u, v, int(c))))
 	}
 	out = append(out, s.hostDown[dstHost])
 	return out
@@ -764,12 +736,14 @@ func (s *Simulator) LinkRateBps(id int32) float64 {
 // NetLinkTx returns the bytes transmitted on the directed switch link u→v,
 // summed over parallel copies. It reports 0 for non-existent links.
 func (s *Simulator) NetLinkTx(u, v int) uint64 {
-	if u < 0 || v < 0 || u >= s.nSwitch || v >= s.nSwitch {
+	if u < 0 || u >= s.g.N() {
 		return 0
 	}
 	var t uint64
-	for _, id := range s.pairLinks(u, v) {
-		t += s.links[id].txBytes
+	for j, w := range s.g.Neighbors(u) {
+		if w == v {
+			t += s.links[s.portOff[u]+int32(j)].txBytes
+		}
 	}
 	return t
 }

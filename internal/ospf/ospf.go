@@ -34,13 +34,14 @@ type Router struct {
 
 // Domain is the whole routing domain.
 type Domain struct {
-	g       *topology.Graph
+	g       *topology.Graph // the domain's own copy of the fabric
 	Routers []*Router
 }
 
-// New builds a domain where every router knows only itself.
+// New builds a domain where every router knows only itself. The domain
+// works on its own copy of g: FailLink never touches the caller's fabric.
 func New(g *topology.Graph) *Domain {
-	d := &Domain{g: g, Routers: make([]*Router, g.N())}
+	d := &Domain{g: g.Clone(), Routers: make([]*Router, g.N())}
 	for v := 0; v < g.N(); v++ {
 		nb := append([]int(nil), g.Neighbors(v)...)
 		sort.Ints(nb)
@@ -165,6 +166,9 @@ func (d *Domain) NextHops(r, dst int) []int {
 // (bumping their LSA sequence numbers) without touching the rest of the
 // domain; call Flood afterwards to measure reconvergence.
 func (d *Domain) FailLink(a, b int) error {
+	if a < 0 || b < 0 || a >= len(d.Routers) || b >= len(d.Routers) {
+		return fmt.Errorf("ospf: link %d-%d names a router out of range [0,%d)", a, b, len(d.Routers))
+	}
 	if !remove(&d.Routers[a].LSA, b) || !remove(&d.Routers[b].LSA, a) {
 		return fmt.Errorf("ospf: no adjacency %d-%d", a, b)
 	}

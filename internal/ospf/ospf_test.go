@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"slices"
 	"testing"
 
 	"spineless/internal/routing"
@@ -18,7 +19,7 @@ func dringFabric(t *testing.T) *topology.Graph {
 
 func TestFloodConverges(t *testing.T) {
 	g := dringFabric(t)
-	d := New(g.Clone())
+	d := New(g)
 	rounds := d.Flood()
 	if !d.Converged() {
 		t.Fatal("flooding did not converge")
@@ -38,7 +39,7 @@ func TestFloodConverges(t *testing.T) {
 // exactly routing.NewECMP.
 func TestSPFMatchesECMP(t *testing.T) {
 	g := dringFabric(t)
-	d := New(g.Clone())
+	d := New(g)
 	d.Flood()
 	fib := routing.NewECMP(g)
 	for r := 0; r < g.N(); r++ {
@@ -66,7 +67,7 @@ func TestSPFMatchesECMP(t *testing.T) {
 
 func TestFailLinkReconvergence(t *testing.T) {
 	g := dringFabric(t)
-	d := New(g.Clone())
+	d := New(g)
 	d.Flood()
 	// Fail one link and reconverge.
 	a := 0
@@ -109,9 +110,32 @@ func TestFailLinkReconvergence(t *testing.T) {
 	}
 }
 
+// TestFailLinkLeavesCallerFabric: the domain fails links on its own copy of
+// the fabric, and an out-of-range router is an error, not a panic.
+func TestFailLinkLeavesCallerFabric(t *testing.T) {
+	g := dringFabric(t)
+	links, row := g.Links(), slices.Clone(g.Neighbors(0))
+	d := New(g)
+	if err := d.FailLink(0, row[0]); err != nil {
+		t.Fatal(err)
+	}
+	if g.Links() != links || !slices.Equal(g.Neighbors(0), row) {
+		t.Fatalf("FailLink changed the caller's fabric: %d links (was %d), row 0 %v (was %v)",
+			g.Links(), links, g.Neighbors(0), row)
+	}
+	if d.g.Links() != links-1 {
+		t.Fatalf("the domain's fabric has %d links, want %d", d.g.Links(), links-1)
+	}
+	for _, l := range [][2]int{{-1, 0}, {0, -1}, {g.N(), 0}, {0, g.N()}} {
+		if err := d.FailLink(l[0], l[1]); err == nil {
+			t.Fatalf("FailLink(%d, %d) accepted", l[0], l[1])
+		}
+	}
+}
+
 func TestNextHopsUnknownDst(t *testing.T) {
 	g := dringFabric(t)
-	d := New(g.Clone())
+	d := New(g)
 	// Before flooding, routers only know themselves.
 	if nh := d.NextHops(0, 5); nh != nil {
 		t.Fatalf("pre-flood next hops = %v", nh)

@@ -24,20 +24,23 @@ type Graph struct {
 	Name  string
 	Ports int // switch radix (server + network ports); 0 if unconstrained
 
-	servers   []int // servers hosted per switch
-	adj       [][]int
-	links     int
-	serverPre []int // prefix sums of servers, built lazily by reindex
-	dirty     bool
+	servers []int // servers hosted per switch
+	adj     [][]int
+	links   int
+	// serverPre[i] is the number of servers on switches < i (len N+1). Every
+	// mutator keeps it current, so readers never write and a graph can be
+	// shared across goroutines once built.
+	serverPre []int
 }
 
 // New returns a fabric with n switches, no links and no servers.
 func New(name string, n, ports int) *Graph {
 	return &Graph{
-		Name:    name,
-		Ports:   ports,
-		servers: make([]int, n),
-		adj:     make([][]int, n),
+		Name:      name,
+		Ports:     ports,
+		servers:   make([]int, n),
+		adj:       make([][]int, n),
+		serverPre: make([]int, n+1),
 	}
 }
 
@@ -49,10 +52,15 @@ func (g *Graph) Links() int { return g.links }
 
 // AddSwitches appends k switches and returns the id of the first one.
 func (g *Graph) AddSwitches(k int) int {
-	first := len(g.adj)
+	first, total := len(g.adj), g.Servers()
 	g.adj = append(g.adj, make([][]int, k)...)
 	g.servers = append(g.servers, make([]int, k)...)
-	g.dirty = true
+	if g.serverPre == nil {
+		g.serverPre = []int{0}
+	}
+	for range k {
+		g.serverPre = append(g.serverPre, total)
+	}
 	return first
 }
 
@@ -106,8 +114,11 @@ func (g *Graph) NetworkDegree(v int) int { return len(g.adj[v]) }
 
 // SetServers assigns k servers to switch v, replacing any previous count.
 func (g *Graph) SetServers(v, k int) {
+	d := k - g.servers[v]
 	g.servers[v] = k
-	g.dirty = true
+	for i := v + 1; i < len(g.serverPre); i++ {
+		g.serverPre[i] += d
+	}
 }
 
 // ServerCount returns the number of servers hosted at switch v.
@@ -115,47 +126,23 @@ func (g *Graph) ServerCount(v int) int { return g.servers[v] }
 
 // Servers returns the total number of servers in the fabric.
 func (g *Graph) Servers() int {
-	g.reindex()
+	if len(g.serverPre) == 0 {
+		return 0 // the zero value
+	}
 	return g.serverPre[len(g.serverPre)-1]
 }
 
 // RackOf maps a global server id to its switch (rack).
 func (g *Graph) RackOf(server int) int {
-	g.reindex()
-	// serverPre[i] = number of servers on switches < i.
-	i := sort.SearchInts(g.serverPre, server+1) - 1
-	return i
+	return sort.SearchInts(g.serverPre, server+1) - 1
 }
 
 // ServerBase returns the global id of the first server on switch v.
-func (g *Graph) ServerBase(v int) int {
-	g.reindex()
-	return g.serverPre[v]
-}
+func (g *Graph) ServerBase(v int) int { return g.serverPre[v] }
 
 // ServersOf returns the global id range [lo, hi) of servers on switch v.
 func (g *Graph) ServersOf(v int) (lo, hi int) {
-	g.reindex()
 	return g.serverPre[v], g.serverPre[v] + g.servers[v]
-}
-
-// Reindex eagerly builds the server-prefix index that Servers, RackOf,
-// ServerBase and ServersOf otherwise build lazily on first use. The lazy
-// build is a write, so a graph that is still dirty must not be shared
-// across goroutines; calling Reindex before a parallel phase makes every
-// subsequent lookup a pure read. Reindexing is semantically invisible —
-// it never changes any query's answer.
-func (g *Graph) Reindex() { g.reindex() }
-
-func (g *Graph) reindex() {
-	if !g.dirty && g.serverPre != nil {
-		return
-	}
-	g.serverPre = make([]int, len(g.servers)+1) //lint:allow hotpath (lazy one-time index build; clean runs Reindex before the event loop)
-	for i, s := range g.servers {
-		g.serverPre[i+1] = g.serverPre[i] + s
-	}
-	g.dirty = false
 }
 
 // HasLink reports whether at least one link a-b exists.
@@ -177,6 +164,33 @@ func (g *Graph) LinkMultiplicity(a, b int) int {
 		}
 	}
 	return m
+}
+
+// PortOffsets returns the port numbering every link-keyed array uses: the
+// directed link (u, j) — u's j-th adjacency entry, parallel copies counted
+// separately — is port off[u]+j, and off[N()] is the number of directed
+// links. The numbering is only as current as the adjacency it was taken
+// from.
+func (g *Graph) PortOffsets() []int32 {
+	off := make([]int32, len(g.adj)+1)
+	for u, nb := range g.adj {
+		off[u+1] = off[u] + int32(len(nb))
+	}
+	return off
+}
+
+// Port returns the position in u's adjacency row of the c-th copy (from 0)
+// of the link u→v, or -1 when u has at most c links to v. It scans one row.
+func (g *Graph) Port(u, v, c int) int {
+	for j, w := range g.adj[u] {
+		if w == v {
+			if c == 0 {
+				return j
+			}
+			c--
+		}
+	}
+	return -1
 }
 
 // Validate checks internal consistency: symmetric adjacency, port budgets,
@@ -243,8 +257,9 @@ func (g *Graph) Connected() bool {
 
 // Clone returns a deep copy of the fabric.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{Name: g.Name, Ports: g.Ports, links: g.links, dirty: true}
+	c := &Graph{Name: g.Name, Ports: g.Ports, links: g.links}
 	c.servers = append([]int(nil), g.servers...)
+	c.serverPre = append([]int(nil), g.serverPre...)
 	c.adj = make([][]int, len(g.adj))
 	for i, nb := range g.adj {
 		c.adj[i] = append([]int(nil), nb...)

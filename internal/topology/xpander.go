@@ -8,18 +8,18 @@ import (
 // Xpander builds an Xpander-style expander [27] by repeated random 2-lifts
 // of the complete graph K_{d+1}, where d is the desired network degree.
 // Each 2-lift doubles the switch count while preserving d-regularity; lifts
-// are applied until the graph has at least minSwitches switches. Servers are
+// are applied until the graph has at least minN switches. Servers are
 // not attached; callers typically follow with AttachServersEvenly.
 //
 // The paper's comparisons use the RRG ("a high-end expander"); Xpander is
 // provided because §2 discusses it as the cabling-friendly alternative with
 // matching performance.
-func Xpander(minSwitches, d int, rng *rand.Rand) (*Graph, error) {
+func Xpander(minN, d int, rng *rand.Rand) (*Graph, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("xpander: degree %d too small: %w", d, ErrInfeasible)
 	}
-	if minSwitches < d+1 {
-		minSwitches = d + 1
+	if minN < d+1 {
+		minN = d + 1
 	}
 	// Start from K_{d+1}.
 	type edge struct{ a, b int }
@@ -32,7 +32,7 @@ func Xpander(minSwitches, d int, rng *rand.Rand) (*Graph, error) {
 	}
 	// Random 2-lift: vertex v becomes (v, v+n); edge (a,b) becomes either
 	// {(a,b),(a+n,b+n)} (parallel) or {(a,b+n),(a+n,b)} (crossed).
-	for n < minSwitches {
+	for n < minN {
 		lifted := make([]edge, 0, 2*len(edges))
 		for _, e := range edges {
 			if rng.Intn(2) == 0 {
@@ -54,7 +54,7 @@ func Xpander(minSwitches, d int, rng *rand.Rand) (*Graph, error) {
 		// A disconnected lift is possible but rare; retry recursively with
 		// fresh randomness (bounded by the caller's patience in practice —
 		// each retry succeeds with high probability).
-		return Xpander(minSwitches, d, rng)
+		return Xpander(minN, d, rng)
 	}
 	return g, nil
 }

@@ -147,7 +147,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// OSPF.
-	d := spineless.NewOSPF(g.Clone())
+	d := spineless.NewOSPF(g)
 	d.Flood()
 	if !d.Converged() {
 		t.Fatal("OSPF did not converge")
