@@ -9,10 +9,10 @@ BENCH_PR ?= 17
 # single-link-delta), and the flat-topology bake-off matrix.
 BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoff)$$
 
-.PHONY: check build test vet fmt lint race bench audit serve serve-smoke fleet-smoke bakeoff-smoke
+.PHONY: check build test vet fmt lint race bench audit serve serve-smoke bakeoff-smoke
 
 # Full verification: everything CI and the roadmap's tier-1 gate expect.
-check: build vet fmt lint race audit serve-smoke fleet-smoke bakeoff-smoke
+check: build vet fmt lint race audit serve-smoke bakeoff-smoke
 
 # Run the experiment service on localhost with a persistent result cache
 # (see DESIGN.md §10 and the README curl session).
@@ -31,14 +31,6 @@ serve-smoke:
 	$(GO) build -o $$tmp/spinelessd ./cmd/spinelessd && \
 	$$tmp/spinelessd -smoke; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
-
-# Fleet fault-tolerance proof under the race detector: a multi-process
-# worker fleet driven through kill/restart/partition/slow chaos while a
-# coordinator places jobs; every job must land with byte-identical results,
-# audits must cross workers cleanly, and overload must shed 429s before any
-# queue-full 503. See DESIGN.md §11 and cmd/fleetsmoke.
-fleet-smoke:
-	$(GO) run -race ./cmd/fleetsmoke
 
 # Flat-topology bake-off gate: the full five-fabric matrix at paper scale
 # with a tiny workload — byte-identical scorecards on 1 and 4 cell

@@ -81,30 +81,41 @@ func main() {
 	}
 	h := serve.New(m, log.Printf)
 	h.Heartbeat = *heartbeat
-	srv := &http.Server{Handler: h}
 	log.Printf("listening on http://%s (store=%q queue=%d jobs=%d)", ln.Addr(), *storeDir, *queueDepth, *executors)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	if err := serveAndDrain(ctx, ln, h, m, *drainTimeout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// serveAndDrain serves h on ln until ctx is done (main's SIGINT/SIGTERM),
+// then stops accepting, waits up to drainTimeout for m's queued and running
+// jobs, and closes m's store. It returns the serve error if serving fails
+// first, and an error if the drain overruns drainTimeout (the running jobs
+// are then cancelled and their results are not stored).
+func serveAndDrain(ctx context.Context, ln net.Listener, h http.Handler, m *jobs.Manager, drainTimeout time.Duration) error {
+	srv := &http.Server{Handler: h}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	select {
 	case err := <-serveErr:
-		log.Fatal(err)
+		return err
 	case <-ctx.Done():
 	}
-	log.Printf("shutting down: draining jobs (up to %v)", *drainTimeout)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("shutting down: draining jobs (up to %v)", drainTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
 	if err := m.Drain(shutdownCtx); err != nil {
-		log.Printf("drain: %v", err)
-		os.Exit(1)
+		return fmt.Errorf("drain: %w", err)
 	}
 	log.Printf("drained cleanly")
+	return nil
 }
 
 func newManager(dir string, maxBytes int64, cfg jobs.Config) (*jobs.Manager, error) {

@@ -148,7 +148,8 @@ func FlatFabric(name string, switches, degree, ports, servers int, rng *rand.Ran
 // equipment budget as a FabricSet's leaf-spine: its switch count and radix,
 // its server total, and the network degree that equipment implies for a
 // flat fabric (radix minus the per-switch server share). This is how the
-// fleet and the figure drivers extend the §5.1 trio to the bake-off five.
+// job service and the figure drivers extend the §5.1 trio to the bake-off
+// five.
 func ExtraFabric(fs *FabricSet, name string, seed int64) (*topology.Graph, error) {
 	spec := fs.LeafSpineSpec
 	n, ports, servers := spec.Switches(), spec.Radix(), spec.TotalServers()

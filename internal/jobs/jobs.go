@@ -431,6 +431,24 @@ func (m *Manager) runJob(j *Job) {
 	elapsed := time.Since(start)
 	cancel()
 
+	// Count the run before settling: a client that sees the job done must
+	// also see its events and latency in /metrics.
+	m.mu.Lock()
+	m.busyNS += elapsed.Nanoseconds()
+	m.simEvents += res.SimEvents()
+	ms := float64(elapsed.Nanoseconds()) / 1e6
+	idx := len(LatencyBoundsMS)
+	for i, b := range LatencyBoundsMS {
+		if ms <= b {
+			idx = i
+			break
+		}
+	}
+	m.latBkt[idx]++
+	m.latCount++
+	m.latSumMS += ms
+	m.mu.Unlock()
+
 	switch {
 	case err == nil:
 		raw, merr := json.Marshal(res)
@@ -455,22 +473,6 @@ func (m *Manager) runJob(j *Job) {
 	default:
 		j.settle(StateFailed, nil, err.Error())
 	}
-
-	m.mu.Lock()
-	m.busyNS += elapsed.Nanoseconds()
-	m.simEvents += res.SimEvents()
-	ms := float64(elapsed.Nanoseconds()) / 1e6
-	idx := len(LatencyBoundsMS)
-	for i, b := range LatencyBoundsMS {
-		if ms <= b {
-			idx = i
-			break
-		}
-	}
-	m.latBkt[idx]++
-	m.latCount++
-	m.latSumMS += ms
-	m.mu.Unlock()
 	m.logf("job %s: %s in %v", j.ID, j.State(), elapsed.Round(time.Millisecond))
 }
 

@@ -120,7 +120,7 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSpecValidateBakeoffFabrics pins the bake-off wiring at the fleet
+// TestSpecValidateBakeoffFabrics pins the bake-off wiring at the job-spec
 // layer: the three extra flat fabrics validate and execute for fct runs
 // (all three were "unknown fabric" before the bake-off PR), an unknown name
 // is still rejected with the full menu, and live runs still accept only the
@@ -185,6 +185,9 @@ func TestSubmitRunHitDedup(t *testing.T) {
 	waitTerminal(t, j1)
 	if st := j1.State(); st != StateDone {
 		t.Fatalf("job state %s: %+v", st, j1.Status())
+	}
+	if snap := m.Snapshot(); snap.SimEvents == 0 || snap.LatencyCount != 1 {
+		t.Fatalf("job settled before its run was counted: sim events %d, latency count %d", snap.SimEvents, snap.LatencyCount)
 	}
 	res1, ok := j1.Result()
 	if !ok || len(res1) == 0 {

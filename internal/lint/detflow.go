@@ -36,14 +36,14 @@ func (*DetFlow) Doc() string {
 }
 
 // defaultSinkTypes are the accumulators whose bytes define an experiment's
-// result. The fixture type is included so the golden tests exercise the
-// real driver configuration (mirroring SimulatorScope's testdata entry).
+// result; jobs.Result is the document the service commits to the store.
+// The fixture type is included so the golden tests exercise the real driver
+// configuration (mirroring SimulatorScope's testdata entry).
 var defaultSinkTypes = []string{
 	"internal/netsim.Stats",
 	"internal/netsim.Results",
-	"internal/flowsim.Results",
 	"internal/core.FCTResult",
-	"internal/core.Result",
+	"internal/jobs.Result",
 	"internal/resilience.LiveResult",
 	"testdata/detflow.Stats",
 }

@@ -16,8 +16,8 @@ import (
 //     sends) outlives the function forever;
 //   - time.After inside a loop — each iteration allocates a runtime timer
 //     that is not reclaimed until it fires, so a tight retry/poll loop with
-//     long timeouts pins unbounded timer memory (use time.NewTimer with
-//     Stop, or retry.Sleep);
+//     long timeouts pins unbounded timer memory (reuse one time.NewTimer
+//     and Stop it);
 //   - a send on an unbuffered locally-made channel from inside a spawned
 //     goroutine, when every receive from that channel sits in a select
 //     with other ways out — if the receiver takes the other case and
@@ -224,7 +224,7 @@ func (c *GoLeak) checkTimeAfterInLoop(p *Pass, body *ast.BlockStmt) {
 				if depth > 0 {
 					if fn := calleeFunc(p, m); fn != nil && fn.FullName() == "time.After" {
 						p.Reportf(m.Pos(), c.Name(),
-							"time.After in a loop allocates a timer every iteration that lives until it fires; reuse a timer (retry.Sleep / time.NewTimer+Stop)")
+							"time.After in a loop allocates a timer every iteration that lives until it fires; reuse a timer (time.NewTimer+Stop)")
 					}
 				}
 			}

@@ -14,7 +14,7 @@ import (
 //   - re-locking the same mutex while it is held (self-deadlock);
 //   - a blocking operation — channel send/receive, select without default,
 //     WaitGroup/Cond Wait, time.Sleep, an HTTP round trip — executed while
-//     the lock is held, which turns one slow peer into a fleet-wide stall.
+//     the lock is held, which turns one slow peer into a stall for every caller.
 //
 // Locks copied by value are go vet's copylocks check, which runs beside
 // this one in `make check`.

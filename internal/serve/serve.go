@@ -57,7 +57,7 @@ const DefaultHeartbeat = 15 * time.Second
 // Server routes HTTP requests to a jobs.Manager.
 type Server struct {
 	// Heartbeat is the NDJSON event-stream heartbeat period (0 =
-	// DefaultHeartbeat). Tests and the fleet smoke shrink it.
+	// DefaultHeartbeat). Tests and the -smoke self-check shrink it.
 	Heartbeat time.Duration
 
 	m    *jobs.Manager
