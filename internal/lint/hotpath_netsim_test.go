@@ -38,6 +38,21 @@ func TestHotPathNetsimAgreesWithAllocPins(t *testing.T) {
 		}
 	}
 
+	// The simulator's push must reach the lane push, so the walk covers the
+	// event queue (and its annotated ring growth) rather than stopping at
+	// the Simulator wrapper.
+	const push = "(*spineless/internal/netsim.Simulator).push"
+	const lanePush = "(*spineless/internal/netsim.eventQueue).push"
+	found := false
+	for _, c := range prog.Graph.Callees(push) {
+		if c == lanePush {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("%s's callees %v lack %s", push, prog.Graph.Callees(push), lanePush)
+	}
+
 	var hot []string
 	for _, f := range prog.Run(nil, []ProgramChecker{&HotPath{}}) {
 		if f.Check == "hotpath" {

@@ -1,0 +1,153 @@
+package netsim
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// eventHeapReference is the event queue the per-kind lanes replaced — one
+// binary min-heap over every pending event, ordered by (t, seq) — kept as
+// the lanes' oracle.
+type eventHeapReference []event
+
+func (h *eventHeapReference) push(ev event) {
+	*h = append(*h, ev)
+	i := len(*h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less((*h)[i], (*h)[parent]) {
+			break
+		}
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		i = parent
+	}
+}
+
+func (h *eventHeapReference) pop() event {
+	top := (*h)[0]
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	(*h)[last] = event{}
+	*h = (*h)[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && less((*h)[l], (*h)[smallest]) {
+			smallest = l
+		}
+		if r < last && less((*h)[r], (*h)[smallest]) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
+		i = smallest
+	}
+	return top
+}
+
+// checkLanesMatchHeap replays one operation script against the lanes and
+// the reference heap and fails on the first pop where the two disagree in
+// any field. The first byte sizes the lanes (as a run of 0–3 flows, so
+// they outgrow their shares and wrap); each following byte is one op:
+//
+//	op%8 == 0, 1: pop one event
+//	op%8 == 2:    drain both queues to empty
+//	otherwise:    push an event of kind (op>>3&15)%numKinds whose time is
+//	              the next byte — an offset from the last popped time, as
+//	              the simulator schedules, or, with op's top bit set, an
+//	              absolute time that may lie behind it
+//
+// Offsets are small, so equal times are common and only seq orders them.
+func checkLanesMatchHeap(t *testing.T, script []byte) {
+	t.Helper()
+	if len(script) == 0 {
+		return
+	}
+	var q eventQueue
+	q.reset(int(script[0] % 4))
+	var ref eventHeapReference
+	var pkts [4]packet
+	var seq uint64
+	var now int64
+	pops := 0
+	popBoth := func() {
+		got, want := q.pop(), ref.pop()
+		pops++
+		if got != want {
+			t.Fatalf("pop %d: lanes gave %+v, reference heap %+v", pops, got, want)
+		}
+		if q.size != len(ref) {
+			t.Fatalf("pop %d: lanes hold %d events, reference heap %d", pops, q.size, len(ref))
+		}
+		now = got.t
+	}
+	for i := 1; i < len(script); i++ {
+		op := script[i]
+		switch op % 8 {
+		case 0, 1:
+			if len(ref) > 0 {
+				popBoth()
+			}
+		case 2:
+			for len(ref) > 0 {
+				popBoth()
+			}
+			if q.size != 0 {
+				t.Fatalf("drained reference heap but lanes hold %d events", q.size)
+			}
+		default:
+			var arg byte
+			if i+1 < len(script) {
+				i++
+				arg = script[i]
+			}
+			tm := now + int64(arg%16)
+			if op&0x80 != 0 {
+				tm = int64(arg)
+			}
+			seq++
+			ev := event{t: tm, seq: seq, kind: (op >> 3 & 0xf) % numKinds,
+				idx: int32(i), epoch: uint64(arg), pkt: &pkts[arg%4]}
+			q.push(ev)
+			ref.push(ev)
+		}
+	}
+	for len(ref) > 0 {
+		popBoth()
+	}
+	if q.size != 0 {
+		t.Fatalf("reference heap empty but lanes hold %d events", q.size)
+	}
+}
+
+// TestEventLanesMatchHeap drives the lanes and the reference heap with
+// seeded random scripts: every kind, equal times, pushes behind a lane's
+// tail that must fall back to the heap, drains to empty, and pushes after
+// pops. A second family of scripts is push-heavy, so lanes grow while
+// their rings are wrapped.
+func TestEventLanesMatchHeap(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]byte, 1+rng.Intn(3000))
+		rng.Read(script)
+		if seed%2 == 0 {
+			// Push-heavy: turn most pops and drains into pushes.
+			for i := 1; i < len(script); i++ {
+				if script[i]%8 < 3 && rng.Intn(4) != 0 {
+					script[i] |= 3
+				}
+			}
+		}
+		checkLanesMatchHeap(t, script)
+	}
+}
+
+// FuzzEventLanes is TestEventLanesMatchHeap's property on fuzzer-chosen
+// scripts; testdata/fuzz/FuzzEventLanes holds its seed corpus, which plain
+// go test replays.
+func FuzzEventLanes(f *testing.F) {
+	f.Fuzz(checkLanesMatchHeap)
+}

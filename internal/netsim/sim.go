@@ -43,7 +43,7 @@ type Simulator struct {
 	flows []flowState
 	done  int
 
-	events     eventHeap
+	events     eventQueue
 	seqCounter uint64
 	now        int64
 
@@ -219,7 +219,7 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 		}
 	}
 	s.flows = make([]flowState, len(flows))
-	s.events = make(eventHeap, 0, 4*len(flows)+64)
+	s.events.reset(len(flows))
 	for i, f := range flows {
 		s.flows[i].spec = f
 		s.flows[i].fct = -1
@@ -234,8 +234,8 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 		}
 	}
 	maxT := int64(s.cfg.MaxSimTime)
-	for len(s.events) > 0 && s.done < len(s.flows) {
-		ev := s.pop()
+	for s.events.size > 0 && s.done < len(s.flows) {
+		ev := s.events.pop()
 		if ev.t > maxT {
 			break
 		}
