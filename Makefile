@@ -63,10 +63,9 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Custom invariant checkers: per-package (determinism, maporder, nofatal,
-# shadowbuiltin, floateq, nakedpanic, sharedrand, ctxleak, locks, goleak)
-# plus the whole-program call-graph checkers (detflow, hotpath) — see
-# DESIGN.md §7 and §12.
+# Custom invariant checkers, run one package at a time. `go run
+# ./cmd/spinelint -list` prints the catalog; DESIGN.md §7 says which runtime
+# gates cover the bug classes no checker looks for.
 lint:
 	$(GO) run ./cmd/spinelint ./...
 

@@ -1,12 +1,9 @@
 // Command spinelint runs the reproduction's custom invariant checkers over
-// Go packages: determinism contracts for the simulator packages, stable
-// iteration order, library-safe error handling, and the bug classes this
-// tree has hit before (see internal/lint and DESIGN.md §"Invariants").
-//
-// Per-package checkers run on each package independently; the whole-program
-// checkers (detflow, hotpath) build a cross-package call graph over every
-// loaded package first, so taint can follow a value through helper layers
-// and package boundaries.
+// Go packages, one package at a time: determinism contracts, stable
+// iteration order, shared-RNG and lock/goroutine hygiene, library-safe
+// error handling, and the bug classes this tree has hit before. `spinelint
+// -list` prints the checkers; internal/lint documents them and DESIGN.md §7
+// says which runtime gates cover the bug classes no checker looks for.
 //
 // Usage:
 //
@@ -45,12 +42,8 @@ func main() {
 	flag.Parse()
 
 	checkers := lint.DefaultCheckers()
-	progCheckers := lint.DefaultProgramCheckers()
 	if *list {
 		for _, c := range checkers {
-			fmt.Printf("%-14s %s\n", c.Name(), c.Doc())
-		}
-		for _, c := range progCheckers {
 			fmt.Printf("%-14s %s\n", c.Name(), c.Doc())
 		}
 		return
@@ -71,13 +64,6 @@ func main() {
 				delete(want, c.Name())
 			}
 		}
-		var keptProg []lint.ProgramChecker
-		for _, c := range progCheckers {
-			if want[c.Name()] {
-				keptProg = append(keptProg, c)
-				delete(want, c.Name())
-			}
-		}
 		if len(want) > 0 {
 			unknown := make([]string, 0, len(want))
 			for id := range want {
@@ -87,7 +73,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spinelint: unknown checks %s (see -list)\n", strings.Join(unknown, ", "))
 			os.Exit(2)
 		}
-		checkers, progCheckers = kept, keptProg
+		checkers = kept
 	}
 
 	patterns := flag.Args()
@@ -99,8 +85,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spinelint:", err)
 		os.Exit(2)
 	}
-	prog := lint.NewProgram(fset, pkgs)
-	findings := prog.Run(checkers, progCheckers)
+	findings := lint.Run(fset, pkgs, checkers)
 
 	switch *format {
 	case "json":

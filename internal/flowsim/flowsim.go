@@ -176,8 +176,6 @@ func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, er
 // level stands for all of them: a flow's rate is the level at which it
 // froze — the same float additions, in the same order, as adding each
 // increment to each flow.
-//
-//lint:hotpath
 func (in *instance) fill(rates []float64) {
 	const eps = 1e-6
 	rem, limit, active, frozen := in.rem, in.cap, in.active, in.frozen

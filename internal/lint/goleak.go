@@ -286,14 +286,14 @@ func (c *GoLeak) checkAbandonedSends(p *Pass, body *ast.BlockStmt) {
 				return false
 			case *ast.UnaryExpr:
 				if m.Op == token.ARROW && !inSelectWithOut {
-					if id, ok := unparen(m.X).(*ast.Ident); ok {
+					if id, ok := ast.Unparen(m.X).(*ast.Ident); ok {
 						if obj := p.Info.Uses[id]; obj != nil {
 							guaranteed[obj] = true
 						}
 					}
 				}
 			case *ast.RangeStmt:
-				if id, ok := unparen(m.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(m.X).(*ast.Ident); ok {
 					if obj := p.Info.Uses[id]; obj != nil {
 						guaranteed[obj] = true
 					}
@@ -318,7 +318,7 @@ func (c *GoLeak) checkAbandonedSends(p *Pass, body *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			id, ok := unparen(send.Chan).(*ast.Ident)
+			id, ok := ast.Unparen(send.Chan).(*ast.Ident)
 			if !ok {
 				return true
 			}
@@ -332,4 +332,17 @@ func (c *GoLeak) checkAbandonedSends(p *Pass, body *ast.BlockStmt) {
 		})
 		return true
 	})
+}
+
+// calleeFunc resolves the called *types.Func of a direct call, or nil.
+func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := p.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := p.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }

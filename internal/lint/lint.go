@@ -1,14 +1,27 @@
 // Package lint is a stdlib-only static-analysis framework enforcing the
-// reproduction's source-level invariants: deterministic replay (no wall
-// clock, no globally-seeded RNG, no environment-dependent logic in the
-// simulator packages), stable iteration/output order, library-safe error
-// handling, and a few bug classes this tree has actually hit (builtin
-// shadowing, float equality, context-free panics).
+// reproduction's source-level invariants where the runtime tests are blind.
+// Each checker walks the type-checked AST of one package at a time and
+// reports Findings:
 //
-// The framework is deliberately small: a Checker walks the type-checked AST
-// of one package at a time and reports Findings. The driver (cmd/spinelint)
-// loads packages and applies DefaultCheckers; golden-fixture tests in this
-// package pin each checker's behaviour against testdata/.
+//   - determinism: no wall clock or package-global RNG in the simulator
+//     packages, and no environment or host reads in any library package;
+//   - maporder: map iteration order must not leak into slices, output or
+//     RNG draws;
+//   - sharedrand: no *rand.Rand shared with goroutines or parallel workers;
+//   - locks, goleak: mutexes released on every path and never held across
+//     blocking operations; goroutines, tickers and timers that can stop;
+//   - nofatal, nakedpanic: library-safe error handling;
+//   - shadowbuiltin, floateq: bug classes this tree has hit.
+//
+// Bug classes that a runtime gate already catches are left to that gate:
+// allocation on the hot paths to the AllocsPerRun pins, a nondeterministic
+// value reaching a result to the golden digests and the
+// parallel-equals-serial tests, and a leaked context cancel to go vet's
+// lostcancel (EXPERIMENTS.md, "spinelint ledger").
+//
+// The driver (cmd/spinelint) loads packages and applies DefaultCheckers;
+// golden-fixture tests in this package pin each checker's behaviour against
+// testdata/.
 //
 // Findings can be suppressed at a single site with an escape-hatch comment
 //
@@ -94,40 +107,18 @@ type Checker interface {
 	Run(p *Pass)
 }
 
-// Run applies every checker to the package, drops findings suppressed by
-// //lint:allow and //lint:allowpkg pragmas, and returns the rest sorted by
-// position.
-func Run(p *Pass, checkers []Checker) []Finding {
-	for _, c := range checkers {
-		c.Run(p)
-	}
-	return p.finish()
-}
-
-// finish filters the accumulated findings through the pragma layers and
-// returns them sorted. It is the shared tail of both the per-package Run and
-// the whole-program Program.Run, so //lint:allow works identically for
-// single-package and cross-package checkers.
-func (p *Pass) finish() []Finding {
-	allowed := collectAllows(p)
-	pkgAllowed := collectPkgAllows(p) // may report allowpkg findings
+// Run applies every checker to each loaded package, one package at a time,
+// drops findings suppressed by //lint:allow and //lint:allowpkg pragmas,
+// and returns the rest sorted by position.
+func Run(fset *token.FileSet, pkgs []*LoadedPackage, checkers []Checker) []Finding {
 	var out []Finding
-	for _, f := range p.findings {
-		if f.Check != allowPkgCheck && pkgAllowed[f.Check] {
-			continue
+	for _, lp := range pkgs {
+		p := &Pass{Fset: fset, ImportPath: lp.ImportPath, Files: lp.Files, Pkg: lp.Pkg, Info: lp.Info}
+		for _, c := range checkers {
+			c.Run(p)
 		}
-		if allowed[allowKey{f.Pos.Filename, f.Pos.Line, f.Check}] ||
-			allowed[allowKey{f.Pos.Filename, f.Pos.Line - 1, f.Check}] {
-			continue
-		}
-		out = append(out, f)
+		out = append(out, p.unsuppressed()...)
 	}
-	p.findings = nil
-	sortFindings(out)
-	return out
-}
-
-func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -141,6 +132,25 @@ func sortFindings(out []Finding) {
 		}
 		return a.Check < b.Check
 	})
+	return out
+}
+
+// unsuppressed filters the package's findings through the pragma layers.
+func (p *Pass) unsuppressed() []Finding {
+	allowed := collectAllows(p)
+	pkgAllowed := collectPkgAllows(p) // may report allowpkg findings
+	var out []Finding
+	for _, f := range p.findings {
+		if f.Check != allowPkgCheck && pkgAllowed[f.Check] {
+			continue
+		}
+		if allowed[allowKey{f.Pos.Filename, f.Pos.Line, f.Check}] ||
+			allowed[allowKey{f.Pos.Filename, f.Pos.Line - 1, f.Check}] {
+			continue
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 type allowKey struct {
@@ -150,12 +160,32 @@ type allowKey struct {
 }
 
 const (
-	allowPrefix    = "//lint:allow"
-	allowPkgPrefix = "//lint:allowpkg"
+	allowPrefix = "//lint:allow"
 	// allowPkgCheck is the ID under which refused //lint:allowpkg pragmas
 	// are themselves reported.
 	allowPkgCheck = "allowpkg"
 )
+
+// parsePragma splits a //lint:allow or //lint:allowpkg comment into its
+// scope and the check IDs it names. The IDs end at the first field that
+// opens a parenthesized reason: //lint:allow floateq (exact zero).
+func parsePragma(text string) (pkgScope bool, checks []string, ok bool) {
+	rest, ok := strings.CutPrefix(text, allowPrefix)
+	if !ok {
+		return false, nil, false
+	}
+	rest, pkgScope = strings.CutPrefix(rest, "pkg")
+	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return false, nil, false
+	}
+	for _, f := range strings.Fields(rest) {
+		if strings.HasPrefix(f, "(") {
+			break
+		}
+		checks = append(checks, f)
+	}
+	return pkgScope, checks, true
+}
 
 // collectAllows indexes every //lint:allow pragma by (file, line, check).
 // A pragma suppresses findings for the listed checks on its own line and on
@@ -165,12 +195,12 @@ func collectAllows(p *Pass) map[allowKey]bool {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, allowPrefix)
-				if !ok || strings.HasPrefix(rest, "pkg") {
+				pkgScope, checks, ok := parsePragma(c.Text)
+				if !ok || pkgScope {
 					continue // not a pragma, or the package-scope form
 				}
 				pos := p.Fset.Position(c.Pos())
-				for _, check := range strings.Fields(rest) {
+				for _, check := range checks {
 					allowed[allowKey{pos.Filename, pos.Line, check}] = true
 				}
 			}
@@ -208,8 +238,8 @@ func collectPkgAllows(p *Pass) map[string]bool {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, allowPkgPrefix)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+				pkgScope, checks, ok := parsePragma(c.Text)
+				if !ok || !pkgScope {
 					continue
 				}
 				if denied {
@@ -217,7 +247,7 @@ func collectPkgAllows(p *Pass) map[string]bool {
 						"package-scope lint exemption is not permitted in %s; use a per-line //lint:allow with justification", p.ImportPath)
 					continue
 				}
-				for _, check := range strings.Fields(rest) {
+				for _, check := range checks {
 					allowed[check] = true
 				}
 			}
@@ -236,18 +266,8 @@ func DefaultCheckers() []Checker {
 		&FloatEq{},
 		&NakedPanic{},
 		&SharedRand{},
-		&CtxLeak{},
 		&Locks{},
 		&GoLeak{},
-	}
-}
-
-// DefaultProgramCheckers returns the whole-program suite: the checkers that
-// need the cross-package call graph and taint engine (see program.go).
-func DefaultProgramCheckers() []ProgramChecker {
-	return []ProgramChecker{
-		&DetFlow{Scope: SimulatorScope},
-		&HotPath{},
 	}
 }
 

@@ -3,6 +3,9 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,25 +15,30 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata expected.txt golden files")
 
 // fixtureCheckers returns the checkers a fixture directory exercises — the
-// per-package and/or program checker whose ID matches the directory name,
-// or the full default suites for the allow- and allowpkg-pragma fixtures.
-func fixtureCheckers(t *testing.T, dir string) ([]Checker, []ProgramChecker) {
-	all, allProg := DefaultCheckers(), DefaultProgramCheckers()
+// checker whose ID matches the directory name, or the full default suite for
+// the allow- and allowpkg-pragma fixtures.
+func fixtureCheckers(t *testing.T, dir string) []Checker {
+	all := DefaultCheckers()
 	if dir == "allow" || strings.HasPrefix(dir, "allowpkg") {
-		return all, allProg
+		return all
 	}
 	for _, c := range all {
 		if c.Name() == dir {
-			return []Checker{c}, nil
-		}
-	}
-	for _, c := range allProg {
-		if c.Name() == dir {
-			return nil, []ProgramChecker{c}
+			return []Checker{c}
 		}
 	}
 	t.Fatalf("no checker matches fixture dir %q", dir)
-	return nil, nil
+	return nil
+}
+
+// runFixture loads one testdata package and runs the checkers over it.
+func runFixture(t *testing.T, dir string, checkers []Checker) []Finding {
+	t.Helper()
+	fset, pkg, err := LoadDir(filepath.Join("testdata", dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Run(fset, []*LoadedPackage{pkg}, checkers)
 }
 
 // TestGolden pins every checker against its testdata fixture: the findings
@@ -47,19 +55,10 @@ func TestGolden(t *testing.T) {
 			continue
 		}
 		dir := filepath.Join("testdata", e.Name())
-		if _, err := os.Stat(filepath.Join(dir, "expected.txt")); err != nil {
-			continue // fixture-package container (e.g. callgraph/), not a golden dir
-		}
 		seen[e.Name()] = true
 		t.Run(e.Name(), func(t *testing.T) {
-			fset, pkg, err := LoadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog := NewProgram(fset, []*LoadedPackage{pkg})
-			checkers, progCheckers := fixtureCheckers(t, e.Name())
 			var b strings.Builder
-			for _, f := range prog.Run(checkers, progCheckers) {
+			for _, f := range runFixture(t, e.Name(), fixtureCheckers(t, e.Name())) {
 				// Render paths relative to the fixture dir so goldens are
 				// machine-independent.
 				fmt.Fprintf(&b, "%s:%d:%d: %s: %s\n",
@@ -89,33 +88,18 @@ func TestGolden(t *testing.T) {
 			t.Errorf("checker %q has no testdata fixture", c.Name())
 		}
 	}
-	for _, c := range DefaultProgramCheckers() {
-		if !seen[c.Name()] {
-			t.Errorf("program checker %q has no testdata fixture", c.Name())
-		}
-	}
 }
 
 // TestAllowPkgScopeAndDenial guards the package-scope pragma: in an
 // ordinary package it suppresses exactly the named checks (no leak to
 // others), while in a deny-listed package it is both ignored and reported.
 func TestAllowPkgScopeAndDenial(t *testing.T) {
-	run := func(dir string) []Finding {
-		t.Helper()
-		fset, pkg, err := LoadDir(filepath.Join("testdata", dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pass := &Pass{Fset: fset, ImportPath: pkg.ImportPath, Files: pkg.Files, Pkg: pkg.Pkg, Info: pkg.Info}
-		return Run(pass, DefaultCheckers())
-	}
-
-	findings := run("allowpkg")
+	findings := runFixture(t, "allowpkg", DefaultCheckers())
 	if len(findings) != 1 || findings[0].Check != "floateq" {
 		t.Fatalf("allowpkg: want exactly one floateq finding surviving, got %v", findings)
 	}
 
-	findings = run("allowpkgdeny")
+	findings = runFixture(t, "allowpkgdeny", DefaultCheckers())
 	got := map[string]int{}
 	for _, f := range findings {
 		got[f.Check]++
@@ -128,13 +112,81 @@ func TestAllowPkgScopeAndDenial(t *testing.T) {
 // TestAllowOnlySuppressesNamedCheck guards the pragma parser: an allow for
 // one check must not suppress another on the same line.
 func TestAllowOnlySuppressesNamedCheck(t *testing.T) {
-	fset, pkg, err := LoadDir(filepath.Join("testdata", "allow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := &Pass{Fset: fset, ImportPath: pkg.ImportPath, Files: pkg.Files, Pkg: pkg.Pkg, Info: pkg.Info}
-	findings := Run(pass, DefaultCheckers())
+	findings := runFixture(t, "allow", DefaultCheckers())
 	if len(findings) != 1 || findings[0].Check != "floateq" {
 		t.Fatalf("want exactly one floateq finding surviving the pragmas, got %v", findings)
+	}
+}
+
+// TestDeterminismEnvRuleIgnoresScope pins the one unscoped determinism
+// rule: outside the simulator scope the wall-clock and global-RNG calls of
+// the fixture pass, but its environment and host reads are still findings.
+func TestDeterminismEnvRuleIgnoresScope(t *testing.T) {
+	var got []string
+	for _, f := range runFixture(t, "determinism", []Checker{&Determinism{Scope: []string{"no/such/package"}}}) {
+		got = append(got, f.Message[:strings.Index(f.Message, " ")])
+	}
+	want := []string{"os.Getenv", "os.Hostname", "runtime.NumCPU"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("out-of-scope findings %v, want %v", got, want)
+	}
+}
+
+// TestPragmasNameRegisteredCheckers fails on stale pragmas: every
+// //lint:allow and //lint:allowpkg in the module must name a registered
+// checker, so retiring a checker cannot leave dead exemptions behind.
+// testdata/ holds fixtures. benchmark/ is skipped: it is a separate
+// measurement harness whose sources stay fixed across changes to the code it
+// measures, and the suppression layer ignores unknown IDs, so a stale
+// pragma there is harmless.
+func TestPragmasNameRegisteredCheckers(t *testing.T) {
+	registered := map[string]bool{}
+	for _, c := range DefaultCheckers() {
+		registered[c.Name()] = true
+	}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case "testdata", ".git":
+				return filepath.SkipDir
+			case "benchmark":
+				if filepath.Dir(path) == root {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				_, checks, ok := parsePragma(c.Text)
+				if !ok {
+					continue
+				}
+				if len(checks) == 0 {
+					t.Errorf("%s: pragma names no checker", fset.Position(c.Pos()))
+				}
+				for _, check := range checks {
+					if !registered[check] {
+						t.Errorf("%s: pragma names %q, which is not a registered checker", fset.Position(c.Pos()), check)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,11 +1,12 @@
 // Package fixture exercises the determinism checker: wall-clock reads,
-// package-global rand, and environment lookups are findings; explicitly
-// seeded construction and method calls on a *rand.Rand are not.
+// package-global rand, and environment and host lookups are findings;
+// explicitly seeded construction and method calls on a *rand.Rand are not.
 package fixture
 
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"time"
 )
 
@@ -21,4 +22,9 @@ func Bad() (int, int64, string) {
 func Good(seed int64) int {
 	rng := rand.New(rand.NewSource(seed)) // ok: explicitly seeded
 	return rng.Intn(10)                   // ok: method on *rand.Rand
+}
+
+func Host() (string, int) {
+	h, _ := os.Hostname()      // finding: host-dependent
+	return h, runtime.NumCPU() // finding: host-dependent
 }

@@ -82,7 +82,6 @@ func (q *eventQueue) reset(nflows int) {
 	q.size = 0
 }
 
-//lint:hotpath
 func (q *eventQueue) push(ev event) {
 	q.size++
 	l := &q.lanes[ev.kind]
@@ -104,8 +103,6 @@ func (q *eventQueue) push(ev event) {
 
 // pop removes and returns the least (t, seq) event; the queue must not be
 // empty.
-//
-//lint:hotpath
 func (q *eventQueue) pop() event {
 	q.size--
 	best, found := -1, len(q.heap) > 0 // best -1 is the heap
@@ -141,7 +138,7 @@ func (q *eventQueue) pop() event {
 // grow doubles a full lane, unrolling the ring so the oldest event lands
 // at index 0.
 func (l *lane) grow() {
-	buf := make([]event, max(2*len(l.buf), 16)) //lint:allow hotpath (lane growth: doubles a lane only when it overflows its share)
+	buf := make([]event, max(2*len(l.buf), 16)) // lane growth: doubles a lane only when it overflows its share
 	copied := copy(buf, l.buf[l.head:])
 	copy(buf[copied:], l.buf[:l.head])
 	l.buf = buf
@@ -150,8 +147,6 @@ func (l *lane) grow() {
 
 // heapPush and heapPop keep h a binary min-heap ordered by (t, seq). A
 // hand-rolled heap avoids container/heap's interface boxing.
-//
-//lint:hotpath
 func heapPush(h *[]event, ev event) {
 	*h = append(*h, ev)
 	i := len(*h) - 1
@@ -165,7 +160,6 @@ func heapPush(h *[]event, ev event) {
 	}
 }
 
-//lint:hotpath
 func heapPop(h *[]event) event {
 	top := (*h)[0]
 	last := len(*h) - 1
@@ -191,7 +185,6 @@ func heapPop(h *[]event) event {
 	return top
 }
 
-//lint:hotpath
 func (s *Simulator) push(ev event) {
 	ev.seq = s.nextSeq()
 	s.events.push(ev)

@@ -321,7 +321,7 @@ func (s *Simulator) allocLinkIDs(n int) []int32 {
 		if n > sz {
 			sz = n
 		}
-		s.arena = make([]int32, sz) //lint:allow hotpath (arena refill: one allocation per 4096 link ids, amortized away)
+		s.arena = make([]int32, sz) // arena refill: one allocation per 4096 link ids, amortized away
 		s.arenaNext = 0
 	}
 	out := s.arena[s.arenaNext : s.arenaNext : s.arenaNext+n]
@@ -350,8 +350,6 @@ func (s *Simulator) expandPath(srcHost, dstHost int, swPath []int, flowID uint64
 }
 
 // trySend transmits new segments while the congestion window allows.
-//
-//lint:hotpath
 func (s *Simulator) trySend(f *flowState, idx int32) {
 	mss := int64(s.cfg.MSS)
 	for f.sndNxt < f.spec.SizeBytes && f.sndNxt-f.sndUna < int64(f.cwnd*float64(mss)) {
@@ -363,7 +361,6 @@ func (s *Simulator) trySend(f *flowState, idx int32) {
 	}
 }
 
-//lint:hotpath
 func (s *Simulator) sendSegment(f *flowState, idx int32, seq int64) {
 	if t := int64(s.cfg.FlowletTimeout); t > 0 {
 		// Flowlet switching [25]: an idle gap longer than the timeout lets
@@ -395,7 +392,6 @@ func (s *Simulator) sendSegment(f *flowState, idx int32, seq int64) {
 	s.enterLink(p)
 }
 
-//lint:hotpath
 func (s *Simulator) sendAck(f *flowState, idx int32, echo int64, ce bool) {
 	p := s.alloc()
 	p.flow = idx
@@ -411,7 +407,6 @@ func (s *Simulator) sendAck(f *flowState, idx int32, echo int64, ce bool) {
 	s.enterLink(p)
 }
 
-//lint:hotpath
 func (s *Simulator) enterLink(p *packet) {
 	id := p.links[p.hop]
 	l := &s.links[id]
@@ -456,7 +451,6 @@ func (s *Simulator) enterLink(p *packet) {
 	}
 }
 
-//lint:hotpath
 func (s *Simulator) txDone(linkID int32, p *packet) {
 	l := &s.links[linkID]
 	if l.down {
@@ -482,7 +476,6 @@ func (s *Simulator) txDone(linkID int32, p *packet) {
 	}
 }
 
-//lint:hotpath
 func (s *Simulator) deliver(p *packet) {
 	p.hop++
 	if int(p.hop) < len(p.links) {
@@ -520,14 +513,13 @@ func (s *Simulator) deliver(p *packet) {
 		if f.ooo == nil {
 			// Allocated on first reordering only: in-order flows — the
 			// common case — never pay for the map.
-			f.ooo = make(map[int64]int32, 8) //lint:allow hotpath (lazy: only the first reordered packet of a flow pays)
+			f.ooo = make(map[int64]int32, 8) // lazy: only the first reordered packet of a flow pays
 		}
 		f.ooo[seq] = int32(payload)
 	}
 	s.sendAck(f, idx, echo, ce)
 }
 
-//lint:hotpath
 func (s *Simulator) handleAck(f *flowState, idx int32, ack, echo int64, ce bool) {
 	if f.done {
 		return
@@ -596,7 +588,6 @@ func (s *Simulator) handleAck(f *flowState, idx int32, ack, echo int64, ce bool)
 	}
 }
 
-//lint:hotpath
 func (s *Simulator) timeout(idx int32, epoch uint64) {
 	f := &s.flows[idx]
 	if f.done || epoch != f.rtoEpoch || f.sndNxt == f.sndUna {
@@ -671,7 +662,6 @@ func (s *Simulator) armRTO(f *flowState, idx int32) {
 	s.push(event{t: s.now + f.rto, kind: evRTO, idx: idx, epoch: f.rtoEpoch})
 }
 
-//lint:hotpath
 func (s *Simulator) alloc() *packet {
 	s.allocCount++
 	if n := len(s.pool); n > 0 {
@@ -684,7 +674,7 @@ func (s *Simulator) alloc() *packet {
 	// blocks stay alive through the pointers already circulating, so growth
 	// costs one allocation per poolChunkSize packets instead of one each.
 	if s.poolNext == len(s.poolChunk) {
-		s.poolChunk = make([]packet, poolChunkSize) //lint:allow hotpath (pool refill: one allocation per 256 packets, amortized away)
+		s.poolChunk = make([]packet, poolChunkSize) // pool refill: one allocation per 256 packets, amortized away
 		s.poolNext = 0
 	}
 	p := &s.poolChunk[s.poolNext]
@@ -695,7 +685,6 @@ func (s *Simulator) alloc() *packet {
 // poolChunkSize is the packet-pool block size; 256 packets ≈ 16 KiB.
 const poolChunkSize = 256
 
-//lint:hotpath
 func (s *Simulator) free(p *packet) {
 	if p.pooled {
 		// Double free: the packet is already in the pool. Handing it out

@@ -85,8 +85,6 @@ const maxViolations = 100
 // violate records an internal invariant violation. Violations are only
 // collected while a tracer is installed (audited runs), so its fmt cost
 // never touches an untraced run.
-//
-//lint:coldpath
 func (s *Simulator) violate(format string, args ...interface{}) {
 	if len(s.violations) >= maxViolations {
 		return

@@ -83,8 +83,6 @@ func (s *DeBruijn) Path(src, dst int, flowID uint64) []int {
 // equivalent, exercised per flow by the simulator, and stays on the
 // zero-alloc discipline the netsim hot path uses (see the AllocsPerRun pin
 // in the tests).
-//
-//lint:hotpath
 func (s *DeBruijn) AppendPath(buf []int, src, dst int) []int {
 	start := len(buf)
 	buf = append(buf, src)

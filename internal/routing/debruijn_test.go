@@ -119,9 +119,8 @@ func TestNewDeBruijnRejectsOtherFabrics(t *testing.T) {
 	}
 }
 
-// TestDeBruijnAppendPathAllocs is the AllocsPerRun pin tied to the
-// //lint:hotpath annotation on AppendPath: with a caller-provided buffer it
-// must not allocate at all.
+// TestDeBruijnAppendPathAllocs pins AppendPath's zero-allocation
+// contract: with a caller-provided buffer it must not allocate at all.
 func TestDeBruijnAppendPathAllocs(t *testing.T) {
 	_, s := buildDeBruijn(t, topology.DeBruijnSpec{Symbols: 4, Digits: 3, Ports: 12})
 	buf := make([]int, 0, 8)

@@ -7,9 +7,8 @@
 // The hot path — the six Tracer hooks — allocates nothing: every series is
 // preallocated at attach time from the simulator's link count and the
 // run's flow count, and each hook only indexes and adds. The claim is
-// pinned dynamically by TestTelemetryAddsNoAllocs (AllocsPerRun, mirroring
-// the nil-tracer pin) and statically by spinelint's hotpath checker (the
-// hooks are //lint:hotpath roots). A mutex guards the bucket state so a
+// pinned by TestTelemetryAddsNoAllocs (AllocsPerRun, mirroring the
+// nil-tracer pin). A mutex guards the bucket state so a
 // concurrent reader (the spinelessd /v1/telemetry stream) can Snapshot a
 // run in flight; locking an uncontended mutex does not allocate, and the
 // simulator drives all hooks from one goroutine.
@@ -134,8 +133,6 @@ func NewSink(cfg Config, links int, rateBps []float64, flows int, classOf []uint
 // when nowNS opens a new bucket. The second return is false for events
 // behind the retention window, which are counted and dropped. Callers hold
 // s.mu.
-//
-//lint:hotpath
 func (s *Sink) bucket(nowNS int64) (int64, bool) {
 	b := nowNS / s.cfg.BucketNS
 	if b > s.head {
@@ -151,8 +148,6 @@ func (s *Sink) bucket(nowNS int64) (int64, bool) {
 // advance moves the ring head forward to absolute bucket b, clearing every
 // slot that enters the window. A jump of more than Buckets clears each
 // slot exactly once.
-//
-//lint:hotpath
 func (s *Sink) advance(b int64) {
 	n := int64(s.cfg.Buckets)
 	from := s.head + 1
@@ -171,8 +166,6 @@ func (s *Sink) advance(b int64) {
 
 // OnEnqueue records the link's post-acceptance FIFO occupancy into the
 // bucket's queue-depth peak.
-//
-//lint:hotpath
 func (s *Sink) OnEnqueue(nowNS int64, link, flow int32, hop int, isAck bool, wireBytes int32, queueBytes int64, queueCount int) {
 	s.mu.Lock()
 	if slot, ok := s.bucket(nowNS); ok {
@@ -189,8 +182,6 @@ func (s *Sink) OnEnqueue(nowNS int64, link, flow int32, hop int, isAck bool, wir
 
 // OnTxStart attributes the frame's wire bytes to the link's utilization
 // bucket at serialization start.
-//
-//lint:hotpath
 func (s *Sink) OnTxStart(nowNS int64, link, flow int32, isAck bool, wireBytes int32) {
 	s.mu.Lock()
 	if slot, ok := s.bucket(nowNS); ok {
@@ -205,8 +196,6 @@ func (s *Sink) OnTxStart(nowNS int64, link, flow int32, isAck bool, wireBytes in
 // flow's previous high-water mark is exactly the payload newly accepted
 // in-order — retransmitted and out-of-order bytes are not double counted.
 // The advance is attributed to the flow's class bucket.
-//
-//lint:hotpath
 func (s *Sink) OnDeliver(nowNS int64, flow int32, isAck bool, seq int64) {
 	if !isAck {
 		return
@@ -228,8 +217,6 @@ func (s *Sink) OnDeliver(nowNS int64, flow int32, isAck bool, seq int64) {
 }
 
 // OnDrop counts the loss into the bucket's per-reason drop series.
-//
-//lint:hotpath
 func (s *Sink) OnDrop(nowNS int64, link, flow int32, isAck bool, reason netsim.DropReason) {
 	s.mu.Lock()
 	if slot, ok := s.bucket(nowNS); ok {
@@ -241,8 +228,6 @@ func (s *Sink) OnDrop(nowNS int64, link, flow int32, isAck bool, reason netsim.D
 
 // OnCwnd counts sender control-state updates; per-flow cwnd series are out
 // of scope for the fabric twin (they are O(flows), not O(links)).
-//
-//lint:hotpath
 func (s *Sink) OnCwnd(nowNS int64, flow int32, cwnd float64, sndUna, sndNxt int64) {
 	s.mu.Lock()
 	s.cwndUpdates++
@@ -251,8 +236,6 @@ func (s *Sink) OnCwnd(nowNS int64, flow int32, cwnd float64, sndUna, sndNxt int6
 
 // OnStateChange tracks fault-injected link transitions so the twin can
 // report how many links are down right now.
-//
-//lint:hotpath
 func (s *Sink) OnStateChange(nowNS int64, link int32, down bool, lossProb, rateFactor float64) {
 	s.mu.Lock()
 	s.linkEvents++

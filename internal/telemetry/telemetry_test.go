@@ -39,8 +39,7 @@ func crossFlows(n int, sizeBytes int64) []workload.Flow {
 // TestTelemetryAddsNoAllocs pins the telemetry hot path at zero extra
 // allocations: a run observed by a preallocated Sink must allocate exactly
 // as much as the same run with no tracer. This is the AllocsPerRun twin of
-// the nil-tracer pin in netsim (TestNilTracerAddsNoAllocs) and of the
-// static spinelint hotpath walk over the Sink's hook methods.
+// the nil-tracer pin in netsim (TestNilTracerAddsNoAllocs).
 func TestTelemetryAddsNoAllocs(t *testing.T) {
 	g := pairFabric(t, 2, 4)
 	flows := crossFlows(12, 40e3)
