@@ -45,13 +45,12 @@ type Network struct {
 	Sessions []Session
 
 	// CSR session-graph indexes over dense node ids Router*K + (VRF-1),
-	// built eagerly by Build (see buildIndexes in converge.go): inbound
-	// sessions per node, advertiser-sorted, and the reverse dependents used
-	// for dirty-set propagation. outSess parallels outDeps with the session
-	// carrying the advertisement to each dependent, so propagation can tell
-	// the dependent exactly which inbound candidate moved.
-	inStart, inSess            []int32
-	outStart, outDeps, outSess []int32
+	// built eagerly by Build (see buildIndexes): each node's inbound
+	// sessions, advertiser-sorted, as advertiser, cost (1+Prepend) and
+	// advertiser-router columns, and the reverse dependents used for
+	// dirty-set propagation.
+	inStart, inAdv, inCost, inRouter []int32
+	outStart, outDeps                []int32
 }
 
 // Build constructs the VRF session graph for Shortest-Union(K) over g,
@@ -67,17 +66,29 @@ func Build(g *topology.Graph, k int) (*Network, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("bgp: need K >= 2, got %d", k)
 	}
-	n := &Network{Topo: g, K: k}
+	// seen[v] == u+1 marks v as already handled for u: one session set per
+	// neighbor, regardless of parallel links.
+	seen := make([]int, g.N())
+	pairs := 0
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if seen[v] != u+1 {
+				seen[v] = u + 1
+				pairs++
+			}
+		}
+	}
+	clear(seen)
+	n := &Network{Topo: g, K: k, Sessions: make([]Session, 0, 2*k*pairs)}
 	add := func(from, to NodeID, prepend int) {
 		n.Sessions = append(n.Sessions, Session{From: from, To: to, Prepend: prepend})
 	}
 	for u := 0; u < g.N(); u++ {
-		seen := map[int]bool{}
 		for _, v := range g.Neighbors(u) {
-			if seen[v] {
-				continue // one session set per neighbor, regardless of parallel links
+			if seen[v] == u+1 {
+				continue
 			}
-			seen[v] = true
+			seen[v] = u + 1
 			// Traffic arcs (VRF K,u)→(VRF i,v) cost i: advertisements flow
 			// v's VRF i → u's VRF K with i-1 extra prepends.
 			for i := 1; i <= k; i++ {
@@ -113,4 +124,63 @@ func (n *Network) Nodes() []NodeID {
 // plan used by the config generator.
 func Prefix(router int) string {
 	return fmt.Sprintf("10.%d.%d.0/24", router/256, router%256)
+}
+
+// buildIndexes lays the session graph out as CSR tables over dense node ids
+// by two stable counting passes: sessions by advertiser (each advertiser's
+// dependents), then that order by receiver, so each receiver's inbound
+// sessions come out advertiser-sorted and ECMP hop sets pre-sorted. Build
+// calls it eagerly so converge never mutates the Network.
+func (n *Network) buildIndexes() {
+	nn := n.Topo.N() * n.K
+	from := make([]int32, len(n.Sessions))
+	to := make([]int32, len(n.Sessions))
+	for si, s := range n.Sessions {
+		from[si], to[si] = int32(n.nodeIdx(s.From)), int32(n.nodeIdx(s.To))
+	}
+	outStart, out := countingSort(to, nil, nn)
+	inStart, in := countingSort(from, out, nn)
+
+	n.inStart, n.outStart = inStart, outStart
+	n.inAdv = make([]int32, len(in))
+	n.inCost = make([]int32, len(in))
+	n.inRouter = make([]int32, len(in))
+	for i, si := range in {
+		s := &n.Sessions[si]
+		n.inAdv[i], n.inCost[i], n.inRouter[i] = to[si], int32(1+s.Prepend), int32(s.To.Router)
+	}
+	n.outDeps = out // session indexes become dependent node ids in place
+	for j, si := range out {
+		n.outDeps[j] = from[si]
+	}
+}
+
+// countingSort orders the session indexes in order (all of them, ascending,
+// when order is nil) stably by key, returning the bucket offsets and the
+// reordered indexes.
+func countingSort(key, order []int32, buckets int) ([]int32, []int32) {
+	start := make([]int32, buckets+1)
+	for _, k := range key {
+		start[k+1]++
+	}
+	for b := 0; b < buckets; b++ {
+		start[b+1] += start[b]
+	}
+	fill := append([]int32(nil), start[:buckets]...)
+	out := make([]int32, len(key))
+	place := func(si int32) {
+		k := key[si]
+		out[fill[k]] = si
+		fill[k]++
+	}
+	if order == nil {
+		for si := range key {
+			place(int32(si))
+		}
+	} else {
+		for _, si := range order {
+			place(si)
+		}
+	}
+	return start, out
 }

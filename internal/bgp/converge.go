@@ -2,7 +2,11 @@ package bgp
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
+
+	"spineless/internal/parallel"
 )
 
 // Route is one node's converged state for a destination prefix.
@@ -27,21 +31,37 @@ type Rib map[NodeID][]Route
 
 const inf = 1 << 30
 
-// The convergence engine is incremental: state is a flat []entry indexed
-// (node, dst) and each synchronous round recomputes only the entries whose
-// inputs changed in the previous round, tracked as per-destination dirty
-// sets propagated through the session graph's out-dependents. A full
-// recomputation is just the special case where round 1's candidate set is
-// every entry; because a round is a pure function of the previous state, the
-// dirty-set sweep commits exactly the writes the dense sweep would, so
-// Converge and ConvergeFrom return bit-identical RIBs and round counts to a
-// dense implementation while reconvergence work after a localized change is
-// proportional to the affected region, not the fabric.
+// The convergence engine runs one destination at a time. recompute(x, d)
+// reads only entries for the same destination d, so every destination runs
+// its own synchronous rounds, and the protocol's round count is the largest
+// of them: a destination that commits nothing in a round has nothing to
+// recompute in any later one. Each destination's round 1 recomputes a
+// candidate set (the origin's dependents from a cold start, every entry for
+// ConvergeFrom, the dirty routers' entries for ConvergeDirty) and every later
+// round only the out-dependents of what the previous round committed;
+// collect-then-commit keeps rounds synchronous, so the result is exactly the
+// dense sweep's.
 //
-// Candidate best paths are compared virtually — (router, repeat count,
-// advertised path) against the incumbent without materializing the prepended
-// slice — and an entry is only materialized when it actually changes, so a
-// steady-state round allocates nothing for the (vast) unchanged remainder.
+// Per-destination state is a handful of int32 columns over dense node ids:
+// AS-path length, path reference and hop-set offset and count. A path is a
+// persistent chain of runs (router, repeat count, parent) in an arena, so a
+// changed entry costs one run node and its dependents share the tail. Paths
+// seeded from a previous RIB are arena leaves that read prev's ASPath slice
+// in place. The RIB is materialized once, after every destination settled,
+// from the final lengths, the best advertiser of each entry (via) and the
+// hop sets, exported as bits over the inbound-session table.
+
+// via values below zero: how an entry's final path is found without a best
+// advertiser.
+const (
+	viaOrigin int32 = -1 // the originated prefix: the path is [dst]
+	viaNone   int32 = -2 // unreachable
+	viaPrev   int32 = -3 // seeded from the previous RIB and never replaced
+)
+
+// noPath is the path reference of an unreachable entry; references below it
+// are prev leaves (-2-x reads node x's previous ASPath).
+const noPath int32 = -1
 
 // Converge runs synchronous path-vector iterations until a fixpoint: every
 // round, every node advertises its single best path per prefix to its
@@ -50,7 +70,7 @@ const inf = 1 << 30
 // advertisements as ECMP next hops. It returns the converged RIB and the
 // number of rounds taken.
 func (n *Network) Converge() (Rib, int, error) {
-	return n.converge(n.freshState(), n.allCandidates(), nil)
+	return n.converge(nil, nil)
 }
 
 // ConvergeFrom reconverges starting from a previous RIB — the §7 failure
@@ -59,7 +79,11 @@ func (n *Network) Converge() (Rib, int, error) {
 // settles? prev entries for vanished nodes are ignored; local prefixes are
 // re-originated.
 func (n *Network) ConvergeFrom(prev Rib) (Rib, int, error) {
-	return n.converge(n.seededState(prev), n.allCandidates(), prev)
+	every := make([]int32, n.Topo.N()*n.K)
+	for x := range every {
+		every[x] = int32(x)
+	}
+	return n.converge(n.prevRows(prev), every)
 }
 
 // ConvergeDirty reconverges after a change known to touch only the links
@@ -80,27 +104,19 @@ func (n *Network) ConvergeDirty(prev Rib, dirtyRouters []int) (Rib, int, error) 
 	}
 	routers := append([]int(nil), dirtyRouters...)
 	sort.Ints(routers)
-	var cands []int32
-	prevR := -1
-	for _, r := range routers {
+	dirty := make([]int32, 0, len(routers)*n.K)
+	for i, r := range routers {
 		if r < 0 || r >= nr {
 			return nil, 0, fmt.Errorf("bgp: dirty router %d out of range [0,%d)", r, nr)
 		}
-		if r == prevR {
+		if i > 0 && r == routers[i-1] {
 			continue
 		}
-		prevR = r
 		for vrf := 1; vrf <= n.K; vrf++ {
-			x := r*n.K + vrf - 1
-			for d := 0; d < nr; d++ {
-				if vrf == n.K && d == r {
-					continue // originated locally; never replaced
-				}
-				cands = append(cands, int32(x*nr+d))
-			}
+			dirty = append(dirty, int32(n.nodeIdx(NodeID{r, vrf})))
 		}
 	}
-	return n.converge(n.seededState(prev), cands, prev)
+	return n.converge(n.prevRows(prev), dirty)
 }
 
 // nodeIdx flattens a NodeID into the engine's dense index space.
@@ -109,536 +125,502 @@ func (n *Network) nodeIdx(id NodeID) int { return id.Router*n.K + id.VRF - 1 }
 // nodeAt is the inverse of nodeIdx.
 func (n *Network) nodeAt(i int) NodeID { return NodeID{Router: i / n.K, VRF: i%n.K + 1} }
 
-// buildIndexes lays the session graph out as two CSR tables over dense node
-// indices: inStart/inSess lists each node's inbound sessions sorted by
-// advertiser (so ECMP hop sets come out pre-sorted), outStart/outDeps lists
-// the nodes depending on each advertiser (the dirty-set fan-out). Build
-// calls it eagerly so converge sweeps never mutate the Network.
-func (n *Network) buildIndexes() {
-	nn := n.Topo.N() * n.K
-	n.inStart = make([]int32, nn+1)
-	for _, s := range n.Sessions {
-		n.inStart[n.nodeIdx(s.From)+1]++
+// prevRows fetches prev's rows once, by dense node id; a row of the wrong
+// length or for a vanished node is nil, so its entries start unreachable.
+func (n *Network) prevRows(prev Rib) [][]Route {
+	nr := n.Topo.N()
+	rows := make([][]Route, nr*n.K)
+	for x := range rows {
+		if old, ok := prev[n.nodeAt(x)]; ok && len(old) == nr {
+			rows[x] = old
+		}
 	}
-	for i := 1; i <= nn; i++ {
-		n.inStart[i] += n.inStart[i-1]
-	}
-	n.inSess = make([]int32, len(n.Sessions))
-	fill := make([]int32, nn)
-	for si, s := range n.Sessions {
-		x := n.nodeIdx(s.From)
-		n.inSess[n.inStart[x]+fill[x]] = int32(si)
-		fill[x]++
-	}
-	for x := 0; x < nn; x++ {
-		seg := n.inSess[n.inStart[x]:n.inStart[x+1]]
-		sort.Slice(seg, func(a, b int) bool {
-			ta, tb := n.Sessions[seg[a]].To, n.Sessions[seg[b]].To
-			if ta.Router != tb.Router {
-				return ta.Router < tb.Router
-			}
-			return ta.VRF < tb.VRF
-		})
-	}
-
-	n.outStart = make([]int32, nn+1)
-	for _, s := range n.Sessions {
-		n.outStart[n.nodeIdx(s.To)+1]++
-	}
-	for i := 1; i <= nn; i++ {
-		n.outStart[i] += n.outStart[i-1]
-	}
-	n.outDeps = make([]int32, len(n.Sessions))
-	n.outSess = make([]int32, len(n.Sessions))
-	for i := range fill {
-		fill[i] = 0
-	}
-	for si, s := range n.Sessions {
-		w := n.nodeIdx(s.To)
-		n.outDeps[n.outStart[w]+fill[w]] = int32(n.nodeIdx(s.From))
-		n.outSess[n.outStart[w]+fill[w]] = int32(si)
-		fill[w]++
-	}
-	for w := 0; w < nn; w++ {
-		deps := n.outDeps[n.outStart[w]:n.outStart[w+1]]
-		sess := n.outSess[n.outStart[w]:n.outStart[w+1]]
-		sort.Sort(&depSessSort{deps, sess})
-	}
+	return rows
 }
 
-// depSessSort keeps the outSess column aligned with outDeps while sorting a
-// CSR segment by dependent node id.
-type depSessSort struct{ deps, sess []int32 }
-
-func (p *depSessSort) Len() int           { return len(p.deps) }
-func (p *depSessSort) Less(i, j int) bool { return p.deps[i] < p.deps[j] }
-func (p *depSessSort) Swap(i, j int) {
-	p.deps[i], p.deps[j] = p.deps[j], p.deps[i]
-	p.sess[i], p.sess[j] = p.sess[j], p.sess[i]
+// run is one arena node: router repeated times, then the path at parent.
+// routers has bit r%64 set for every router r on the path, a filter that
+// answers most loop checks without a walk.
+type run struct {
+	router, times, parent int32
+	routers               uint64
 }
 
-func (n *Network) freshState() []entry {
+// newRun returns the run node for "router times times, then the path at
+// parent"; a prev leaf parent filters nothing.
+func (s *dest) newRun(router, times, parent int32) run {
+	routers := ^uint64(0)
+	if parent >= 0 {
+		routers = s.arena[parent].routers
+	}
+	return run{router, times, parent, routers | 1<<(router&63)}
+}
+
+// engine is one convergence call. Destination d owns column d of ln, via and
+// hopBits and slot d of rounds and the size counts, so the fan-out writes
+// nothing shared.
+type engine struct {
+	n         *Network
+	nr, nn, k int
+	prev      [][]Route // by dense node id; nil for a cold start
+	dirty     []int32   // round-1 nodes after a warm start
+
+	ln, via []int32  // final AS-path length and best advertiser, column-major
+	hopBits []uint64 // final hop sets: bit i of column d is inbound slot i
+	words   int      // hopBits words per column
+
+	rounds, pathN, hopN []int
+	maxRounds           int
+}
+
+// dest is the working memory of one destination's convergence. Everything
+// in it is reset before it is read, so which destination used it last never
+// shows in a result.
+type dest struct {
+	e    *engine
+	d    int
+	ln   []int32 // the engine's column d
+	via  []int32
+	ref  []int32 // path: arena index, noPath, or a prev leaf
+	hOff []int32 // hop set: hopBuf[hOff:hOff+hCnt]; hCnt -1 means prev's NextHops
+	hCnt []int32
+
+	arena  []run
+	hopBuf []int32 // committed hop sets, as inbound slots
+	hops   []int32 // the hop set under evaluation
+
+	mark        []uint32
+	epoch       uint32
+	cands, next []int32
+	pend        []pending
+}
+
+// pending is one write of the current round, committed once the round's
+// recomputations are done.
+type pending struct{ x, ln, ref, hOff, hCnt int32 }
+
+// destPool hands each destination its working memory; a pool rather than a
+// per-worker value because parallel.ForEach owns the workers.
+var destPool = sync.Pool{New: func() any { return new(dest) }}
+
+// converge runs every destination to its fixpoint and builds the RIB. A nil
+// prev is a cold start; otherwise entries start from prev's rows and round 1
+// recomputes the dirty nodes.
+func (n *Network) converge(prev [][]Route, dirty []int32) (Rib, int, error) {
 	nr := n.Topo.N()
 	nn := nr * n.K
-	state := make([]entry, nn*nr)
-	for i := range state {
-		state[i].len = inf
+	e := &engine{n: n, nr: nr, nn: nn, k: n.K, prev: prev, dirty: dirty,
+		ln: make([]int32, nn*nr), via: make([]int32, nn*nr),
+		words:  (len(n.inAdv) + 63) / 64,
+		rounds: make([]int, nr), pathN: make([]int, nr), hopN: make([]int, nr),
+		maxRounds: 4*n.K*nr + 16}
+	e.hopBits = make([]uint64, e.words*nr)
+	err := parallel.ForEach(0, nr, func(d int) error {
+		s := destPool.Get().(*dest)
+		err := s.converge(e, d)
+		s.e, s.ln, s.via = nil, nil, nil // pooled scratch must not pin this call
+		destPool.Put(s)
+		return err
+	})
+	if err != nil {
+		return nil, e.maxRounds, err
 	}
-	for r := 0; r < nr; r++ {
-		// Host interfaces live in VRF K: originate the rack prefix.
-		x := r*n.K + n.K - 1
-		state[x*nr+r] = entry{len: 1, path: []int{r}}
+	rounds := 1
+	for _, r := range e.rounds {
+		rounds = max(rounds, r)
 	}
-	return state
+	return e.buildRib(), rounds, nil
 }
 
-// seededState overlays prev onto a fresh state. The seeded entries alias
-// prev's ASPath/NextHops slices: the sweep never mutates a slice in place
-// (recompute materializes fresh slices for every change), so the sharing is
-// read-only and the returned RIB of an incremental run may in turn share
-// unchanged routes with prev. Ribs are immutable by contract. Entries for
-// vanished nodes are ignored; local prefixes are re-originated.
-func (n *Network) seededState(prev Rib) []entry {
-	nr := n.Topo.N()
-	state := make([]entry, nr*n.K*nr)
-	for _, node := range n.Nodes() {
-		x := n.nodeIdx(node)
-		row := state[x*nr : (x+1)*nr]
-		old, ok := prev[node]
-		if !ok || len(old) != nr {
-			for d := range row {
-				row[d].len = inf
-			}
-		} else {
-			for d, r := range old {
-				if r.ASPathLen < 0 {
-					row[d].len = inf
-					continue
-				}
-				row[d] = entry{len: r.ASPathLen, path: r.ASPath, nextHops: r.NextHops}
-			}
-		}
-		if node.VRF == n.K {
-			// Host interfaces live in VRF K: re-originate the rack prefix.
-			row[node.Router] = entry{len: 1, path: []int{node.Router}}
-		}
+// converge runs destination d's rounds to its fixpoint and exports the
+// result into the engine's column d.
+func (s *dest) converge(e *engine, d int) error {
+	nn := e.nn
+	s.e, s.d = e, d
+	s.ln, s.via = e.ln[d*nn:(d+1)*nn], e.via[d*nn:(d+1)*nn]
+	if len(s.ref) != nn {
+		s.ref, s.hOff, s.hCnt = make([]int32, nn), make([]int32, nn), make([]int32, nn)
+		s.mark, s.epoch = make([]uint32, nn), 0
 	}
-	return state
-}
-
-// allCandidates lists every non-origination entry — the dense round-1 sweep
-// Converge and ConvergeFrom start from.
-func (n *Network) allCandidates() []int32 {
-	nr := n.Topo.N()
-	nn := nr * n.K
-	out := make([]int32, 0, nn*nr)
+	s.arena = append(s.arena[:0], run{int32(d), 1, noPath, 1 << (d & 63)})
+	s.hopBuf = s.hopBuf[:0]
 	for x := 0; x < nn; x++ {
-		node := n.nodeAt(x)
-		for d := 0; d < nr; d++ {
-			if node.VRF == n.K && d == node.Router {
-				continue
+		s.ln[x], s.via[x], s.ref[x], s.hCnt[x] = inf, viaNone, noPath, 0
+		if e.prev != nil && e.prev[x] != nil {
+			if r := &e.prev[x][d]; r.ASPathLen >= 0 {
+				s.ln[x], s.via[x], s.ref[x], s.hCnt[x] = int32(r.ASPathLen), viaPrev, -2-int32(x), -1
 			}
-			out = append(out, int32(x*nr+d))
 		}
 	}
-	return out
-}
+	// Host interfaces live in VRF K: originate the rack prefix.
+	origin := int32(d*e.k + e.k - 1)
+	s.ln[origin], s.via[origin], s.ref[origin], s.hCnt[origin] = 1, viaOrigin, 0, 0
 
-// sweep holds the per-run scratch: pending writes (collect-then-commit
-// keeps rounds synchronous), the epoch-stamped dedup table for next-round
-// candidates, and a reusable ECMP hop buffer.
-type sweep struct {
-	n     *Network
-	nr    int
-	state []entry
-
-	pendIdx []int32
-	pendEnt []entry
-
-	mark  []uint32
-	epoch uint32
-
-	// Sparse-round event buckets: for a next-round candidate entry di,
-	// evBuf[evOff[di] : evOff[di]+evCnt[di]] lists exactly the inbound
-	// sessions whose advertiser committed this round. Buckets are laid out
-	// by a counting pass over the commit fan-out — no sorting.
-	evCnt, evOff []int32
-	evBuf        []int32
-
-	// rowDirty[x] records that node x committed at least one write, so
-	// buildRib knows which of prev's rows may be shared wholesale.
-	rowDirty []bool
-
-	hops []NodeID
-}
-
-func (n *Network) converge(state []entry, cands []int32, prev Rib) (Rib, int, error) {
-	nr := n.Topo.N()
-	s := &sweep{n: n, nr: nr, state: state, mark: make([]uint32, len(state)),
-		evCnt: make([]int32, len(state)), evOff: make([]int32, len(state)),
-		rowDirty: make([]bool, nr*n.K)}
-	maxRounds := 4*n.K*nr + 16
-	var next []int32
-	sparse := false
-	for round := 1; round <= maxRounds; round++ {
-		s.pendIdx = s.pendIdx[:0]
-		s.pendEnt = s.pendEnt[:0]
-		if sparse {
-			for _, di := range cands {
-				evs := s.evBuf[s.evOff[di] : s.evOff[di]+s.evCnt[di]]
-				if ne, changed := s.recomputeDelta(di, evs); changed {
-					s.pendIdx = append(s.pendIdx, di)
-					s.pendEnt = append(s.pendEnt, ne)
-				}
-			}
-		} else {
-			for _, ei := range cands {
-				if ne, changed := s.recompute(ei); changed {
-					s.pendIdx = append(s.pendIdx, ei)
-					s.pendEnt = append(s.pendEnt, ne)
-				}
-			}
-		}
-		if len(s.pendIdx) == 0 {
-			return n.buildRib(state, prev, s.rowDirty), round, nil
-		}
-		for i, ei := range s.pendIdx {
-			state[ei] = s.pendEnt[i]
-			s.rowDirty[int(ei)/nr] = true
-		}
-		// Dirty propagation: only entries reading a changed (node, dst) can
-		// move next round — the out-dependents of each write, same dst,
-		// mark-deduplicated. The next round goes sparse when visiting just
-		// the moved candidates (nEv session events) is cheaper than fully
-		// rescanning every candidate (scanCost inbound sessions); both
-		// paths evaluate the same fixpoint function, so the choice cannot
-		// change results.
-		s.epoch++
-		next = next[:0]
-		nEv, scanCost := 0, 0
-		for _, ei := range s.pendIdx {
-			x, d := int(ei)/nr, int(ei)%nr
-			for _, dep := range n.outDeps[n.outStart[x]:n.outStart[x+1]] {
-				node := n.nodeAt(int(dep))
-				if node.VRF == n.K && d == node.Router {
-					continue // origination is never recomputed
-				}
-				di := int32(int(dep)*nr + d)
-				if s.mark[di] != s.epoch {
-					s.mark[di] = s.epoch
-					next = append(next, di)
-					s.evCnt[di] = 0
-					scanCost += int(n.inStart[dep+1] - n.inStart[dep])
-				}
-				s.evCnt[di]++
-				nEv++
-			}
-		}
-		// The factor 3 prices sparse's overheads beyond the event visits
-		// themselves: two bucket-building passes over the fan-out plus the
-		// per-entry full rescans when an incumbent contributor moved (the
-		// common case in dense early rounds, where almost everything is
-		// still in motion).
-		sparse = 3*nEv < scanCost
-		if sparse {
-			// Counting layout: evOff starts at each bucket's end and the
-			// scatter pass walks it back to the bucket's start.
-			off := int32(0)
-			for _, di := range next {
-				off += s.evCnt[di]
-				s.evOff[di] = off
-			}
-			if cap(s.evBuf) < int(off) {
-				s.evBuf = make([]int32, off)
-			}
-			for _, ei := range s.pendIdx {
-				x, d := int(ei)/nr, int(ei)%nr
-				for k := n.outStart[x]; k < n.outStart[x+1]; k++ {
-					dep := int(n.outDeps[k])
-					node := n.nodeAt(dep)
-					if node.VRF == n.K && d == node.Router {
-						continue // origination is never recomputed
-					}
-					di := dep*nr + d
-					s.evOff[di]--
-					s.evBuf[s.evOff[di]] = n.outSess[k]
-				}
-			}
-		}
-		cands, next = next, cands
-	}
-	return nil, maxRounds, fmt.Errorf("bgp: no convergence after %d rounds", maxRounds)
-}
-
-// recomputeDelta reevaluates one entry given exactly the inbound candidates
-// that moved last round (evs holds their session indexes). If a moved
-// advertiser was contributing to the incumbent ECMP set, the entry is fully
-// rescanned; otherwise merging the moved candidates into the incumbent
-// reaches the same fixpoint a full rescan would, because an unmoved
-// non-contributing candidate it already lost to cannot start influencing
-// the entry.
-func (s *sweep) recomputeDelta(ei int32, evs []int32) (entry, bool) {
-	n := s.n
-	old := &s.state[ei]
-	for _, si := range evs {
-		if hopContains(old.nextHops, n.Sessions[si].To) {
-			return s.recompute(ei)
-		}
-	}
-	x, d := int(ei)/s.nr, int(ei)%s.nr
-	router := x / n.K
-	mLen := old.len
-	mPath := old.path // incumbent canonical path; nil once a virtual best leads
-	var mR, mT int
-	var mRest []int
-	hops := old.nextHops
-	changed := false
-	for _, si := range evs {
-		sess := &n.Sessions[si]
-		adv := &s.state[n.nodeIdx(sess.To)*s.nr+d]
-		if adv.len >= inf {
-			continue
-		}
-		cand := adv.len + 1 + sess.Prepend
-		if cand > mLen {
-			continue // cannot win or tie; the loop check is moot
-		}
-		if sess.To.Router == router || containsRouter(adv.path, router) {
-			continue // AS-path loop
-		}
-		if cand < mLen {
-			mLen = cand
-			mPath, mR, mT, mRest = nil, sess.To.Router, 1+sess.Prepend, adv.path
-			s.hops = append(s.hops[:0], sess.To)
-			hops = s.hops
-			changed = true
-			continue
-		}
-		// Tie with the incumbent: the hop set gains sess.To and the
-		// canonical path takes the lexicographic minimum.
-		if mPath != nil {
-			if lexLessVirtualMat(sess.To.Router, 1+sess.Prepend, adv.path, mPath) {
-				mPath, mR, mT, mRest = nil, sess.To.Router, 1+sess.Prepend, adv.path
-			}
-		} else if lexLessVirtual(sess.To.Router, 1+sess.Prepend, adv.path, mR, mT, mRest) {
-			mR, mT, mRest = sess.To.Router, 1+sess.Prepend, adv.path
-		}
-		if !changed {
-			s.hops = append(s.hops[:0], old.nextHops...)
-			hops = s.hops
-		}
-		// Sorted insert keeps the advertiser order a full rescan produces.
-		pos := len(hops)
-		for i, h := range hops {
-			if h.Router > sess.To.Router || (h.Router == sess.To.Router && h.VRF > sess.To.VRF) {
-				pos = i
-				break
-			}
-		}
-		hops = append(hops, NodeID{})
-		copy(hops[pos+1:], hops[pos:])
-		hops[pos] = sess.To
-		s.hops = hops
-		changed = true
-	}
-	if !changed {
-		return entry{}, false
-	}
-	ne := entry{len: mLen, nextHops: append([]NodeID(nil), hops...)}
-	if mPath != nil {
-		ne.path = mPath
+	s.cands = s.cands[:0]
+	n := e.n
+	if e.prev == nil {
+		// From a cold start only the origin holds a route, so round 1 can
+		// move only the origin's dependents.
+		s.cands = append(s.cands, n.outDeps[n.outStart[origin]:n.outStart[origin+1]]...)
 	} else {
-		ne.path = prependPath(mR, mT, mRest)
-	}
-	return ne, true
-}
-
-// hopContains reports membership of t in an ECMP hop set.
-func hopContains(hops []NodeID, t NodeID) bool {
-	for _, h := range hops {
-		if h == t {
-			return true
+		for _, x := range e.dirty {
+			if x != origin {
+				s.cands = append(s.cands, x)
+			}
 		}
 	}
-	return false
-}
-
-// lexLessVirtualMat compares a virtual candidate path (router repeated
-// times, then the advertised rest) against a materialized path of the same
-// length.
-func lexLessVirtualMat(rA, tA int, restA []int, b []int) bool {
-	for i, v := range b {
-		a := rA
-		if i >= tA {
-			a = restA[i-tA]
+	for round := 1; ; round++ {
+		if round > e.maxRounds {
+			return fmt.Errorf("bgp: no convergence after %d rounds", e.maxRounds)
 		}
-		if a != v {
-			return a < v
+		s.pend = s.pend[:0]
+		for _, x := range s.cands {
+			s.recompute(x)
 		}
+		if len(s.pend) == 0 {
+			e.rounds[d] = round
+			break
+		}
+		// Only entries reading a changed node can move next round: the
+		// out-dependents of each write, mark-deduplicated.
+		if s.epoch++; s.epoch == 0 {
+			clear(s.mark)
+			s.epoch = 1
+		}
+		s.next = s.next[:0]
+		for _, p := range s.pend {
+			s.ln[p.x], s.ref[p.x], s.hOff[p.x], s.hCnt[p.x] = p.ln, p.ref, p.hOff, p.hCnt
+			for _, y := range n.outDeps[n.outStart[p.x]:n.outStart[p.x+1]] {
+				if y != origin && s.mark[y] != s.epoch {
+					s.mark[y] = s.epoch
+					s.next = append(s.next, y)
+				}
+			}
+		}
+		s.cands, s.next = s.next, s.cands
 	}
-	return false
+	s.export()
+	return nil
 }
 
-// recompute evaluates one (node, dst) entry against the current state and
-// reports whether it changed, materializing the new entry only if so. The
-// best path is tracked virtually as (advertiser router, prepend count,
-// advertised path) until the comparison against the incumbent demands bytes.
-func (s *sweep) recompute(ei int32) (entry, bool) {
-	n := s.n
-	x, d := int(ei)/s.nr, int(ei)%s.nr
-	router := x / n.K
-	best := inf
-	var bestR, bestT int
-	var bestRest []int
+// recompute evaluates entry x against the previous round's state and queues
+// a write if its length, hop set or path changed. The best path stays
+// virtual — (advertiser router, prepend count, advertiser's path) — until it
+// is committed as one arena node.
+func (s *dest) recompute(x int32) {
+	n := s.e.n
+	router := x / int32(s.e.k)
+	best, bestAdv := int32(inf), viaNone
+	var bestR, bestT int32
 	s.hops = s.hops[:0]
-	for _, si := range n.inSess[n.inStart[x]:n.inStart[x+1]] {
-		sess := &n.Sessions[si]
-		adv := &s.state[n.nodeIdx(sess.To)*s.nr+d]
-		if adv.len >= inf {
+	for i := n.inStart[x]; i < n.inStart[x+1]; i++ {
+		a := n.inAdv[i]
+		la := s.ln[a]
+		if la >= inf {
 			continue
 		}
-		// Sender prepends its own AS 1+Prepend times.
-		cand := adv.len + 1 + sess.Prepend
-		if cand > best {
+		// The sender prepends its own AS 1+Prepend times.
+		c := la + n.inCost[i]
+		if c > best {
 			continue // cannot win or tie; the loop check is moot
 		}
-		if sess.To.Router == router || containsRouter(adv.path, router) {
+		r := n.inRouter[i]
+		if r == router || s.pathHas(s.ref[a], router) {
 			continue // AS-path loop
 		}
-		if cand < best {
-			best = cand
-			bestR, bestT, bestRest = sess.To.Router, 1+sess.Prepend, adv.path
-			s.hops = append(s.hops[:0], sess.To)
-		} else if cand == best {
-			if lexLessVirtual(sess.To.Router, 1+sess.Prepend, adv.path, bestR, bestT, bestRest) {
-				bestR, bestT, bestRest = sess.To.Router, 1+sess.Prepend, adv.path
-			}
-			// Inbound sessions are advertiser-sorted, so hops stay sorted.
-			s.hops = append(s.hops, sess.To)
+		if c < best {
+			best, bestAdv, bestR, bestT = c, a, r, n.inCost[i]
+			s.hops = append(s.hops[:0], i)
+			continue
+		}
+		// Inbound sessions are advertiser-sorted, so a tie from another
+		// router starts with a larger router id and never wins the
+		// lexicographic tie-break; only the same router's other VRFs need
+		// a walk.
+		if r == bestR && s.cmpPaths(r, n.inCost[i], s.ref[a], bestR, bestT, s.ref[bestAdv]) < 0 {
+			bestAdv, bestT = a, n.inCost[i]
+		}
+		s.hops = append(s.hops, i)
+	}
+
+	sameHops := s.sameHops(x)
+	samePath := best >= inf
+	if !samePath && best == s.ln[x] {
+		if o := s.ref[x]; o >= 0 && s.arena[o].router == bestR && s.arena[o].times == bestT && s.arena[o].parent == s.ref[bestAdv] {
+			samePath = true
+		} else {
+			samePath = s.cmpPaths(bestR, bestT, s.ref[bestAdv], 0, 0, o) == 0
 		}
 	}
-	old := &s.state[ei]
-	if entryEqualVirtual(old, best, bestR, bestT, bestRest, s.hops) {
-		return entry{}, false
+	if best == s.ln[x] && sameHops && samePath {
+		if s.via[x] != viaPrev {
+			s.via[x] = bestAdv // the same path, possibly through another advertiser
+		}
+		return
 	}
-	ne := entry{len: best}
-	if best < inf {
-		ne.path = prependPath(bestR, bestT, bestRest)
-		ne.nextHops = append([]NodeID(nil), s.hops...)
+	s.via[x] = bestAdv
+	p := pending{x: x, ln: best, ref: s.ref[x], hOff: s.hOff[x], hCnt: s.hCnt[x]}
+	switch {
+	case best >= inf:
+		p.ref = noPath
+	case !samePath || best != s.ln[x]:
+		p.ref = int32(len(s.arena))
+		s.arena = append(s.arena, s.newRun(bestR, bestT, s.ref[bestAdv]))
 	}
-	return ne, true
+	if !sameHops || p.hCnt < 0 {
+		p.hOff, p.hCnt = int32(len(s.hopBuf)), int32(len(s.hops))
+		s.hopBuf = append(s.hopBuf, s.hops...)
+	}
+	s.pend = append(s.pend, p)
 }
 
-// buildRib materializes the converged state. When reconverging from a
-// previous RIB, a node that never committed a write still holds exactly
-// prev's routes (its entries were seeded from them), so its whole row is
-// returned shared — Ribs are immutable by contract, and prev must be in
-// this package's canonical form (as Converge produces) for the shared rows
-// to match a fresh build bit for bit.
-func (n *Network) buildRib(state []entry, prev Rib, rowDirty []bool) Rib {
-	nr := n.Topo.N()
-	nn := nr * n.K
-	rib := make(Rib, nn)
-	for x := 0; x < nn; x++ {
-		node := n.nodeAt(x)
-		if prev != nil && !rowDirty[x] {
-			if old, ok := prev[node]; ok && len(old) == nr {
-				rib[node] = old
-				continue
-			}
-		}
-		rs := make([]Route, nr)
-		for d := 0; d < nr; d++ {
-			e := &state[x*nr+d]
-			if e.len >= inf {
-				rs[d] = Route{ASPathLen: -1}
-				continue
-			}
-			// nextHops are already advertiser-sorted by the sweep. The
-			// state's slices move into the RIB unchanged — the sweep is
-			// done with them, and Ribs are immutable by contract.
-			rs[d] = Route{ASPathLen: e.len, ASPath: e.path, NextHops: e.nextHops}
-		}
-		rib[node] = rs
-	}
-	return rib
-}
-
-func containsRouter(path []int, r int) bool {
-	for _, p := range path {
-		if p == r {
-			return true
-		}
-	}
-	return false
-}
-
-func prependPath(router, times int, rest []int) []int {
-	out := make([]int, 0, times+len(rest))
-	for i := 0; i < times; i++ {
-		out = append(out, router)
-	}
-	return append(out, rest...)
-}
-
-// lexLessVirtual compares two prepended candidate paths — router repeated
-// times, then the advertised rest — without materializing either, with the
-// same shorter-prefix rule as a materialized lexicographic compare.
-func lexLessVirtual(rA, tA int, restA []int, rB, tB int, restB []int) bool {
-	lA, lB := tA+len(restA), tB+len(restB)
-	l := lA
-	if lB < l {
-		l = lB
-	}
-	for i := 0; i < l; i++ {
-		a, b := rA, rB
-		if i >= tA {
-			a = restA[i-tA]
-		}
-		if i >= tB {
-			b = restB[i-tB]
-		}
-		if a != b {
-			return a < b
-		}
-	}
-	return lA < lB
-}
-
-// entryEqualVirtual reports whether the incumbent entry equals the virtual
-// candidate (len, prepended path, hop set) — the materialize-on-change test.
-func entryEqualVirtual(old *entry, bLen, bR, bT int, bRest []int, hops []NodeID) bool {
-	if old.len != bLen || len(old.nextHops) != len(hops) {
-		return false
-	}
-	if bLen >= inf {
-		return len(old.path) == 0 && len(old.nextHops) == 0
-	}
-	if len(old.path) != bT+len(bRest) {
-		return false
-	}
-	for i, p := range old.path {
-		c := bR
-		if i >= bT {
-			c = bRest[i-bT]
-		}
-		if p != c {
+// sameHops reports whether the hop set under evaluation equals x's.
+func (s *dest) sameHops(x int32) bool {
+	if s.hCnt[x] < 0 {
+		old := s.e.prev[x][s.d].NextHops
+		if len(old) != len(s.hops) {
 			return false
 		}
+		for j, i := range s.hops {
+			if int32(s.e.n.nodeIdx(old[j])) != s.e.n.inAdv[i] {
+				return false
+			}
+		}
+		return true
 	}
-	for i := range hops {
-		if old.nextHops[i] != hops[i] {
+	old := s.hopBuf[s.hOff[x] : s.hOff[x]+s.hCnt[x]]
+	if len(old) != len(s.hops) {
+		return false
+	}
+	for j, i := range s.hops {
+		if old[j] != i {
 			return false
 		}
 	}
 	return true
 }
 
-// entry is one node's working route for one prefix during convergence.
-type entry struct {
-	len      int
-	path     []int // router ids, nearest first
-	nextHops []NodeID
+// leaf returns the previous ASPath a prev-leaf reference reads.
+func (s *dest) leaf(ref int32) []int { return s.e.prev[-2-ref][s.d].ASPath }
+
+// pathHas reports whether router r is on the path at ref.
+func (s *dest) pathHas(ref, r int32) bool {
+	if ref >= 0 && s.arena[ref].routers&(1<<(r&63)) == 0 {
+		return false
+	}
+	for ref >= 0 {
+		nd := &s.arena[ref]
+		if nd.router == r {
+			return true
+		}
+		ref = nd.parent
+	}
+	if ref < noPath {
+		for _, p := range s.leaf(ref) {
+			if int32(p) == r {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pathCursor reads a path run by run: t more copies of router r, then the
+// rest of a prev leaf, then the path at ref.
+type pathCursor struct {
+	r, t, ref int32
+	leaf      []int
+}
+
+// advance moves to the next run, reporting false at the end of the path.
+func (s *dest) advance(c *pathCursor) bool {
+	if len(c.leaf) == 0 && c.ref < noPath {
+		c.leaf, c.ref = s.leaf(c.ref), noPath
+	}
+	switch {
+	case len(c.leaf) > 0:
+		c.r, c.t, c.leaf = int32(c.leaf[0]), 1, c.leaf[1:]
+	case c.ref >= 0:
+		nd := &s.arena[c.ref]
+		c.r, c.t, c.ref = nd.router, nd.times, nd.parent
+	default:
+		return false
+	}
+	return true
+}
+
+// cmpPaths compares the paths "ra ta times, then the path at pa" and "rb tb
+// times, then the path at pb" lexicographically (a proper prefix sorts
+// first), returning -1, 0 or +1.
+func (s *dest) cmpPaths(ra, ta, pa, rb, tb, pb int32) int {
+	a, b := pathCursor{r: ra, t: ta, ref: pa}, pathCursor{r: rb, t: tb, ref: pb}
+	for {
+		if a.t == 0 && !s.advance(&a) {
+			if b.t == 0 && !s.advance(&b) {
+				return 0
+			}
+			return -1
+		}
+		if b.t == 0 && !s.advance(&b) {
+			return 1
+		}
+		if a.r != b.r {
+			if a.r < b.r {
+				return -1
+			}
+			return 1
+		}
+		m := min(a.t, b.t)
+		a.t -= m
+		b.t -= m
+	}
+}
+
+// export records the destination's hop sets as bits over the inbound-session
+// table and counts what buildRib will materialize for it.
+func (s *dest) export() {
+	set := s.e.hopBits[s.d*s.e.words : (s.d+1)*s.e.words]
+	paths, hops := 0, 0
+	for x, v := range s.via {
+		if v < 0 {
+			continue
+		}
+		paths += int(s.ln[x])
+		for _, i := range s.hopBuf[s.hOff[x] : s.hOff[x]+s.hCnt[x]] {
+			set[i>>6] |= 1 << (i & 63)
+		}
+		hops += int(s.hCnt[x])
+	}
+	s.e.pathN[s.d], s.e.hopN[s.d] = paths, hops
+}
+
+// buildRib materializes the converged state from one []Route, one []int and
+// one []NodeID, handing out cap-limited slices. A node whose every route is
+// still prev's (seeded and never replaced) keeps prev's row itself — Ribs
+// are immutable by contract, and prev must be in this package's canonical
+// form (as Converge produces) for a shared row to match a fresh build.
+func (e *engine) buildRib() Rib {
+	nr, nn := e.nr, e.nn
+	slot := make([]int32, nn)
+	rows := 0
+	for x := range slot {
+		slot[x] = int32(rows)
+		if e.prev != nil && e.prev[x] != nil && e.unchanged(x) {
+			slot[x] = -1
+			continue
+		}
+		rows++
+	}
+	// pathN and hopN become each column's offsets into the shared arrays;
+	// the first nr path slots hold every router's originated path [d].
+	paths, hops := nr, 0
+	for d := 0; d < nr; d++ {
+		paths, e.pathN[d] = paths+e.pathN[d], paths
+		hops, e.hopN[d] = hops+e.hopN[d], hops
+	}
+	routes := make([]Route, rows*nr)
+	pathBuf := make([]int, paths)
+	hopBuf := make([]NodeID, hops)
+	for d := range pathBuf[:nr] {
+		pathBuf[d] = d
+	}
+	_ = parallel.ForEach(0, nr, func(d int) error {
+		e.fillColumn(d, slot, routes, pathBuf, hopBuf)
+		return nil
+	})
+	rib := make(Rib, nn)
+	for x := 0; x < nn; x++ {
+		if slot[x] < 0 {
+			rib[e.n.nodeAt(x)] = e.prev[x]
+			continue
+		}
+		lo := int(slot[x]) * nr
+		rib[e.n.nodeAt(x)] = routes[lo : lo+nr : lo+nr]
+	}
+	return rib
+}
+
+// fillColumn materializes destination d's routes of every rebuilt row.
+func (e *engine) fillColumn(d int, slot []int32, routes []Route, pathBuf []int, hopBuf []NodeID) {
+	nr, nn := e.nr, e.nn
+	ln, via := e.ln[d*nn:(d+1)*nn], e.via[d*nn:(d+1)*nn]
+	set := e.hopBits[d*e.words : (d+1)*e.words]
+	po, ho := e.pathN[d], e.hopN[d]
+	for x := 0; x < nn; x++ {
+		if slot[x] < 0 {
+			continue
+		}
+		rt := &routes[int(slot[x])*nr+d]
+		switch via[x] {
+		case viaNone:
+			*rt = Route{ASPathLen: -1}
+			continue
+		case viaPrev:
+			*rt = e.prev[x][d]
+			continue
+		case viaOrigin:
+			*rt = Route{ASPathLen: 1, ASPath: pathBuf[d : d+1 : d+1]}
+			continue
+		}
+		l := int(ln[x])
+		path := pathBuf[po : po+l : po+l]
+		po += l
+		e.fillPath(path, ln, via, d, int32(x))
+		h0 := ho
+		for i, end := e.n.inStart[x], e.n.inStart[x+1]; i < end; i++ {
+			w := set[i>>6] >> (i & 63)
+			if w == 0 {
+				i |= 63 // the rest of this word is empty
+				continue
+			}
+			if i += int32(bits.TrailingZeros64(w)); i >= end {
+				break
+			}
+			hopBuf[ho] = e.n.nodeAt(int(e.n.inAdv[i]))
+			ho++
+		}
+		*rt = Route{ASPathLen: l, ASPath: path, NextHops: hopBuf[h0:ho:ho]}
+	}
+}
+
+// unchanged reports whether every route of node x is still its prev route.
+func (e *engine) unchanged(x int) bool {
+	for d := 0; d < e.nr; d++ {
+		switch e.via[d*e.nn+x] {
+		case viaPrev, viaOrigin:
+		case viaNone:
+			if e.prev[x][d].ASPathLen >= 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// fillPath writes x's final path: its best advertiser's router once per
+// unit of session cost, then the advertiser's own path, down to the origin
+// or a path kept from prev.
+func (e *engine) fillPath(path []int, ln, via []int32, d int, x int32) {
+	i := 0
+	for {
+		switch v := via[x]; v {
+		case viaOrigin:
+			path[i] = d
+			return
+		case viaPrev:
+			copy(path[i:], e.prev[x][d].ASPath)
+			return
+		default:
+			r := int(v) / e.k
+			for t := ln[x] - ln[v]; t > 0; t-- {
+				path[i] = r
+				i++
+			}
+			x = v
+		}
+	}
 }
 
 // Distance returns the converged routing distance (AS-path length minus the

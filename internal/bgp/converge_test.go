@@ -5,29 +5,38 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"spineless/internal/topology"
 )
 
-// denseConverge is the pre-dirty-set reference engine, kept verbatim as a
-// test oracle: every round recomputes every entry from a full copy of the
-// previous state. The incremental engine must match it bit for bit — RIB
-// contents AND round counts — on both cold convergence and warm-start
-// reconvergence.
-func denseConverge(n *Network, seed Rib) (Rib, int, error) {
+// refEntry is one node's working route for one prefix in convergeReference.
+type refEntry struct {
+	len      int
+	path     []int // router ids, nearest first
+	nextHops []NodeID
+}
+
+// convergeReference is the slice-materialising dense sweep, kept as the
+// engine's test oracle: every round recomputes every entry from a full copy
+// of the previous state, building each candidate AS path as a fresh slice.
+// Converge must match convergeReference(n, nil) and ConvergeFrom(prev) and
+// ConvergeDirty(prev, …) must match convergeReference(n, prev) bit for bit —
+// RIB contents, nil-vs-empty slices AND round counts.
+func convergeReference(n *Network, seed Rib) (Rib, int, error) {
 	nr := n.Topo.N()
 	inbound := map[NodeID][]int{}
 	for si, s := range n.Sessions {
 		inbound[s.From] = append(inbound[s.From], si)
 	}
-	state := map[NodeID][]entry{}
+	state := map[NodeID][]refEntry{}
 	for _, node := range n.Nodes() {
-		es := make([]entry, nr)
+		es := make([]refEntry, nr)
 		for d := range es {
 			es[d].len = inf
 		}
 		if node.VRF == n.K {
-			es[node.Router] = entry{len: 1, path: []int{node.Router}}
+			es[node.Router] = refEntry{len: 1, path: []int{node.Router}}
 		}
 		state[node] = es
 	}
@@ -44,7 +53,7 @@ func denseConverge(n *Network, seed Rib) (Rib, int, error) {
 				if r.ASPathLen < 0 {
 					continue
 				}
-				state[node][d] = entry{
+				state[node][d] = refEntry{
 					len:      r.ASPathLen,
 					path:     append([]int(nil), r.ASPath...),
 					nextHops: append([]NodeID(nil), r.NextHops...),
@@ -60,7 +69,7 @@ func denseConverge(n *Network, seed Rib) (Rib, int, error) {
 		}
 		return len(a) < len(b)
 	}
-	equal := func(a, b entry) bool {
+	equal := func(a, b refEntry) bool {
 		if a.len != b.len || len(a.path) != len(b.path) || len(a.nextHops) != len(b.nextHops) {
 			return false
 		}
@@ -79,10 +88,10 @@ func denseConverge(n *Network, seed Rib) (Rib, int, error) {
 	maxRounds := 4*n.K*nr + 16
 	for round := 1; round <= maxRounds; round++ {
 		changed := false
-		next := map[NodeID][]entry{}
+		next := map[NodeID][]refEntry{}
 		for _, node := range n.Nodes() {
 			cur := state[node]
-			es := make([]entry, nr)
+			es := make([]refEntry, nr)
 			copy(es, cur)
 			for d := 0; d < nr; d++ {
 				if node.VRF == n.K && d == node.Router {
@@ -119,7 +128,7 @@ func denseConverge(n *Network, seed Rib) (Rib, int, error) {
 					}
 					return hops[a].VRF < hops[b].VRF
 				})
-				ne := entry{len: best, path: bestPath, nextHops: hops}
+				ne := refEntry{len: best, path: bestPath, nextHops: hops}
 				if !equal(cur[d], ne) {
 					changed = true
 				}
@@ -147,6 +156,23 @@ func denseConverge(n *Network, seed Rib) (Rib, int, error) {
 	return nil, maxRounds, nil
 }
 
+func containsRouter(path []int, r int) bool {
+	for _, p := range path {
+		if p == r {
+			return true
+		}
+	}
+	return false
+}
+
+func prependPath(router, times int, rest []int) []int {
+	out := make([]int, 0, times+len(rest))
+	for i := 0; i < times; i++ {
+		out = append(out, router)
+	}
+	return append(out, rest...)
+}
+
 func convergeTestFabrics(t *testing.T) map[string]*topology.Graph {
 	t.Helper()
 	out := map[string]*topology.Graph{}
@@ -167,8 +193,8 @@ func convergeTestFabrics(t *testing.T) map[string]*topology.Graph {
 	return out
 }
 
-// TestConvergeMatchesDenseReference pins the incremental engine against the
-// dense oracle on cold starts: same RIB, same round count.
+// TestConvergeMatchesDenseReference pins the per-destination engine against
+// convergeReference on cold starts: same RIB, same round count.
 func TestConvergeMatchesDenseReference(t *testing.T) {
 	for name, g := range convergeTestFabrics(t) {
 		for _, K := range []int{2, 3} {
@@ -180,15 +206,15 @@ func TestConvergeMatchesDenseReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRib, wantRounds, err := denseConverge(n, nil)
+			wantRib, wantRounds, err := convergeReference(n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rounds != wantRounds {
-				t.Fatalf("%s K=%d: incremental took %d rounds, dense %d", name, K, rounds, wantRounds)
+				t.Fatalf("%s K=%d: Converge took %d rounds, reference %d", name, K, rounds, wantRounds)
 			}
 			if !reflect.DeepEqual(rib, wantRib) {
-				t.Fatalf("%s K=%d: incremental RIB differs from dense reference", name, K)
+				t.Fatalf("%s K=%d: Converge RIB differs from the reference", name, K)
 			}
 		}
 	}
@@ -227,15 +253,15 @@ func TestConvergeFromMatchesDenseReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRib, wantRounds, err := denseConverge(fn, base)
+		wantRib, wantRounds, err := convergeReference(fn, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rounds != wantRounds {
-			t.Fatalf("%s: ConvergeFrom took %d rounds, dense %d", name, rounds, wantRounds)
+			t.Fatalf("%s: ConvergeFrom took %d rounds, reference %d", name, rounds, wantRounds)
 		}
 		if !reflect.DeepEqual(rib, wantRib) {
-			t.Fatalf("%s: ConvergeFrom RIB differs from dense reference", name)
+			t.Fatalf("%s: ConvergeFrom RIB differs from the reference", name)
 		}
 	}
 }
@@ -316,5 +342,199 @@ func TestConvergeDirtyRejectsBadInput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rib, base) {
 		t.Fatal("no-op reconvergence changed the RIB")
+	}
+}
+
+// fuzzFabric decodes a small fabric from three bytes: kind, shape and seed.
+// Kinds cover the flat families (DRing, RRG, RNG, De Bruijn), a leaf-spine,
+// a ring of parallel trunks and a disconnected fabric. It returns nil when
+// the decoded shape is infeasible.
+func fuzzFabric(kind, shape, seed byte) *topology.Graph {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	var g *topology.Graph
+	var err error
+	switch kind % 7 {
+	case 0:
+		g, err = topology.DRing(topology.Uniform(5+int(shape%3), 1+int(shape/3%2), 12))
+	case 1:
+		degs := make([]int, 6+2*int(shape%4))
+		for i := range degs {
+			degs[i] = 3 + int(shape/4%2)
+		}
+		g, err = topology.RRG("rrg", degs, rng)
+	case 2:
+		g, err = topology.RNG(topology.RNGSpec{Switches: 6 + 2*int(shape%4), Degree: 2 + int(shape/4%3), Ports: 8}, rng)
+	case 3:
+		g, err = topology.DeBruijn(topology.DeBruijnSpec{Symbols: 2, Digits: 3, Ports: 8})
+	case 4:
+		g, err = topology.LeafSpine(topology.LeafSpineSpec{X: 2 + int(shape%3), Y: 1 + int(shape/3%3)})
+	case 5:
+		// A ring of trunks, each one to three parallel links.
+		n := 3 + int(shape%4)
+		g = topology.New("trunks", n, 16)
+		for u := 0; u < n; u++ {
+			for c := 0; c <= rng.Intn(3); c++ {
+				err = g.AddLink(u, (u+1)%n)
+			}
+		}
+	default:
+		// Two rings and an isolated switch.
+		n := 3 + int(shape%3)
+		g = topology.New("split", 2*n+1, 8)
+		for u := 0; u < n; u++ {
+			_ = g.AddLink(u, (u+1)%n)
+			err = g.AddLink(n+u, n+(u+1)%n)
+		}
+	}
+	if err != nil {
+		return nil
+	}
+	return g
+}
+
+// checkConvergeScript decodes a fabric, K and a sequence of link cuts and
+// repairs from script, and after every step checks Converge, ConvergeFrom
+// and ConvergeDirty against convergeReference (RIB deep-equal, round counts
+// equal) and Theorem 1 on connected fabrics.
+func checkConvergeScript(t *testing.T, script []byte) {
+	if len(script) < 3 {
+		return
+	}
+	g := fuzzFabric(script[0], script[1], script[2])
+	if g == nil {
+		return
+	}
+	K := 2 + int(script[1]>>5)%3
+	type cut struct{ u, v, mult int }
+	var cuts []cut
+	var prev Rib
+	ops := script[3:]
+	for step := 0; step <= len(ops)/2 && step <= 6; step++ {
+		var dirty []int
+		if step > 0 {
+			op, arg := ops[2*step-2], int(ops[2*step-1])
+			if op%2 == 1 && len(cuts) > 0 {
+				// Repair a cut trunk with every parallel copy.
+				i := arg % len(cuts)
+				c := cuts[i]
+				cuts = append(cuts[:i], cuts[i+1:]...)
+				for m := 0; m < c.mult; m++ {
+					if err := g.AddLink(c.u, c.v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dirty = []int{c.u, c.v}
+			} else {
+				// Cut a trunk: every parallel copy of one adjacency.
+				var links [][2]int
+				for u := 0; u < g.N(); u++ {
+					for _, v := range g.Neighbors(u) {
+						if u < v {
+							links = append(links, [2]int{u, v})
+						}
+					}
+				}
+				if len(links) == 0 {
+					continue
+				}
+				l := links[arg%len(links)]
+				c := cut{u: l[0], v: l[1]}
+				for g.RemoveLink(c.u, c.v) {
+					c.mult++
+				}
+				cuts = append(cuts, c)
+				dirty = []int{c.u, c.v}
+			}
+		}
+		n, err := Build(g, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rib, rounds, err := n.Converge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRounds, err := convergeReference(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rounds != wantRounds || !reflect.DeepEqual(rib, want) {
+			t.Fatalf("%s K=%d step %d: Converge (%d rounds) differs from the reference (%d rounds)",
+				g.Name, K, step, rounds, wantRounds)
+		}
+		if g.Connected() {
+			if err := VerifyTheorem1(n, rib); err != nil {
+				t.Fatalf("%s K=%d step %d: %v", g.Name, K, step, err)
+			}
+		}
+		if prev != nil {
+			want, wantRounds, err := convergeReference(n, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, fromRounds, err := n.ConvergeFrom(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fromRounds != wantRounds || !reflect.DeepEqual(from, want) {
+				t.Fatalf("%s K=%d step %d: ConvergeFrom (%d rounds) differs from the reference (%d rounds)",
+					g.Name, K, step, fromRounds, wantRounds)
+			}
+			d, dRounds, err := n.ConvergeDirty(prev, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dRounds != wantRounds || !reflect.DeepEqual(d, want) {
+				t.Fatalf("%s K=%d step %d: ConvergeDirty(%v) (%d rounds) differs from the reference (%d rounds)",
+					g.Name, K, step, dirty, dRounds, wantRounds)
+			}
+		}
+		prev = rib
+	}
+}
+
+// TestConvergeMatchesReferenceRandom runs checkConvergeScript on random
+// scripts from a clock seed, logged so a failure can be replayed.
+func TestConvergeMatchesReferenceRandom(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 40; i++ {
+		script := make([]byte, 3+rng.Intn(14))
+		rng.Read(script)
+		checkConvergeScript(t, script)
+	}
+}
+
+// FuzzConverge is TestConvergeMatchesReferenceRandom's property on
+// fuzzer-chosen scripts; testdata/fuzz/FuzzConverge holds its seed corpus,
+// which plain go test replays.
+func FuzzConverge(f *testing.F) {
+	f.Fuzz(checkConvergeScript)
+}
+
+// TestConvergeAllocs pins the paper-scale cold convergence's allocation
+// count: per-destination state lives in pooled scratch and the RIB is cut
+// from three backing arrays, so allocations no longer scale with
+// nodes × destinations.
+func TestConvergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
+	g, err := topology.DRing(topology.PaperDRing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Build(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := n.Converge(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 500 {
+		t.Errorf("Converge on the paper DRing (%d routers, K=2) allocates %.0f objects, want at most 500", g.N(), allocs)
 	}
 }

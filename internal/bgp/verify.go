@@ -44,12 +44,17 @@ func CrossCheckFib(n *Network, rib Rib, fib *routing.Fib, strict bool) error {
 	if fib.SchemeK() != n.K {
 		return fmt.Errorf("bgp: FIB K=%d, network K=%d", fib.SchemeK(), n.K)
 	}
-	// One buffer serves every (node, destination); hop sets are at most
-	// degree·K long, so membership is a scan.
+	// One buffer serves every (node, destination). Membership is an
+	// epoch-stamped mark over the FIB's vnode ids, (VRF-1)*M + router on the
+	// FIB's M routers: each (node, destination) stamps its FIB set with a
+	// fresh epoch.
+	nr, m := n.Topo.N(), fib.Graph().N()
 	var want []routing.VNode
+	mark := make([]uint32, n.K*m)
+	epoch := uint32(0)
 	for _, node := range n.Nodes() {
 		row := rib[node]
-		for dst := 0; dst < n.Topo.N(); dst++ {
+		for dst := 0; dst < nr; dst++ {
 			if node.Router == dst {
 				// VRF K originates the prefix locally; lower VRFs of the
 				// destination router reject every path as an AS loop (the
@@ -58,9 +63,16 @@ func CrossCheckFib(n *Network, rib Rib, fib *routing.Fib, strict bool) error {
 				continue
 			}
 			want = fib.AppendVirtualNextHops(want[:0], node.VRF, node.Router, dst)
+			if epoch++; epoch == 0 {
+				clear(mark)
+				epoch = 1
+			}
+			for _, w := range want {
+				mark[(w.VRF-1)*m+w.Router] = epoch
+			}
 			got := row[dst].NextHops
 			for _, h := range got {
-				if !containsVNode(want, routing.VNode{VRF: h.VRF, Router: h.Router}) {
+				if h.VRF < 1 || h.VRF > n.K || h.Router < 0 || h.Router >= m || mark[(h.VRF-1)*m+h.Router] != epoch {
 					return fmt.Errorf("bgp: %v → r%d: protocol next hop %v not in FIB set %v",
 						node, dst, h, want)
 				}
@@ -72,15 +84,4 @@ func CrossCheckFib(n *Network, rib Rib, fib *routing.Fib, strict bool) error {
 		}
 	}
 	return nil
-}
-
-// containsVNode is slices.Contains spelled out: the generic version compares
-// VNodes through its type dictionary and made CrossCheckFib a third slower.
-func containsVNode(set []routing.VNode, x routing.VNode) bool {
-	for _, y := range set {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }

@@ -42,15 +42,32 @@ func (s RNGSpec) Validate() error {
 // gets stuck or the union comes out disconnected, and ErrInfeasible is
 // returned after exhausting attempts (dense degrees on tiny fabrics).
 // Servers fill each switch's remaining ports.
+//
+// Attempts run on scratch reused across them — a link bitset, the pairs so
+// far and a union-find for connectivity — so a rejected attempt allocates
+// nothing, and the one Graph is built from the accepted attempt's pairs.
 func RNG(spec RNGSpec, rng *rand.Rand) (*Graph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	n := spec.Switches
+	a := &rngAttempt{
+		n:      n,
+		linked: make([]uint64, (n*n+63)/64),
+		perm:   make([]int, n),
+		pairs:  make([]int32, 0, spec.Degree*n),
+		parent: make([]int32, n),
+	}
 	const attempts = 200
-	for a := 0; a < attempts; a++ {
-		g, ok := rngAttempt(spec, rng)
-		if !ok || !g.Connected() {
+	for try := 0; try < attempts; try++ {
+		if !a.run(spec.Degree, rng) || !a.connected() {
 			continue
+		}
+		g := New(fmt.Sprintf("rng(n=%d,d=%d)", n, spec.Degree), n, spec.Ports)
+		for i := 0; i < len(a.pairs); i += 2 {
+			if err := g.AddLink(int(a.pairs[i]), int(a.pairs[i+1])); err != nil {
+				return nil, err
+			}
 		}
 		for v := 0; v < g.N(); v++ {
 			g.SetServers(v, spec.Ports-spec.Degree)
@@ -61,15 +78,37 @@ func RNG(spec RNGSpec, rng *rand.Rand) (*Graph, error) {
 		spec.Degree, spec.Switches, attempts, ErrInfeasible)
 }
 
-// rngAttempt performs one union-of-matchings pass. Each matching is a
-// shuffled pairing of all switches; a pair that duplicates an existing link
-// is repaired by swapping partners with another pair of the same matching.
-func rngAttempt(spec RNGSpec, rng *rand.Rand) (*Graph, bool) {
-	n := spec.Switches
-	g := New(fmt.Sprintf("rng(n=%d,d=%d)", n, spec.Degree), n, spec.Ports)
-	perm := make([]int, n)
+// rngAttempt is the scratch of one union-of-matchings pass: linked is the
+// n×n link bitset, pairs the links so far in matching order, parent the
+// union-find connectivity check.
+type rngAttempt struct {
+	n      int
+	linked []uint64
+	perm   []int
+	pairs  []int32
+	parent []int32
+}
 
-	for m := 0; m < spec.Degree; m++ {
+func (a *rngAttempt) hasLink(u, v int) bool {
+	i := u*a.n + v
+	return a.linked[i>>6]&(1<<(i&63)) != 0
+}
+
+func (a *rngAttempt) link(u, v int) {
+	for _, i := range [2]int{u*a.n + v, v*a.n + u} {
+		a.linked[i>>6] |= 1 << (i & 63)
+	}
+	a.pairs = append(a.pairs, int32(u), int32(v))
+}
+
+// run performs one union-of-matchings pass. Each matching is a shuffled
+// pairing of all switches; a pair that duplicates an existing link is
+// repaired by swapping partners with another pair of the same matching.
+func (a *rngAttempt) run(degree int, rng *rand.Rand) bool {
+	n, perm := a.n, a.perm
+	clear(a.linked)
+	a.pairs = a.pairs[:0]
+	for m := 0; m < degree; m++ {
 		for i := range perm {
 			perm[i] = i
 		}
@@ -77,26 +116,46 @@ func rngAttempt(spec RNGSpec, rng *rand.Rand) (*Graph, bool) {
 		// Repair in place: pair (perm[2i], perm[2i+1]) swaps its second
 		// endpoint with a random later pair until both pairings are new.
 		for i := 0; i+1 < n; i += 2 {
-			repaired := !g.HasLink(perm[i], perm[i+1])
+			repaired := !a.hasLink(perm[i], perm[i+1])
 			later := n/2 - i/2 - 1 // pairs after this one
 			for t := 0; t < 200 && !repaired && later > 0; t++ {
 				j := i + 2 + 2*rng.Intn(later) // random later pair
 				side := rng.Intn(2)
 				perm[i+1], perm[j+side] = perm[j+side], perm[i+1]
-				repaired = !g.HasLink(perm[i], perm[i+1]) && !g.HasLink(perm[j], perm[j+1])
+				repaired = !a.hasLink(perm[i], perm[i+1]) && !a.hasLink(perm[j], perm[j+1])
 				if !repaired { // undo and retry
 					perm[i+1], perm[j+side] = perm[j+side], perm[i+1]
 				}
 			}
 			if !repaired {
-				return nil, false
+				return false
 			}
 		}
 		for i := 0; i+1 < n; i += 2 {
-			if err := g.AddLink(perm[i], perm[i+1]); err != nil {
-				return nil, false
-			}
+			a.link(perm[i], perm[i+1])
 		}
 	}
-	return g, true
+	return true
+}
+
+// connected reports whether the pairs join every switch, by union-find.
+func (a *rngAttempt) connected() bool {
+	for v := range a.parent {
+		a.parent[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for a.parent[v] != v {
+			a.parent[v] = a.parent[a.parent[v]]
+			v = a.parent[v]
+		}
+		return v
+	}
+	parts := a.n
+	for i := 0; i < len(a.pairs); i += 2 {
+		if ru, rv := find(a.pairs[i]), find(a.pairs[i+1]); ru != rv {
+			a.parent[ru] = rv
+			parts--
+		}
+	}
+	return parts == 1
 }

@@ -2,7 +2,9 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -69,5 +71,126 @@ func TestRNGRejects(t *testing.T) {
 		if _, err := RNG(spec, rand.New(rand.NewSource(1))); !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("RNG%+v = %v, want ErrInfeasible", spec, err)
 		}
+	}
+}
+
+// rngReference is the matching-union builder RNG replaced, kept as its
+// oracle: every attempt builds a whole Graph, answers HasLink from its
+// adjacency lists and checks Connected on it. It also reports how many
+// attempts it made.
+func rngReference(spec RNGSpec, rng *rand.Rand) (*Graph, int, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, 0, err
+	}
+	const attempts = 200
+	for a := 0; a < attempts; a++ {
+		g, ok := rngReferenceAttempt(spec, rng)
+		if !ok || !g.Connected() {
+			continue
+		}
+		for v := 0; v < g.N(); v++ {
+			g.SetServers(v, spec.Ports-spec.Degree)
+		}
+		return g, a + 1, nil
+	}
+	return nil, attempts, ErrInfeasible
+}
+
+func rngReferenceAttempt(spec RNGSpec, rng *rand.Rand) (*Graph, bool) {
+	n := spec.Switches
+	g := New(fmt.Sprintf("rng(n=%d,d=%d)", n, spec.Degree), n, spec.Ports)
+	perm := make([]int, n)
+	for m := 0; m < spec.Degree; m++ {
+		for i := range perm {
+			perm[i] = i
+		}
+		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := 0; i+1 < n; i += 2 {
+			repaired := !g.HasLink(perm[i], perm[i+1])
+			later := n/2 - i/2 - 1
+			for t := 0; t < 200 && !repaired && later > 0; t++ {
+				j := i + 2 + 2*rng.Intn(later)
+				side := rng.Intn(2)
+				perm[i+1], perm[j+side] = perm[j+side], perm[i+1]
+				repaired = !g.HasLink(perm[i], perm[i+1]) && !g.HasLink(perm[j], perm[j+1])
+				if !repaired {
+					perm[i+1], perm[j+side] = perm[j+side], perm[i+1]
+				}
+			}
+			if !repaired {
+				return nil, false
+			}
+		}
+		for i := 0; i+1 < n; i += 2 {
+			if err := g.AddLink(perm[i], perm[i+1]); err != nil {
+				return nil, false
+			}
+		}
+	}
+	return g, true
+}
+
+// rngRetrySpec is dense enough on few switches that some seeds need
+// several attempts.
+var rngRetrySpec = RNGSpec{Switches: 8, Degree: 5, Ports: 8}
+
+// TestRNGMatchesReference pins RNG against the graph-per-attempt oracle
+// over 60 seeds: the same fabric (name, ports, servers, adjacency in order),
+// the same error, and the same draws consumed from rng.
+func TestRNGMatchesReference(t *testing.T) {
+	retried := 0
+	for _, spec := range []RNGSpec{{Switches: 16, Degree: 4, Ports: 20}, {Switches: 30, Degree: 9, Ports: 12}, rngRetrySpec} {
+		for seed := int64(1); seed <= 20; seed++ {
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, err := RNG(spec, r1)
+			want, tries, wantErr := rngReference(spec, r2)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("RNG%+v seed %d: err %v, reference %v", spec, seed, err, wantErr)
+			}
+			if tries > 1 {
+				retried++
+			}
+			if err == nil && (got.Name != want.Name || got.Ports != want.Ports || got.Links() != want.Links() ||
+				!reflect.DeepEqual(got.servers, want.servers) || adjacencySerialization(got) != adjacencySerialization(want)) {
+				t.Fatalf("RNG%+v seed %d: fabric differs from the reference", spec, seed)
+			}
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("RNG%+v seed %d: draw sequence diverged from the reference", spec, seed)
+			}
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no seed needed a second attempt; the sweep does not exercise rejected attempts")
+	}
+}
+
+// TestRNGRejectedAttemptsAllocateNothing pins that a rejected attempt costs
+// no allocation: two seeds whose constructions take different numbers of
+// attempts allocate the same.
+func TestRNGRejectedAttemptsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts; CI pins this in a non-race step")
+	}
+	seedFor := func(want func(tries int) bool) int64 {
+		for seed := int64(1); seed <= 100; seed++ {
+			if _, tries, err := rngReference(rngRetrySpec, rand.New(rand.NewSource(seed))); err == nil && want(tries) {
+				return seed
+			}
+		}
+		t.Fatalf("no seed in 1..100 fits RNG%+v", rngRetrySpec)
+		return 0
+	}
+	once := seedFor(func(tries int) bool { return tries == 1 })
+	many := seedFor(func(tries int) bool { return tries >= 3 })
+	allocs := func(seed int64) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := RNG(rngRetrySpec, rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(once), allocs(many); a != b {
+		t.Fatalf("RNG%+v allocates %.0f objects in one attempt (seed %d) but %.0f in several (seed %d)",
+			rngRetrySpec, a, once, b, many)
 	}
 }
