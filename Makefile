@@ -6,8 +6,9 @@ BENCH_PR ?= 17
 # with a telemetry sink attached), one Figure 4 row, the Figure 5 panel in
 # serial and parallel variants, FIB construction, the max-min allocator
 # alone on the largest Figure 5 cell, paper-scale BGP convergence (full and
-# single-link-delta), and the flat-topology bake-off matrix.
-BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoff)$$
+# single-link-delta), the flat-topology bake-off matrix, and a repeat
+# result-store lookup (a spinelessd cache hit).
+BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoff|BenchmarkStoreGet)$$
 
 .PHONY: check build test vet fmt lint race bench audit serve serve-smoke bakeoff-smoke
 

@@ -14,12 +14,14 @@
 package spineless_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
 
 	"spineless"
 	"spineless/internal/flowsim"
+	"spineless/internal/store"
 	"spineless/internal/workload"
 )
 
@@ -600,6 +602,43 @@ func BenchmarkBakeoff(b *testing.B) {
 		}
 		if len(sc.Cells) != 7 {
 			b.Fatalf("want 7 cells, got %d", len(sc.Cells))
+		}
+	}
+}
+
+// BenchmarkStoreGet is one spinelessd cache hit's store lookup: a repeat
+// Get of a committed ~2 KB result, which the store serves from its
+// verified in-memory copy after the first read.
+func BenchmarkStoreGet(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := map[string]any{"exp": "fct", "seed": int64(1)}
+	hash, err := store.Key(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specRaw, err := store.Canonical(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fct := make([]float64, 200)
+	for i := range fct {
+		fct[i] = float64(i) * 1.25
+	}
+	result, err := json.Marshal(map[string]any{"fct_us": fct})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Put(hash, specRaw, result); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.Get(hash); !ok {
+			b.Fatal("miss")
 		}
 	}
 }

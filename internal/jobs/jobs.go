@@ -247,7 +247,7 @@ func (m *Manager) Submit(sp Spec) (*Job, bool, error) {
 	}
 	m.mu.Unlock()
 
-	// Cache lookup happens outside m.mu: store.Get does disk I/O.
+	// Cache lookup happens outside m.mu: store.Get may read disk on a first hit.
 	if m.st != nil {
 		if e, ok := m.st.Get(hash); ok {
 			j := m.newJob(hash, sp)

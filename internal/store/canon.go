@@ -10,6 +10,8 @@
 // atomic rename, plus a best-effort index carrying logical-clock recency
 // for LRU size capping. Every load path is corruption-tolerant: a torn,
 // truncated or hand-edited entry demotes to a cache miss, never an error.
+// An entry that passed those checks once is kept in memory, within a fixed
+// byte budget, and later hits are served from there.
 package store
 
 import (

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -19,7 +20,9 @@ type Options struct {
 }
 
 // Entry is one committed result: the spec that produced it and the result
-// document, both verbatim JSON.
+// document, both verbatim JSON. An Entry returned by Get shares its bytes
+// with the store's in-memory copy and with every other caller that gets the
+// same hash: treat them as read-only.
 type Entry struct {
 	Spec   json.RawMessage `json:"spec"`
 	Result json.RawMessage `json:"result"`
@@ -48,7 +51,15 @@ type Counters struct {
 type entryMeta struct {
 	Size int64  `json:"size"`
 	Used uint64 `json:"used"` // logical recency clock at last access
+	// mem is the entry as last read from disk and verified, nil until a Get
+	// verifies it. Put gives a hash fresh metadata rather than updating it in
+	// place, so a Get that read the file before a Put or an Invalidate sees
+	// its meta replaced and does not install what it read.
+	mem *Entry
 }
+
+// memSize is what an in-memory copy charges against the tier's budget.
+func (e *Entry) memSize() int64 { return int64(len(e.Spec) + len(e.Result)) }
 
 // Store is a content-addressed on-disk result cache. All methods are safe
 // for concurrent use; entry files are immutable once committed (rename is
@@ -57,22 +68,23 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	mu      sync.Mutex
-	clock   uint64
-	entries map[string]*entryMeta
-	total   int64
-	dirty   int // in-memory recency updates not yet flushed to the index
-	c       Counters
+	mu        sync.Mutex
+	clock     uint64
+	entries   map[string]*entryMeta
+	total     int64
+	memBytes  int64 // bytes held by verified in-memory copies
+	memBudget int64 // cap on memBytes: memTierBudget unless a test lowers it
+	c         Counters
 }
 
 const (
 	objectsDir = "objects"
 	tmpDir     = "tmp"
 	indexFile  = "index.json"
-	// indexFlushEvery bounds how many recency-only updates may be lost to a
-	// crash before the index is rewritten (losing them is benign: eviction
-	// order degrades, correctness does not).
-	indexFlushEvery = 32
+	// memTierBudget caps the bytes of verified entries Get keeps in
+	// memory; over it, the least recently used copies go first (their files
+	// stay on disk).
+	memTierBudget = 64 << 20
 )
 
 // Open opens (or creates) the store rooted at dir.
@@ -82,7 +94,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{dir: dir, maxBytes: opts.MaxBytes, entries: map[string]*entryMeta{}}
+	s := &Store{dir: dir, maxBytes: opts.MaxBytes, memBudget: memTierBudget, entries: map[string]*entryMeta{}}
 	if !s.loadIndex() {
 		if err := s.rebuildIndex(); err != nil {
 			return nil, err
@@ -114,8 +126,8 @@ func (s *Store) loadIndex() bool {
 	if err := json.Unmarshal(raw, &idx); err != nil || idx.Entries == nil {
 		return false
 	}
-	for h := range idx.Entries {
-		if !ValidKey(h) {
+	for h, m := range idx.Entries {
+		if !ValidKey(h) || m == nil || m.Size < 0 {
 			return false
 		}
 	}
@@ -176,7 +188,6 @@ func (s *Store) flushIndexLocked() {
 	if err := os.Rename(name, filepath.Join(s.dir, indexFile)); err != nil {
 		os.Remove(name)
 	}
-	s.dirty = 0
 }
 
 func (s *Store) entryPath(hash string) string {
@@ -185,41 +196,69 @@ func (s *Store) entryPath(hash string) string {
 
 // Get returns the committed entry for hash, if any. A missing, torn or
 // hash-mismatched entry file is a cache miss (the offender is removed), so
-// a corrupted store heals by re-running instead of failing.
+// a corrupted store heals by re-running instead of failing. Any other read
+// error is a miss that keeps the entry: it may well be transient.
+//
+// The first hit reads and verifies the file; later hits return the
+// verified copy from memory until a Put, Invalidate or eviction replaces
+// it. The returned bytes are shared: callers must not modify them.
+// Recency is updated in memory only and reaches index.json with the next
+// Put, drop or Close.
 func (s *Store) Get(hash string) (Entry, bool) {
 	s.mu.Lock()
-	_, known := s.entries[hash]
-	s.mu.Unlock()
+	m, known := s.entries[hash]
 	if !known {
-		s.miss()
+		s.c.Misses++
+		s.mu.Unlock()
 		return Entry{}, false
 	}
+	if m.mem != nil {
+		s.clock++
+		m.Used = s.clock
+		s.c.Hits++
+		e := *m.mem
+		s.mu.Unlock()
+		return e, true
+	}
+	s.mu.Unlock()
+
 	raw, err := os.ReadFile(s.entryPath(hash))
 	if err != nil {
-		s.drop(hash, false)
+		if errors.Is(err, fs.ErrNotExist) {
+			s.drop(hash, m, false)
+		}
 		s.miss()
 		return Entry{}, false
 	}
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil || env.Hash != hash ||
 		len(env.Spec) == 0 || len(env.Result) == 0 || !specMatches(env.Spec, hash) {
-		s.drop(hash, true)
+		s.drop(hash, m, true)
 		s.miss()
 		return Entry{}, false
 	}
+	if testHookRead != nil {
+		testHookRead()
+	}
+	e := &Entry{Spec: env.Spec, Result: env.Result}
 	s.mu.Lock()
-	if m, ok := s.entries[hash]; ok {
+	if s.entries[hash] == m { // no Put or Invalidate since the read
 		s.clock++
 		m.Used = s.clock
-		s.dirty++
-		if s.dirty >= indexFlushEvery {
-			s.flushIndexLocked()
+		if m.mem == nil && e.memSize() <= s.memBudget { // a concurrent Get may have installed first
+			m.mem = e
+			s.memBytes += e.memSize()
+			s.trimMemLocked()
 		}
 	}
 	s.c.Hits++
 	s.mu.Unlock()
-	return Entry{Spec: env.Spec, Result: env.Result}, true
+	return *e, true
 }
+
+// testHookRead, when a test sets it, runs in Get between a verified disk
+// read and the install: where a racing Put or Invalidate lands.
+var testHookRead func()
 
 // specMatches verifies the stored spec still canonicalizes to the entry's
 // address — the content-addressed integrity check.
@@ -234,19 +273,42 @@ func (s *Store) miss() {
 	s.mu.Unlock()
 }
 
-// drop removes a broken entry (file and metadata).
-func (s *Store) drop(hash string, corrupt bool) {
+// drop removes an entry's file and metadata; want, when non-nil, is the
+// metadata the caller read the entry under, and the entry is kept if a Put
+// or Invalidate has replaced it since (the file is then no longer the one
+// the caller found broken).
+func (s *Store) drop(hash string, want *entryMeta, corrupt bool) {
 	s.mu.Lock()
-	if m, ok := s.entries[hash]; ok {
-		s.total -= m.Size
-		delete(s.entries, hash)
-	}
 	if corrupt {
 		s.c.Corrupt++
+	}
+	m, ok := s.entries[hash]
+	if want != nil && m != want {
+		s.mu.Unlock()
+		return
+	}
+	if ok {
+		s.forgetLocked(hash, m)
 	}
 	s.flushIndexLocked()
 	s.mu.Unlock()
 	os.Remove(s.entryPath(hash))
+}
+
+// forgetLocked removes hash's metadata and its in-memory copy. Callers
+// hold s.mu.
+func (s *Store) forgetLocked(hash string, m *entryMeta) {
+	s.total -= m.Size
+	s.dropMemLocked(m)
+	delete(s.entries, hash)
+}
+
+// dropMemLocked releases m's in-memory copy. Callers hold s.mu.
+func (s *Store) dropMemLocked(m *entryMeta) {
+	if m.mem != nil {
+		s.memBytes -= m.mem.memSize()
+		m.mem = nil
+	}
 }
 
 // Put commits (spec, result) under hash. The write is atomic — a temp file
@@ -301,16 +363,14 @@ func (s *Store) Put(hash string, spec, result json.RawMessage) error {
 	s.mu.Lock()
 	s.clock++
 	if old, ok := s.entries[hash]; ok {
-		// Concurrent writer already counted this entry; refresh recency and
-		// size (identical content, but sizes could differ if result JSON
-		// formatting ever changes between versions).
-		s.total += int64(len(raw)) - old.Size
-		old.Size = int64(len(raw))
-		old.Used = s.clock
-	} else {
-		s.entries[hash] = &entryMeta{Size: int64(len(raw)), Used: s.clock}
-		s.total += int64(len(raw))
+		// Another writer already counted this entry. Replace its metadata,
+		// in-memory copy included: the bytes may differ (an overwrite after
+		// schema drift), and a Get still reading the old file must not
+		// install it.
+		s.forgetLocked(hash, old)
 	}
+	s.entries[hash] = &entryMeta{Size: int64(len(raw)), Used: s.clock}
+	s.total += int64(len(raw))
 	s.c.Puts++
 	s.evictLocked()
 	s.flushIndexLocked()
@@ -319,19 +379,50 @@ func (s *Store) Put(hash string, spec, result json.RawMessage) error {
 }
 
 // evictLocked removes least-recently-used entries until the store fits
-// MaxBytes. Ties (e.g. after an index rebuild zeroed recency) break by hash
-// so eviction order is deterministic. Callers hold s.mu.
+// MaxBytes. Callers hold s.mu.
 func (s *Store) evictLocked() {
 	if s.maxBytes <= 0 || s.total <= s.maxBytes {
 		return
 	}
-	type cand struct {
-		hash string
-		m    *entryMeta
+	for _, c := range s.lruLocked(false) {
+		if s.total <= s.maxBytes {
+			break
+		}
+		s.forgetLocked(c.hash, c.m)
+		s.c.Evictions++
+		os.Remove(s.entryPath(c.hash))
 	}
-	cands := make([]cand, 0, len(s.entries))
+}
+
+// trimMemLocked releases least-recently-used in-memory copies until the
+// tier fits its budget; the entries stay committed on disk. Callers hold
+// s.mu.
+func (s *Store) trimMemLocked() {
+	if s.memBytes <= s.memBudget {
+		return
+	}
+	for _, c := range s.lruLocked(true) {
+		if s.memBytes <= s.memBudget {
+			break
+		}
+		s.dropMemLocked(c.m)
+	}
+}
+
+type lruCand struct {
+	hash string
+	m    *entryMeta
+}
+
+// lruLocked lists entries (only those with an in-memory copy when inMem)
+// least recently used first. Ties (e.g. after an index rebuild zeroed
+// recency) break by hash so the order is deterministic. Callers hold s.mu.
+func (s *Store) lruLocked(inMem bool) []lruCand {
+	cands := make([]lruCand, 0, len(s.entries))
 	for h, m := range s.entries {
-		cands = append(cands, cand{h, m})
+		if !inMem || m.mem != nil {
+			cands = append(cands, lruCand{h, m})
+		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].m.Used != cands[j].m.Used {
@@ -339,15 +430,7 @@ func (s *Store) evictLocked() {
 		}
 		return cands[i].hash < cands[j].hash
 	})
-	for _, c := range cands {
-		if s.total <= s.maxBytes {
-			break
-		}
-		s.total -= c.m.Size
-		delete(s.entries, c.hash)
-		s.c.Evictions++
-		os.Remove(s.entryPath(c.hash))
-	}
+	return cands
 }
 
 // Invalidate removes the entry for hash, if present. It is the sampled
@@ -356,7 +439,7 @@ func (s *Store) evictLocked() {
 // determinism regression) and must not be served again.
 func (s *Store) Invalidate(hash string) {
 	if ValidKey(hash) {
-		s.drop(hash, true)
+		s.drop(hash, nil, true)
 	}
 }
 
