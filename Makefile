@@ -1,16 +1,6 @@
 GO ?= go
 
-# PR number stamped into the committed benchmark baseline (BENCH_$(BENCH_PR).json).
-BENCH_PR ?= 17
-# The key benchmarks the baseline records: the netsim hot path (bare and
-# with a telemetry sink attached), one Figure 4 row, the Figure 5 panel in
-# serial and parallel variants, FIB construction, the max-min allocator
-# alone on the largest Figure 5 cell, paper-scale BGP convergence (full and
-# single-link-delta), the flat-topology bake-off matrix, and a repeat
-# result-store lookup (a spinelessd cache hit).
-BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkFlowsimMaxMin|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoff|BenchmarkStoreGet)$$
-
-.PHONY: check build test vet fmt lint race bench audit serve serve-smoke bakeoff-smoke
+.PHONY: check build test vet fmt lint race audit serve serve-smoke bakeoff-smoke
 
 # Full verification: everything CI and the roadmap's tier-1 gate expect.
 check: build vet fmt lint race audit serve-smoke bakeoff-smoke
@@ -72,11 +62,3 @@ lint:
 
 race:
 	$(GO) test -race ./...
-
-# Record the benchmark baseline: run the key benchmarks with -benchmem and
-# convert the output to BENCH_$(BENCH_PR).json (name, ns/op, B/op, allocs/op,
-# host shape) via cmd/benchjson.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem . | tee bench_raw.tmp
-	$(GO) run ./cmd/benchjson -pr $(BENCH_PR) -o BENCH_$(BENCH_PR).json bench_raw.tmp
-	@rm -f bench_raw.tmp

@@ -11,11 +11,16 @@
 // full (scaled-down) experiment; per-op time is the cost of regenerating
 // that artifact. cmd/fig4, cmd/fig5 and cmd/fig6 run the same code at
 // larger scale with reporting.
+//
+// The Test*Allocs pins keep the allocation counts of the key benchmarks as
+// tests: each calls the same setup helper as its benchmark and bounds
+// allocs and bytes per run. Timings are recorded by benchmark/ instead.
 package spineless_test
 
 import (
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,13 +30,51 @@ import (
 	"spineless/internal/workload"
 )
 
-func benchFabrics(b *testing.B, seed int64) *spineless.FabricSet {
-	b.Helper()
+func benchFabrics(tb testing.TB, seed int64) *spineless.FabricSet {
+	tb.Helper()
 	fs, err := spineless.ScaledFabrics(8, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return fs
+}
+
+// benchLoop times run b.N times, setup excluded.
+func benchLoop(b *testing.B, run func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// allocPin is a benchmark's allocation record kept as a test: run, built by
+// the same helper as the benchmark, must average at most maxAllocs objects
+// (testing.AllocsPerRun) and maxBytes bytes over runs calls. The bounds sit
+// about 10% above the count measured when the pin was set, headroom for
+// the differences between Go releases.
+func allocPin(t *testing.T, runs int, maxAllocs, maxBytes uint64, run func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts; CI pins this in a non-race step")
+	}
+	allocs := testing.AllocsPerRun(runs, run)
+	// One worker, as inside AllocsPerRun, so pooled scratch is reused the
+	// same way while the bytes are counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	t.Logf("%.0f allocs, %d B per run", allocs, bytes)
+	if allocs > float64(maxAllocs) {
+		t.Errorf("allocates %.0f objects per run, want at most %d", allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("allocates %d B per run, want at most %d", bytes, maxBytes)
+	}
 }
 
 func benchFCTConfig() spineless.FCTConfig {
@@ -42,27 +85,28 @@ func benchFCTConfig() spineless.FCTConfig {
 	return cfg
 }
 
-// benchFig4 runs one Figure 4 workload across all five combos.
-func benchFig4(b *testing.B, kind spineless.TMKind) {
-	fs := benchFabrics(b, 1)
+// fig4Run returns one Figure 4 workload across all five combos.
+func fig4Run(tb testing.TB, kind spineless.TMKind) func() {
+	fs := benchFabrics(tb, 1)
 	combos, err := spineless.PaperCombos(fs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := benchFCTConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for _, c := range combos {
 			res, err := spineless.RunFCT(fs, c, kind, cfg)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if res.Stats.Count == 0 {
-				b.Fatal("no flows measured")
+				tb.Fatal("no flows measured")
 			}
 		}
 	}
 }
+
+func benchFig4(b *testing.B, kind spineless.TMKind) { benchLoop(b, fig4Run(b, kind)) }
 
 func BenchmarkFig4_A2A(b *testing.B)         { benchFig4(b, spineless.TMA2A) }
 func BenchmarkFig4_R2R(b *testing.B)         { benchFig4(b, spineless.TMR2R) }
@@ -72,17 +116,23 @@ func BenchmarkFig4_FBUniform(b *testing.B)   { benchFig4(b, spineless.TMFBUnifor
 func BenchmarkFig4_FBSkewedRP(b *testing.B)  { benchFig4(b, spineless.TMFBSkewedRP) }
 func BenchmarkFig4_FBUniformRP(b *testing.B) { benchFig4(b, spineless.TMFBUniformRP) }
 
-// benchFig5 fills one heatmap panel. workers < 0 keeps the config default
-// (one worker per CPU).
-func benchFig5(b *testing.B, scheme string, large bool, workers int) {
-	fs := benchFabrics(b, 1)
+// TestFig4A2AAllocs pins BenchmarkFig4_A2A: 4,351 allocs and 2.52 MB when
+// set.
+func TestFig4A2AAllocs(t *testing.T) {
+	allocPin(t, 3, 4_790, 2_780_000, fig4Run(t, spineless.TMA2A))
+}
+
+// fig5Run returns one heatmap panel's fill. workers < 0 keeps the config
+// default (one worker per CPU).
+func fig5Run(tb testing.TB, scheme string, large bool, workers int) func() {
+	fs := benchFabrics(tb, 1)
 	dr, err := spineless.NewCombo("DRing", fs.DRing, scheme)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ls, err := spineless.NewCombo("leaf-spine", fs.LeafSpine, "ecmp")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	hosts := fs.DRing.Servers()
 	ticks := []int{1, 2, hosts / 8, hosts / 5}
@@ -93,14 +143,15 @@ func benchFig5(b *testing.B, scheme string, large bool, workers int) {
 	if workers >= 0 {
 		cfg.Workers = workers
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := spineless.CSRatioHeatmap(dr, ls, ticks, ticks, cfg)
-		if err != nil {
-			b.Fatal(err)
+	return func() {
+		if _, err := spineless.CSRatioHeatmap(dr, ls, ticks, ticks, cfg); err != nil {
+			tb.Fatal(err)
 		}
-		_ = h
 	}
+}
+
+func benchFig5(b *testing.B, scheme string, large bool, workers int) {
+	benchLoop(b, fig5Run(b, scheme, large, workers))
 }
 
 func BenchmarkFig5_SmallECMP(b *testing.B) { benchFig5(b, "ecmp", false, -1) }
@@ -114,6 +165,13 @@ func BenchmarkFig5_LargeSU2(b *testing.B)  { benchFig5(b, "su2", true, -1) }
 // the two are expected to tie.
 func BenchmarkFig5_SmallSU2_Workers1(b *testing.B)   { benchFig5(b, "su2", false, 1) }
 func BenchmarkFig5_SmallSU2_WorkersMax(b *testing.B) { benchFig5(b, "su2", false, 0) }
+
+// TestFig5SmallSU2Allocs pins the three BenchmarkFig5_SmallSU2 variants,
+// which differ only in worker count, at one worker: 1,380 allocs and 308 KB
+// when set.
+func TestFig5SmallSU2Allocs(t *testing.T) {
+	allocPin(t, 3, 1_520, 339_000, fig5Run(t, "su2", false, 1))
+}
 
 // BenchmarkFig6 runs a two-point scale sweep (DRing vs matched RRG).
 func BenchmarkFig6(b *testing.B) {
@@ -315,68 +373,61 @@ func BenchmarkAblation_Transport_DCTCP(b *testing.B) { benchTransport(b, true) }
 
 // --- Substrate microbenchmarks ---
 
-// BenchmarkNetsimEvents measures raw simulator throughput (events/op noted
-// via ns/op on a fixed workload).
-func BenchmarkNetsimEvents(b *testing.B) {
+// netsimRun returns one simulator run of 200 flows on a small DRing under
+// ECMP, with a telemetry sink attached if telemetry is set.
+func netsimRun(tb testing.TB, telemetry bool) func() {
 	g, err := spineless.DRing(spineless.UniformDRing(6, 2, 24))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	gen := spineless.GenFlowConfig(200, 4*time.Millisecond)
 	gen.Sizes = spineless.ParetoSizes(30e3, 1.05, 300e3)
 	flows, err := spineless.GenerateFlows(g, spineless.UniformTM(len(g.Racks())), gen, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	scheme := spineless.NewECMP(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		sim, err := spineless.NewSimulator(g, scheme, spineless.DefaultNetConfig())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+		if !telemetry {
+			if _, err := sim.Run(flows); err != nil {
+				tb.Fatal(err)
+			}
+			return
+		}
+		rec := spineless.NewTelemetryRecorder(spineless.TelemetryConfig{})
+		if _, err := rec.Attach(sim, len(flows)); err != nil {
+			tb.Fatal(err)
 		}
 		if _, err := sim.Run(flows); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+		if rec.Snapshot().Totals.TxBytes == 0 {
+			tb.Fatal("telemetry sink observed no traffic")
 		}
 	}
 }
+
+// BenchmarkNetsimEvents measures raw simulator throughput (events/op noted
+// via ns/op on a fixed workload).
+func BenchmarkNetsimEvents(b *testing.B) { benchLoop(b, netsimRun(b, false)) }
 
 // BenchmarkNetsimEventsTelemetry is BenchmarkNetsimEvents with a telemetry
 // sink attached: the delta against the plain benchmark is the per-event
 // cost of the digital twin (the six hooks index preallocated ring series
 // under an uncontended mutex — the alloc delta per iteration is exactly the
 // fixed attach-time sink construction, nothing per event).
-func BenchmarkNetsimEventsTelemetry(b *testing.B) {
-	g, err := spineless.DRing(spineless.UniformDRing(6, 2, 24))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	gen := spineless.GenFlowConfig(200, 4*time.Millisecond)
-	gen.Sizes = spineless.ParetoSizes(30e3, 1.05, 300e3)
-	flows, err := spineless.GenerateFlows(g, spineless.UniformTM(len(g.Racks())), gen, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scheme := spineless.NewECMP(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := spineless.NewSimulator(g, scheme, spineless.DefaultNetConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec := spineless.NewTelemetryRecorder(spineless.TelemetryConfig{})
-		if _, err := rec.Attach(sim, len(flows)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(flows); err != nil {
-			b.Fatal(err)
-		}
-		if rec.Snapshot().Totals.TxBytes == 0 {
-			b.Fatal("telemetry sink observed no traffic")
-		}
-	}
+func BenchmarkNetsimEventsTelemetry(b *testing.B) { benchLoop(b, netsimRun(b, true)) }
+
+// TestNetsimEventsTelemetryAllocs pins BenchmarkNetsimEventsTelemetry
+// absolutely: 1,398 allocs and 4.51 MB when set. TestTelemetryAddsNoAllocs
+// pins the per-event delta against the bare run.
+func TestNetsimEventsTelemetryAllocs(t *testing.T) {
+	allocPin(t, 3, 1_540, 4_970_000, netsimRun(t, true))
 }
 
 // BenchmarkFibConstruction measures Shortest-Union(2) FIB build cost at
@@ -549,22 +600,21 @@ func BenchmarkBGPConvergePaperScale(b *testing.B) {
 	}
 }
 
-// BenchmarkBGPReconvergeDelta reconverges the same paper-scale control
-// plane after a single link failure, seeding from the pre-failure RIB and
-// dirtying only the failure-incident routers. The ratio against
-// BenchmarkBGPConvergePaperScale is the incremental-convergence win.
-func BenchmarkBGPReconvergeDelta(b *testing.B) {
+// reconvergeRun returns the paper-scale control plane's reconvergence after
+// a single link failure, seeded from the pre-failure RIB with only the
+// failure-incident routers dirty.
+func reconvergeRun(tb testing.TB) func() {
 	fs, err := spineless.PaperFabrics(rand.New(rand.NewSource(1)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net, err := spineless.BuildBGP(fs.DRing, 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	baseRib, _, err := net.Converge()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	failed := fs.DRing.Clone()
 	nbr := fs.DRing.Neighbors(0)[0]
@@ -573,37 +623,64 @@ func BenchmarkBGPReconvergeDelta(b *testing.B) {
 	}
 	failedNet, err := spineless.BuildBGP(failed, 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, _, err := failedNet.ConvergeDirty(baseRib, []int{0, nbr}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkBakeoff runs the full five-fabric bake-off matrix (7 cells:
-// every fabric under SU(2) plus the two native schemes) at paper scale with
-// the smoke-sized workload — the cost of regenerating the cmd/bakeoff
-// scorecard.
-func BenchmarkBakeoff(b *testing.B) {
+// BenchmarkBGPReconvergeDelta reconverges the same paper-scale control
+// plane after a single link failure. The ratio against
+// BenchmarkBGPConvergePaperScale is the incremental-convergence win.
+func BenchmarkBGPReconvergeDelta(b *testing.B) { benchLoop(b, reconvergeRun(b)) }
+
+// TestBGPReconvergeDeltaAllocs pins BenchmarkBGPReconvergeDelta at one
+// worker: 21 allocs and 713 KB when set (the benchmark's 35 on two CPUs
+// include the fan-out's goroutines and per-P pools). The bound leaves three
+// allocations, not two, for the RIB map's layout to differ between Go
+// releases. TestConvergeAllocs pins the cold convergence.
+func TestBGPReconvergeDeltaAllocs(t *testing.T) {
+	allocPin(t, 3, 24, 784_000, reconvergeRun(t))
+}
+
+// bakeoffRun returns the full five-fabric bake-off matrix (7 cells: every
+// fabric under SU(2) plus the two native schemes) at paper scale with the
+// smoke-sized workload, on workers cell workers (0 = one per CPU).
+func bakeoffRun(tb testing.TB, workers int) func() {
 	cfg := spineless.BakeoffScaled(1)
 	cfg.Util = 0.2
 	cfg.WindowSec = 0.002
 	cfg.MaxFlows = 200
 	cfg.MaxPairs = 64
 	cfg.LiveFlows = 120
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	cfg.Workers = workers
+	return func() {
 		sc, err := spineless.RunBakeoff(cfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(sc.Cells) != 7 {
-			b.Fatalf("want 7 cells, got %d", len(sc.Cells))
+			tb.Fatalf("want 7 cells, got %d", len(sc.Cells))
 		}
 	}
+}
+
+// BenchmarkBakeoff is the cost of regenerating the cmd/bakeoff scorecard.
+func BenchmarkBakeoff(b *testing.B) {
+	b.ReportAllocs()
+	benchLoop(b, bakeoffRun(b, 0))
+}
+
+// TestBakeoffAllocs pins BenchmarkBakeoff at one cell worker: 31.3k allocs
+// (±150 from run to run, as collections empty the scratch pools) and 86 MB
+// when set. The allocation bound is 5% over, not 10%: one extra allocation
+// per simulated flow adds 7.5%. Nearly all of them are slices (FIB columns,
+// BFS, paths, links), whose count does not move between Go releases.
+func TestBakeoffAllocs(t *testing.T) {
+	allocPin(t, 1, 32_900, 94_300_000, bakeoffRun(t, 1))
 }
 
 // BenchmarkStoreGet is one spinelessd cache hit's store lookup: a repeat

@@ -23,10 +23,10 @@ type Route struct {
 }
 
 // Rib is the converged routing state: Rib[node][dstRouter]. Ribs are
-// immutable by contract: an incremental reconvergence (ConvergeFrom,
-// ConvergeDirty) returns a Rib whose unchanged routes share ASPath and
-// NextHops storage with the previous one, so callers must not write
-// through a Route's slices.
+// immutable by contract: an incremental reconvergence (ConvergeDirty)
+// returns a Rib whose unchanged routes share ASPath and NextHops storage
+// with the previous one, so callers must not write through a Route's
+// slices.
 type Rib map[NodeID][]Route
 
 const inf = 1 << 30
@@ -36,11 +36,10 @@ const inf = 1 << 30
 // its own synchronous rounds, and the protocol's round count is the largest
 // of them: a destination that commits nothing in a round has nothing to
 // recompute in any later one. Each destination's round 1 recomputes a
-// candidate set (the origin's dependents from a cold start, every entry for
-// ConvergeFrom, the dirty routers' entries for ConvergeDirty) and every later
-// round only the out-dependents of what the previous round committed;
-// collect-then-commit keeps rounds synchronous, so the result is exactly the
-// dense sweep's.
+// candidate set (the origin's dependents from a cold start, the dirty
+// routers' entries for ConvergeDirty) and every later round only the
+// out-dependents of what the previous round committed; collect-then-commit
+// keeps rounds synchronous, so the result is exactly the dense sweep's.
 //
 // Per-destination state is a handful of int32 columns over dense node ids:
 // AS-path length, path reference and hop-set offset and count. A path is a
@@ -73,34 +72,25 @@ func (n *Network) Converge() (Rib, int, error) {
 	return n.converge(nil, nil)
 }
 
-// ConvergeFrom reconverges starting from a previous RIB — the §7 failure
+// ConvergeDirty reconverges starting from a previous RIB — the §7 failure
 // question: after links fail (the Network is built on the failed fabric but
 // nodes still hold prev's routes), how many rounds until the protocol
-// settles? prev entries for vanished nodes are ignored; local prefixes are
-// re-originated.
-func (n *Network) ConvergeFrom(prev Rib) (Rib, int, error) {
-	every := make([]int32, n.Topo.N()*n.K)
-	for x := range every {
-		every[x] = int32(x)
-	}
-	return n.converge(n.prevRows(prev), every)
-}
-
-// ConvergeDirty reconverges after a change known to touch only the links
-// incident to dirtyRouters: round 1 recomputes only those routers' VRF
-// entries instead of sweeping the whole fabric, and change propagation takes
-// over from there. When prev is a converged RIB of a network differing from
-// n only at sessions incident to dirtyRouters, the result — RIB and round
-// count — is identical to ConvergeFrom(prev), because every entry outside
-// the dirty region is at its fixpoint and a dense round 1 would not change
-// it either. prev must cover every node of n (use ConvergeFrom when it
-// might not, e.g. after adding routers).
+// settles? Round 1 recomputes only dirtyRouters' VRF entries, and change
+// propagation takes over from there; local prefixes are re-originated. When
+// prev is a converged RIB of a network differing from n only at sessions
+// incident to dirtyRouters, the result — RIB and round count — is the dense
+// warm-start sweep's (every router dirty), because every entry outside the
+// dirty region is at its fixpoint and a dense round 1 would not change it
+// either. prev must hold a full row for every node of n.
 func (n *Network) ConvergeDirty(prev Rib, dirtyRouters []int) (Rib, int, error) {
 	nr := n.Topo.N()
-	for _, node := range n.Nodes() {
-		if old, ok := prev[node]; !ok || len(old) != nr {
-			return nil, 0, fmt.Errorf("bgp: ConvergeDirty needs a complete previous RIB (missing %v); use ConvergeFrom", node)
+	rows := make([][]Route, nr*n.K)
+	for x := range rows {
+		row, ok := prev[n.nodeAt(x)]
+		if !ok || len(row) != nr {
+			return nil, 0, fmt.Errorf("bgp: ConvergeDirty needs a complete previous RIB (missing %v)", n.nodeAt(x))
 		}
+		rows[x] = row
 	}
 	routers := append([]int(nil), dirtyRouters...)
 	sort.Ints(routers)
@@ -116,7 +106,7 @@ func (n *Network) ConvergeDirty(prev Rib, dirtyRouters []int) (Rib, int, error) 
 			dirty = append(dirty, int32(n.nodeIdx(NodeID{r, vrf})))
 		}
 	}
-	return n.converge(n.prevRows(prev), dirty)
+	return n.converge(rows, dirty)
 }
 
 // nodeIdx flattens a NodeID into the engine's dense index space.
@@ -124,19 +114,6 @@ func (n *Network) nodeIdx(id NodeID) int { return id.Router*n.K + id.VRF - 1 }
 
 // nodeAt is the inverse of nodeIdx.
 func (n *Network) nodeAt(i int) NodeID { return NodeID{Router: i / n.K, VRF: i%n.K + 1} }
-
-// prevRows fetches prev's rows once, by dense node id; a row of the wrong
-// length or for a vanished node is nil, so its entries start unreachable.
-func (n *Network) prevRows(prev Rib) [][]Route {
-	nr := n.Topo.N()
-	rows := make([][]Route, nr*n.K)
-	for x := range rows {
-		if old, ok := prev[n.nodeAt(x)]; ok && len(old) == nr {
-			rows[x] = old
-		}
-	}
-	return rows
-}
 
 // run is one arena node: router repeated times, then the path at parent.
 // routers has bit r%64 set for every router r on the path, a filter that
@@ -162,7 +139,7 @@ func (s *dest) newRun(router, times, parent int32) run {
 type engine struct {
 	n         *Network
 	nr, nn, k int
-	prev      [][]Route // by dense node id; nil for a cold start
+	prev      [][]Route // by dense node id, every row full; nil for a cold start
 	dirty     []int32   // round-1 nodes after a warm start
 
 	ln, via []int32  // final AS-path length and best advertiser, column-major
@@ -246,7 +223,7 @@ func (s *dest) converge(e *engine, d int) error {
 	s.hopBuf = s.hopBuf[:0]
 	for x := 0; x < nn; x++ {
 		s.ln[x], s.via[x], s.ref[x], s.hCnt[x] = inf, viaNone, noPath, 0
-		if e.prev != nil && e.prev[x] != nil {
+		if e.prev != nil {
 			if r := &e.prev[x][d]; r.ASPathLen >= 0 {
 				s.ln[x], s.via[x], s.ref[x], s.hCnt[x] = int32(r.ASPathLen), viaPrev, -2-int32(x), -1
 			}
@@ -505,7 +482,7 @@ func (e *engine) buildRib() Rib {
 	rows := 0
 	for x := range slot {
 		slot[x] = int32(rows)
-		if e.prev != nil && e.prev[x] != nil && e.unchanged(x) {
+		if e.prev != nil && e.unchanged(x) {
 			slot[x] = -1
 			continue
 		}

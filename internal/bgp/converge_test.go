@@ -20,9 +20,9 @@ type refEntry struct {
 // convergeReference is the slice-materialising dense sweep, kept as the
 // engine's test oracle: every round recomputes every entry from a full copy
 // of the previous state, building each candidate AS path as a fresh slice.
-// Converge must match convergeReference(n, nil) and ConvergeFrom(prev) and
-// ConvergeDirty(prev, …) must match convergeReference(n, prev) bit for bit —
-// RIB contents, nil-vs-empty slices AND round counts.
+// Converge must match convergeReference(n, nil) and ConvergeDirty(prev, …)
+// must match convergeReference(n, prev) bit for bit — RIB contents,
+// nil-vs-empty slices AND round counts.
 func convergeReference(n *Network, seed Rib) (Rib, int, error) {
 	nr := n.Topo.N()
 	inbound := map[NodeID][]int{}
@@ -232,9 +232,18 @@ func failOneLink(t *testing.T, g *topology.Graph, u int) (*topology.Graph, int, 
 	return failed, u, v
 }
 
-// TestConvergeFromMatchesDenseReference pins warm-start reconvergence after
-// a link failure against the oracle.
-func TestConvergeFromMatchesDenseReference(t *testing.T) {
+// allRouters dirties every router of n: ConvergeDirty's dense warm start.
+func allRouters(n *Network) []int {
+	all := make([]int, n.Topo.N())
+	for r := range all {
+		all[r] = r
+	}
+	return all
+}
+
+// TestConvergeDirtyAllMatchesDenseReference pins the dense warm start —
+// every router dirty — after a link failure against the oracle.
+func TestConvergeDirtyAllMatchesDenseReference(t *testing.T) {
 	for name, g := range convergeTestFabrics(t) {
 		n, err := Build(g, 2)
 		if err != nil {
@@ -249,7 +258,7 @@ func TestConvergeFromMatchesDenseReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rib, rounds, err := fn.ConvergeFrom(base)
+		rib, rounds, err := fn.ConvergeDirty(base, allRouters(fn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,19 +267,19 @@ func TestConvergeFromMatchesDenseReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rounds != wantRounds {
-			t.Fatalf("%s: ConvergeFrom took %d rounds, reference %d", name, rounds, wantRounds)
+			t.Fatalf("%s: dense ConvergeDirty took %d rounds, reference %d", name, rounds, wantRounds)
 		}
 		if !reflect.DeepEqual(rib, wantRib) {
-			t.Fatalf("%s: ConvergeFrom RIB differs from the reference", name)
+			t.Fatalf("%s: dense ConvergeDirty RIB differs from the reference", name)
 		}
 	}
 }
 
-// TestConvergeDirtyMatchesConvergeFrom is the incremental-reconvergence
+// TestConvergeDirtyMatchesDenseWarmStart is the incremental-reconvergence
 // contract: seeding only the failure-incident routers must reproduce the
-// full warm-start sweep exactly — RIB and round count — for single and
-// multi-link failures on every test fabric.
-func TestConvergeDirtyMatchesConvergeFrom(t *testing.T) {
+// full warm-start sweep (every router dirty) exactly — RIB and round count
+// — for single and multi-link failures on every test fabric.
+func TestConvergeDirtyMatchesDenseWarmStart(t *testing.T) {
 	for name, g := range convergeTestFabrics(t) {
 		for _, K := range []int{2, 3} {
 			n, err := Build(g, K)
@@ -294,7 +303,7 @@ func TestConvergeDirtyMatchesConvergeFrom(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantRib, wantRounds, err := fn.ConvergeFrom(base)
+				wantRib, wantRounds, err := fn.ConvergeDirty(base, allRouters(fn))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,11 +312,11 @@ func TestConvergeDirtyMatchesConvergeFrom(t *testing.T) {
 					t.Fatal(err)
 				}
 				if rounds != wantRounds {
-					t.Fatalf("%s K=%d cut=%v: ConvergeDirty took %d rounds, ConvergeFrom %d",
+					t.Fatalf("%s K=%d cut=%v: ConvergeDirty took %d rounds, the dense warm start %d",
 						name, K, cut, rounds, wantRounds)
 				}
 				if !reflect.DeepEqual(rib, wantRib) {
-					t.Fatalf("%s K=%d cut=%v: ConvergeDirty RIB differs from ConvergeFrom", name, K, cut)
+					t.Fatalf("%s K=%d cut=%v: ConvergeDirty RIB differs from the dense warm start", name, K, cut)
 				}
 			}
 		}
@@ -393,8 +402,9 @@ func fuzzFabric(kind, shape, seed byte) *topology.Graph {
 }
 
 // checkConvergeScript decodes a fabric, K and a sequence of link cuts and
-// repairs from script, and after every step checks Converge, ConvergeFrom
-// and ConvergeDirty against convergeReference (RIB deep-equal, round counts
+// repairs from script, and after every step checks Converge and
+// ConvergeDirty, with the step's routers and with every router dirty,
+// against convergeReference (RIB deep-equal, round counts
 // equal) and Theorem 1 on connected fabrics.
 func checkConvergeScript(t *testing.T, script []byte) {
 	if len(script) < 3 {
@@ -472,13 +482,13 @@ func checkConvergeScript(t *testing.T, script []byte) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			from, fromRounds, err := n.ConvergeFrom(prev)
+			dense, denseRounds, err := n.ConvergeDirty(prev, allRouters(n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fromRounds != wantRounds || !reflect.DeepEqual(from, want) {
-				t.Fatalf("%s K=%d step %d: ConvergeFrom (%d rounds) differs from the reference (%d rounds)",
-					g.Name, K, step, fromRounds, wantRounds)
+			if denseRounds != wantRounds || !reflect.DeepEqual(dense, want) {
+				t.Fatalf("%s K=%d step %d: dense ConvergeDirty (%d rounds) differs from the reference (%d rounds)",
+					g.Name, K, step, denseRounds, wantRounds)
 			}
 			d, dRounds, err := n.ConvergeDirty(prev, dirty)
 			if err != nil {

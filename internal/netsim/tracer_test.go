@@ -28,8 +28,8 @@ func (c *countTracer) OnStateChange(int64, int32, bool, float64, float64)       
 // allocations: a run with no tracer must allocate exactly as much as the
 // same run observed by an allocation-free tracer, proving the hooks pass
 // scalars only and the nil check is the whole cost of the feature. The
-// absolute hot-path baseline (930 allocs/op) is pinned separately by
-// BenchmarkNetsimEvents against BENCH_3.json.
+// absolute hot-path count is pinned separately by TestRunAllocsPin (at most
+// 416 allocs).
 func TestNilTracerAddsNoAllocs(t *testing.T) {
 	g := pairFabric(t, 2, 4)
 	var flows []workload.Flow

@@ -33,7 +33,7 @@ type LiveConfig struct {
 	DetectionDelayNS int64
 	// RoundDelayNS is the wall time ascribed to one synchronous BGP round;
 	// the repair lands at FailAt + Detection + rounds × RoundDelay, with
-	// rounds measured by bgp.ConvergeFrom on the pre-failure RIB.
+	// rounds measured by bgp.ConvergeDirty from the pre-failure RIB.
 	RoundDelayNS int64
 
 	// FlapLinks makes the first n failed pairs flap (down/up cycles)

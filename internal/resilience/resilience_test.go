@@ -228,6 +228,15 @@ func TestCompareDiversity(t *testing.T) {
 	}
 }
 
+// everyRouter lists routers 0..n-1: ConvergeDirty's dense warm start.
+func everyRouter(n int) []int {
+	all := make([]int, n)
+	for r := range all {
+		all[r] = r
+	}
+	return all
+}
+
 func TestBGPReconvergenceAfterFailure(t *testing.T) {
 	g := ringFabric(t)
 	net, err := bgp.Build(g, 2)
@@ -239,7 +248,7 @@ func TestBGPReconvergenceAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-converging from the fixpoint on the same fabric is immediate.
-	_, again, err := net.ConvergeFrom(rib)
+	_, again, err := net.ConvergeDirty(rib, everyRouter(g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestBGPReconvergenceAfterFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rib2, rounds, err := failedNet.ConvergeFrom(rib)
+	rib2, rounds, err := failedNet.ConvergeDirty(rib, everyRouter(failed.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -648,16 +648,11 @@ type VNode struct {
 	Router int
 }
 
-// VirtualNextHops returns the equal-cost next hops at (vrf, router) toward
-// dst in the virtual graph, for cross-validation against the BGP control
-// plane. VRFs are 1-based; for ECMP the only valid vrf is 1.
-func (f *Fib) VirtualNextHops(vrf, router, dst int) []VNode {
-	return f.AppendVirtualNextHops(nil, vrf, router, dst)
-}
-
-// AppendVirtualNextHops appends VirtualNextHops(vrf, router, dst) to buf and
-// returns the extended slice, so a caller sweeping every (vnode, destination)
-// reuses one buffer.
+// AppendVirtualNextHops appends the equal-cost next hops at (vrf, router)
+// toward dst in the virtual graph to buf and returns the extended slice, for
+// cross-validation against the BGP control plane; a caller sweeping every
+// (vnode, destination) reuses one buffer. VRFs are 1-based; for ECMP the
+// only valid vrf is 1.
 func (f *Fib) AppendVirtualNextHops(buf []VNode, vrf, router, dst int) []VNode {
 	layer := vrf - 1
 	if layer < 0 || layer >= f.layers {

@@ -272,19 +272,6 @@ func (sn *Snapshot) Utilization(l int) []float64 {
 	return out
 }
 
-// DropRate returns the per-second drop rate series for one reason.
-func (sn *Snapshot) DropRate(reason int) []float64 {
-	if reason < 0 || reason >= len(sn.Drops) {
-		return nil
-	}
-	bucketSec := float64(sn.BucketNS) / 1e9
-	out := make([]float64, len(sn.Drops[reason]))
-	for i, d := range sn.Drops[reason] {
-		out[i] = float64(d) / bucketSec
-	}
-	return out
-}
-
 // TopLinks returns the ids of the n busiest links by retained tx bytes,
 // busiest first (ties break toward the lower id, keeping the ordering
 // deterministic).

@@ -52,10 +52,6 @@ func LeafSpine(spec LeafSpineSpec) (*Graph, error) {
 	return g, nil
 }
 
-// IsSpine reports whether switch v is a spine in the fabric produced by
-// LeafSpine(spec).
-func (s LeafSpineSpec) IsSpine(v int) bool { return v >= s.Leaves() }
-
 // PaperLeafSpine is the industry-recommended configuration evaluated in
 // §5.1: leaf-spine(48, 16) — oversubscription 3:1, 64 racks, 3072 servers.
 var PaperLeafSpine = LeafSpineSpec{X: 48, Y: 16}
