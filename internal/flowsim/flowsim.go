@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"spineless/internal/routing"
 	"spineless/internal/topology"
@@ -34,6 +35,18 @@ func (c Config) hostRate() float64 {
 	return c.LinkRateBps
 }
 
+// check rejects rates the allocator cannot fill: fill's bounds assume every
+// capacity is a finite positive number.
+func (c Config) check() error {
+	if !(c.LinkRateBps > 0) || math.IsInf(c.LinkRateBps, 1) {
+		return fmt.Errorf("flowsim: link rate %v is not a finite positive number", c.LinkRateBps)
+	}
+	if math.IsNaN(c.HostRateBps) || math.IsInf(c.HostRateBps, 0) {
+		return fmt.Errorf("flowsim: host rate %v is not finite", c.HostRateBps)
+	}
+	return nil
+}
+
 // PathFlow is a long-running flow pinned to a concrete switch path.
 type PathFlow struct {
 	Src, Dst int   // global server ids
@@ -42,15 +55,19 @@ type PathFlow struct {
 
 // MaxMin returns the max-min fair rate (bits/s) of every flow.
 //
-// Cost is one adjacency-row scan per path hop to index the instance plus
-// O(loaded resources) per filling level, and the number of allocations does
-// not depend on the number of flows (DESIGN.md §16).
+// Cost is one adjacency-row scan per path hop to index the instance plus a
+// few heap operations per resource a filling level visits, and the working
+// memory is pooled, so a call allocates only the rates it returns once its
+// pool is warm (DESIGN.md §16).
 func MaxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
-	if cfg.LinkRateBps <= 0 {
-		return nil, fmt.Errorf("flowsim: non-positive link rate")
-	}
-	in, err := newInstance(g, flows, cfg)
-	if err != nil {
+	in := instancePool.Get().(*instance)
+	defer instancePool.Put(in)
+	return in.maxMin(g, flows, cfg)
+}
+
+// maxMin is MaxMin in in's working memory.
+func (in *instance) maxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
+	if err := in.index(g, flows, cfg); err != nil {
 		return nil, err
 	}
 	rates := make([]float64, len(flows))
@@ -65,9 +82,12 @@ func MaxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) 
 // copies stay unused. Host resources follow the ports in the order the flow
 // list first uses them — so the numbering is a function of the graph and
 // the flow list alone.
+//
+// Every slice is working memory that the next call overwrites before it
+// reads it, so an instance goes back to instancePool after each call.
 type instance struct {
 	cap    []float64 // capacity per resource
-	rem    []float64 // capacity not yet handed out
+	rem    []float64 // capacity not yet handed out, as of the resource's last sync
 	active []int32   // unfrozen crossings per resource (a flow crossing twice counts twice)
 
 	// Flow i crosses flowRes[flowOff[i]:flowOff[i+1]]; resource r is crossed
@@ -75,30 +95,76 @@ type instance struct {
 	flowOff, flowRes []int32
 	resOff, resFlows []int32
 
-	loaded []int32 // worklist: resources that may still have active > 0
-	sat    []int32 // scratch: resources saturated at the current level
-	frozen []bool  // per flow
+	portOff []int32 // Graph.PortOffsets
+	hostIDs []int32 // uplink then downlink resource per server; -1 before first use
+
+	// decLog[resOff[r]:resOff[r+1]] is r's decrement log: the level of each
+	// decrement of active[r], oldest first. Each crossing is decremented at
+	// most once, so the log fits in the slots resFlows reserves for r.
+	decLog []int32
+	heap   []pending
+	incs   []float64 // the increment of every level so far
+	levels []float64 // levels[j]: the level after j increments
+	visit  []int32   // resources the current level visits
+	frozen []bool    // per flow
+
+	// Throughput's routing scratch: every path back to back, and where each
+	// ends.
+	paths []int
+	ends  []int
+	flows []PathFlow
 }
 
-func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, error) {
+// instancePool hands MaxMin and Throughput their working memory, following
+// routing.Fib.buildAll's convention: an instance holds no result state, so
+// which call used it last never shows in a rate.
+var instancePool = sync.Pool{New: func() any { return new(instance) }}
+
+// resize returns s with length n, reusing its array when it is long enough.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// onRack reports whether server h sits on switch v, for any v.
+func onRack(g *topology.Graph, h, v int) bool {
+	if v < 0 || v >= g.N() {
+		return false
+	}
+	lo, hi := g.ServersOf(v)
+	return lo <= h && h < hi
+}
+
+// index checks cfg and flows and builds the index form of the problem in
+// in's arenas.
+func (in *instance) index(g *topology.Graph, flows []PathFlow, cfg Config) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	n, servers := g.N(), g.Servers()
 	crossings := 0
 	for i := range flows {
 		crossings += len(flows[i].Path) + 1
 	}
 	if crossings > math.MaxInt32 {
-		return nil, fmt.Errorf("flowsim: %d flows cross %d resources, more than the index holds", len(flows), crossings)
+		return fmt.Errorf("flowsim: %d flows cross %d resources, more than the index holds", len(flows), crossings)
 	}
 
-	off := g.PortOffsets()
+	off := g.AppendPortOffsets(in.portOff[:0])
+	in.portOff = off
 	ports := int(off[n])
-	in := &instance{cap: make([]float64, ports, ports+2*min(servers, len(flows)))}
+	in.cap = slices.Grow(in.cap[:0], ports+2*min(servers, len(flows)))[:ports]
+	clear(in.cap)
 
-	// Host resources, assigned on first use; -1 means not yet.
-	hostIDs := make([]int32, 2*servers)
+	// Host resources, assigned on first use.
+	hostIDs := resize(in.hostIDs, 2*servers)
 	for h := range hostIDs {
 		hostIDs[h] = -1
 	}
+	in.hostIDs = hostIDs
 	hostUp, hostDown := hostIDs[:servers], hostIDs[servers:]
 	hostBps := cfg.hostRate()
 	host := func(ids []int32, h int) int32 {
@@ -109,32 +175,33 @@ func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, er
 		return ids[h]
 	}
 
-	in.flowOff = make([]int32, len(flows)+1)
-	in.flowRes = make([]int32, 0, crossings)
+	in.flowOff = resize(in.flowOff, len(flows)+1)
+	in.flowOff[0] = 0
+	in.flowRes = slices.Grow(in.flowRes[:0], crossings)
 	for i, f := range flows {
 		switch {
 		case f.Src == f.Dst:
-			return nil, fmt.Errorf("flowsim: flow %d: flow from host %d to itself", i, f.Src)
+			return fmt.Errorf("flowsim: flow %d: flow from host %d to itself", i, f.Src)
 		case len(f.Path) == 0:
-			return nil, fmt.Errorf("flowsim: flow %d: flow %d→%d has no path", i, f.Src, f.Dst)
+			return fmt.Errorf("flowsim: flow %d: flow %d→%d has no path", i, f.Src, f.Dst)
 		case f.Src < 0 || f.Src >= servers || f.Dst < 0 || f.Dst >= servers:
-			return nil, fmt.Errorf("flowsim: flow %d: hosts %d→%d out of range [0,%d)", i, f.Src, f.Dst, servers)
-		case g.RackOf(f.Src) != f.Path[0] || g.RackOf(f.Dst) != f.Path[len(f.Path)-1]:
-			return nil, fmt.Errorf("flowsim: flow %d: path %v does not join racks of hosts %d and %d", i, f.Path, f.Src, f.Dst)
+			return fmt.Errorf("flowsim: flow %d: hosts %d→%d out of range [0,%d)", i, f.Src, f.Dst, servers)
+		case !onRack(g, f.Src, f.Path[0]) || !onRack(g, f.Dst, f.Path[len(f.Path)-1]):
+			return fmt.Errorf("flowsim: flow %d: path %v does not join racks of hosts %d and %d", i, f.Path, f.Src, f.Dst)
 		}
 		in.flowRes = append(in.flowRes, host(hostUp, f.Src))
 		for h := 0; h+1 < len(f.Path); h++ {
 			u, v := f.Path[h], f.Path[h+1] // u is in range: a rack, or the previous hop's v
 			if v < 0 || v >= n {
-				return nil, fmt.Errorf("flowsim: flow %d: path %v names switch %d, out of range [0,%d)", i, f.Path, v, n)
+				return fmt.Errorf("flowsim: flow %d: path %v names switch %d, out of range [0,%d)", i, f.Path, v, n)
 			}
 			j := g.Port(u, v, 0)
 			if j < 0 {
-				return nil, fmt.Errorf("flowsim: flow %d: path %v uses nonexistent link %d→%d", i, f.Path, u, v)
+				return fmt.Errorf("flowsim: flow %d: path %v uses nonexistent link %d→%d", i, f.Path, u, v)
 			}
 			r := off[u] + int32(j)
 			if in.cap[r] <= 0 { // first use: the capacity is not set yet
-				in.cap[r] = float64(g.LinkMultiplicity(u, v)) * cfg.LinkRateBps
+				in.cap[r] = float64(float64(g.LinkMultiplicity(u, v)) * cfg.LinkRateBps)
 			}
 			in.flowRes = append(in.flowRes, r)
 		}
@@ -143,76 +210,165 @@ func newInstance(g *topology.Graph, flows []PathFlow, cfg Config) (*instance, er
 	}
 
 	// Invert flow→resources by counting sort: a resource's share of resFlows
-	// is as long as its initial active count.
+	// is as long as its initial active count. active serves as the write
+	// cursor (counting down to 0) and is then set back from the offsets.
 	nres := len(in.cap)
-	in.rem = slices.Clone(in.cap)
-	in.active = make([]int32, nres)
-	in.resOff = make([]int32, nres+1)
-	in.resFlows = make([]int32, len(in.flowRes))
+	in.rem = append(in.rem[:0], in.cap...)
+	active := resize(in.active, nres)
+	clear(active)
 	for _, r := range in.flowRes {
-		in.active[r]++
+		active[r]++
 	}
-	in.loaded = make([]int32, 0, nres)
-	for r, a := range in.active {
-		in.resOff[r+1] = in.resOff[r] + a
-		if a > 0 {
-			in.loaded = append(in.loaded, int32(r))
-		}
+	resOff := resize(in.resOff, nres+1)
+	resOff[0] = 0
+	for r, a := range active {
+		resOff[r+1] = resOff[r] + a
 	}
-	next := slices.Clone(in.resOff[:nres]) // write cursor per resource
+	resFlows := resize(in.resFlows, len(in.flowRes))
 	for i := range flows {
 		for _, r := range in.flowRes[in.flowOff[i]:in.flowOff[i+1]] {
-			in.resFlows[next[r]] = int32(i)
-			next[r]++
+			resFlows[resOff[r+1]-active[r]] = int32(i)
+			active[r]--
 		}
 	}
-	in.sat = make([]int32, 0, nres)
-	in.frozen = make([]bool, len(flows))
-	return in, nil
+	for r := range active {
+		active[r] = resOff[r+1] - resOff[r]
+	}
+	in.active, in.resOff, in.resFlows = active, resOff, resFlows
+	in.decLog = resize(in.decLog, len(resFlows))
+	in.frozen = resize(in.frozen, len(flows))
+	clear(in.frozen)
+	return nil
 }
 
-// fill runs progressive filling and writes every flow's rate. All unfrozen
-// flows have received the same increments since level 0, so one running
-// level stands for all of them: a flow's rate is the level at which it
-// froze — the same float additions, in the same order, as adding each
-// increment to each flow.
+// pending is a loaded resource waiting in fill's heap.
+type pending struct {
+	key float64 // lower bound, up to fill's slack, on the level at which r can saturate or set the increment
+	r   int32
+	lvl int32 // levels applied to rem[r]
+	act int32 // active[r] when rem[r] was last synced
+}
+
+// eps is the saturation tolerance: a resource whose remaining capacity is at
+// most eps·cap is full.
+const eps = 1e-6
+
+// keyOf is the level at which r, synced at level with rem left and act
+// crossings active, would reach eps·cap in exact arithmetic if act never
+// fell. Fewer active crossings only push that level later (fill's comment).
+func keyOf(level, rem, capacity float64, act int32) float64 {
+	return level + (rem-float64(eps*capacity))/float64(act)
+}
+
+// fill runs progressive filling and writes every flow's rate.
+//
+// All unfrozen flows have received the same increments since level 0, so
+// one running level stands for all of them: a flow's rate is the level at
+// which it froze — the same float additions, in the same order, as adding
+// each increment to each flow.
+//
+// A level's increment is the smallest headroom rem[r]/active[r] over the
+// loaded resources, and the level saturates every loaded r whose rem, less
+// increment × active, falls to eps·cap or below. Few resources matter to a
+// level, so the loaded ones wait in a min-heap keyed by keyOf at their last
+// sync, and a level pops only those with key ≤ level + best + slack, where
+// best is the smallest exact headroom popped so far. A popped resource first
+// replays the levels it missed — rem -= inc × active for each, in level
+// order, with that level's active count read from its decrement log — so its
+// rem is the one an eager loop would hold. Most pops come from keys that
+// went stale as flows froze elsewhere; for those, bound first tries a
+// tighter key from the log alone and sends the resource back to wait.
+//
+// Why an unpopped resource r can neither set the increment nor saturate.
+// Say r was synced after s levels with rem_s left, a active crossings and
+// key K; this is level k. In exact arithmetic the levels s..k-1 took at most
+// a·D from rem_s, where D is their increments' sum (active only falls), so
+// rem_k ≥ rem_s - a·D; and r setting the increment (inc = rem_k/a_k) or
+// saturating (inc·a_k ≥ rem_k - eps·cap) both need inc ≥ (rem_k - eps·cap)/a_k
+// ≥ (rem_s - eps·cap)/a - D, as a_k ≤ a and rem_k > eps·cap. So
+// level_k + inc ≥ level_s + (rem_s - eps·cap)/a = K. In floating point every
+// quantity here is at most U = 2·(largest capacity), and each rounding is at
+// most 2⁻⁵³·U: three per level (the product, the subtraction and the level
+// sum) plus a dozen in forming K, the headroom and the comparison. So
+// slack = (4k + 16)·2⁻⁵³·U covers them with room to spare, for any k ≥ s.
+// At paper scale slack stays below 1e-3 bits/s, against headrooms of
+// megabits. The argument needs finite capacities, which Config.check
+// ensures.
 func (in *instance) fill(rates []float64) {
-	const eps = 1e-6
 	rem, limit, active, frozen := in.rem, in.cap, in.active, in.frozen
-	loaded, sat := in.loaded, in.sat
+	resOff, resFlows, decLog := in.resOff, in.resFlows, in.decLog
+	h := in.heap[:0]
+	capMax := 0.0
+	for r, a := range active {
+		if a > 0 {
+			h = append(h, pending{key: keyOf(0, rem[r], limit[r], a), r: int32(r), act: a})
+			capMax = max(capMax, limit[r])
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	ulp := float64(2*capMax) * 0x1p-53
+	incs, levels, visit := in.incs[:0], append(in.levels[:0], 0), in.visit[:0]
+
 	level := 0.0
 	remaining := len(rates)
-	for remaining > 0 {
-		// Smallest per-flow headroom across loaded resources; resources the
-		// last level unloaded drop out of the worklist on the way.
+	for k := int32(0); remaining > 0; k++ {
+		slack := float64(float64(4*int64(k)+16) * ulp)
 		inc := math.Inf(1)
-		n := 0
-		for _, r := range loaded {
-			a := active[r]
-			if a == 0 {
-				continue
+		visit = visit[:0]
+		for len(h) > 0 && h[0].key <= level+inc+slack {
+			p := h[0]
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftDown(h, 0)
+			r := p.r
+			if active[r] == 0 {
+				continue // every crossing froze elsewhere; nothing reads r again
 			}
-			loaded[n] = r
-			n++
-			if h := rem[r] / float64(a); h < inc {
-				inc = h
+			if active[r] < p.act {
+				// Flows through r froze since its sync, so its key
+				// undershoots. A bound from the decrement log may show that r
+				// can wait without a replay.
+				if key := in.bound(p, k, levels, ulp); key > level+inc+slack {
+					p.key = key
+					h = append(h, p)
+					siftUp(h, len(h)-1)
+					continue
+				}
 			}
+			// Replay levels p.lvl..k-1. Decrements logged at level j take
+			// effect from level j+1.
+			x, a := rem[r], p.act
+			next, end := resOff[r+1]-p.act, resOff[r+1]-active[r]
+			for j := p.lvl; j < k; j++ {
+				for next < end && decLog[next] < j {
+					next++
+					a--
+				}
+				x -= float64(incs[j] * float64(a))
+			}
+			rem[r] = x
+			if hr := x / float64(active[r]); hr < inc {
+				inc = hr
+			}
+			visit = append(visit, r)
 		}
-		loaded = loaded[:n]
-		if math.IsInf(inc, 1) {
+		if len(visit) == 0 {
 			break // nothing left limits the remaining flows
 		}
 		level += inc
-		sat = sat[:0]
-		for _, r := range loaded {
-			rem[r] -= inc * float64(active[r])
-			if rem[r] <= eps*limit[r] {
-				sat = append(sat, r)
-			}
+		incs, levels = append(incs, inc), append(levels, level)
+		for _, r := range visit {
+			rem[r] -= float64(inc * float64(active[r]))
 		}
-		// Freeze the flows crossing a saturated resource.
-		for _, r := range sat {
-			for _, i := range in.resFlows[in.resOff[r]:in.resOff[r+1]] {
+		// Freeze the flows crossing a saturated resource. Every subtraction
+		// above used the level's active counts, so freezing comes after.
+		for _, r := range visit {
+			if rem[r] > float64(eps*limit[r]) {
+				continue
+			}
+			for _, i := range resFlows[resOff[r]:resOff[r+1]] {
 				if frozen[i] {
 					continue
 				}
@@ -220,35 +376,97 @@ func (in *instance) fill(rates []float64) {
 				rates[i] = level
 				for _, x := range in.flowRes[in.flowOff[i]:in.flowOff[i+1]] {
 					active[x]--
+					decLog[resOff[x+1]-active[x]-1] = k
 				}
 				remaining--
 			}
 		}
-	}
-	if remaining > 0 {
-		for i, f := range frozen {
-			if !f {
-				rates[i] = level
+		// The visited resources are synced through level k; those still
+		// loaded wait again.
+		for _, r := range visit {
+			if a := active[r]; a > 0 {
+				h = append(h, pending{key: keyOf(level, rem[r], limit[r], a), r: r, lvl: k + 1, act: a})
+				siftUp(h, len(h)-1)
 			}
 		}
+	}
+	in.heap, in.incs, in.levels, in.visit = h, incs, levels, visit
+}
+
+// bound is a new key for p, a resource synced after p.lvl levels whose
+// active count has fallen since, found at level k without replaying: it
+// charges each stretch of levels between logged decrements at that
+// stretch's active count times the stretch's level difference, then takes
+// keyOf from level k. Each difference may be off from the increments it
+// sums by one rounding per level, and p.act multiplies that, so the key
+// subtracts p.act·(k - p.lvl + 4·decrements + 16) rounding units on top of
+// fill's slack.
+func (in *instance) bound(p pending, k int32, levels []float64, ulp float64) float64 {
+	r := p.r
+	x, a, b := in.rem[r], p.act, p.lvl
+	for next, end := in.resOff[r+1]-p.act, in.resOff[r+1]-in.active[r]; next < end; next++ {
+		m := in.decLog[next] + 1 // the decrement takes effect from level m
+		x -= float64(float64(a) * (levels[m] - levels[b]))
+		a, b = a-1, m
+	}
+	x -= float64(float64(a) * (levels[k] - levels[b]))
+	margin := float64(float64(int64(p.act)*int64(k-p.lvl+4*(p.act-a)+16)) * ulp)
+	return keyOf(levels[k], x, in.cap[r], a) - margin
+}
+
+func siftUp(h []pending, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].key <= h[i].key {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []pending, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].key < h[c].key {
+			c++
+		}
+		if h[i].key <= h[c].key {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
 // Throughput routes each (client, server) host pair with the given scheme
 // and returns the per-flow max-min rates plus their aggregate (bits/s).
-// Flow ids are the pair indices, so path selection is deterministic.
+// Flow ids are the pair indices, so path selection is deterministic. Every
+// path is appended to one pooled arena.
 func Throughput(g *topology.Graph, scheme routing.Scheme, pairs [][2]int, cfg Config) (rates []float64, aggregate float64, err error) {
-	flows := make([]PathFlow, len(pairs))
+	in := instancePool.Get().(*instance)
+	defer instancePool.Put(in)
+	paths, ends := in.paths[:0], resize(in.ends, len(pairs))
 	for i, p := range pairs {
 		srcRack, dstRack := g.RackOf(p[0]), g.RackOf(p[1])
-		path := scheme.Path(srcRack, dstRack, uint64(i))
-		if path == nil {
+		start := len(paths)
+		paths = scheme.AppendPath(paths, srcRack, dstRack, uint64(i))
+		if len(paths) == start {
 			return nil, 0, fmt.Errorf("flowsim: no path between racks %d and %d", srcRack, dstRack)
 		}
-		flows[i] = PathFlow{Src: p[0], Dst: p[1], Path: path}
+		ends[i] = len(paths)
 	}
-	rates, err = MaxMin(g, flows, cfg)
-	if err != nil {
+	flows := resize(in.flows, len(pairs))
+	start := 0
+	for i, p := range pairs {
+		flows[i] = PathFlow{Src: p[0], Dst: p[1], Path: paths[start:ends[i]:ends[i]]}
+		start = ends[i]
+	}
+	in.paths, in.ends, in.flows = paths, ends, flows
+	if rates, err = in.maxMin(g, flows, cfg); err != nil {
 		return nil, 0, err
 	}
 	for _, r := range rates {

@@ -33,6 +33,14 @@ func (a *Adaptive) Path(src, dst int, flowID uint64) []int {
 	return a.base.Path(src, dst, flowID)
 }
 
+// AppendPath implements Scheme.
+func (a *Adaptive) AppendPath(buf []int, src, dst int, flowID uint64) []int {
+	if a.useAlt(src, dst) {
+		return a.alt.AppendPath(buf, src, dst, flowID)
+	}
+	return a.base.AppendPath(buf, src, dst, flowID)
+}
+
 // PathSet implements Scheme.
 func (a *Adaptive) PathSet(src, dst, maxPaths int) [][]int {
 	if a.useAlt(src, dst) {

@@ -74,16 +74,12 @@ func (s *DeBruijn) overlap(src, dst int) int {
 // single-path by nature.
 func (s *DeBruijn) Path(src, dst int, flowID uint64) []int {
 	buf := make([]int, 0, s.digits+1)
-	return s.AppendPath(buf, src, dst)
+	return s.AppendPath(buf, src, dst, flowID)
 }
 
-// AppendPath appends the self-routed path from src to dst onto buf and
-// returns the extended slice. With a caller-provided buffer of capacity
-// Digits+1 it performs no allocation — this is the forwarding-decision
-// equivalent, exercised per flow by the simulator, and stays on the
-// zero-alloc discipline the netsim hot path uses (see the AllocsPerRun pin
-// in the tests).
-func (s *DeBruijn) AppendPath(buf []int, src, dst int) []int {
+// AppendPath implements Scheme: it appends the self-routed path from src to
+// dst onto buf. A path has at most Digits+1 switches.
+func (s *DeBruijn) AppendPath(buf []int, src, dst int, _ uint64) []int {
 	start := len(buf)
 	buf = append(buf, src)
 	if src == dst {
@@ -103,20 +99,9 @@ func (s *DeBruijn) AppendPath(buf []int, src, dst int) []int {
 		buf = append(buf, next)
 		cur = next
 	}
-	// Splice out switch-level loops in place (a real FIB would forward on
-	// from the repeat): keep the first occurrence, drop the excursion. The
-	// walk is at most Digits+1 entries, so the quadratic scan is cheap and —
-	// unlike SpliceLoops — allocation-free.
-	walk := buf[start:]
-	for i := 0; i < len(walk); i++ {
-		for j := len(walk) - 1; j > i; j-- {
-			if walk[j] == walk[i] {
-				walk = append(walk[:i], walk[j:]...)
-				break
-			}
-		}
-	}
-	return buf[:start+len(walk)]
+	// Splice out switch-level loops (a real FIB would forward on from the
+	// repeat).
+	return buf[:start+len(spliceLoops(buf[start:]))]
 }
 
 // PathSet implements Scheme. Self-routing admits one walk per overlap
@@ -158,7 +143,7 @@ func (s *DeBruijn) pathWithOverlap(src, dst, j int) []int {
 	if cur != dst {
 		return nil
 	}
-	return SpliceLoops(buf)
+	return spliceLoops(buf)
 }
 
 var _ Scheme = (*DeBruijn)(nil)

@@ -119,20 +119,6 @@ func TestNewDeBruijnRejectsOtherFabrics(t *testing.T) {
 	}
 }
 
-// TestDeBruijnAppendPathAllocs pins AppendPath's zero-allocation
-// contract: with a caller-provided buffer it must not allocate at all.
-func TestDeBruijnAppendPathAllocs(t *testing.T) {
-	_, s := buildDeBruijn(t, topology.DeBruijnSpec{Symbols: 4, Digits: 3, Ports: 12})
-	buf := make([]int, 0, 8)
-	src, dst := 5, 62
-	if allocs := testing.AllocsPerRun(200, func() {
-		buf = s.AppendPath(buf[:0], src, dst)
-		src, dst = dst, src
-	}); allocs != 0 {
-		t.Fatalf("AppendPath allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
 // TestSPVLBContract pins the RNG fabric's native scheme: valid simple paths
 // over real links for every pair, deterministic per (src, dst, flowID).
 func TestSPVLBContract(t *testing.T) {

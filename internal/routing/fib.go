@@ -469,30 +469,46 @@ func (f *Fib) Distance(src, dst int) int {
 }
 
 // Path implements Scheme: hop-by-hop equal-cost selection hashed on flowID.
+// The path is allocated once.
 func (f *Fib) Path(src, dst int, flowID uint64) []int {
+	return f.AppendPath(f.pathBuf(src, dst), src, dst, flowID)
+}
+
+// pathBuf returns an empty buffer with room for any path from src to dst,
+// or nil when there is none. Every virtual arc costs at least 1, so the
+// cost-to-go bounds the hop count.
+func (f *Fib) pathBuf(src, dst int) []int {
+	d := f.cols[dst].ctg[f.vnode(f.deliveryLayer(), src)]
+	if src == dst || d >= unreachable {
+		return nil
+	}
+	return make([]int, 0, d+1)
+}
+
+// AppendPath implements Scheme.
+func (f *Fib) AppendPath(buf []int, src, dst int, flowID uint64) []int {
 	if src == dst {
-		return []int{src}
+		return append(buf, src)
 	}
 	target := f.vnode(f.deliveryLayer(), dst)
 	state := f.vnode(f.deliveryLayer(), src)
-	// Every virtual arc costs at least 1, so the cost-to-go bounds the hop
-	// count and the path is allocated once.
+	// As in pathBuf, the cost-to-go bounds the hop count, so buf grows at
+	// most once.
 	col := &f.cols[dst]
 	d := col.ctg[state]
 	if d >= unreachable {
-		return nil
+		return buf
 	}
-	path := make([]int, 1, d+1)
-	path[0] = src
+	buf = append(slices.Grow(buf, int(d)+1), src)
 	for hop := 0; state != target; hop++ {
 		nh := col.hops(state)
 		state = int(nh[hashChoice(flowID, hop, f.router(state), len(nh))])
-		path = append(path, f.router(state))
+		buf = append(buf, f.router(state))
 		if hop > f.layers*f.n {
 			panic("routing: forwarding walk did not terminate")
 		}
 	}
-	return path
+	return buf
 }
 
 // PathSet implements Scheme: it enumerates the admissible physical paths by
@@ -594,22 +610,27 @@ func NewWeighted(fib *Fib) Weighted { return Weighted{fib} }
 // Name implements Scheme.
 func (w Weighted) Name() string { return "wcmp(" + w.Fib.Name() + ")" }
 
-// Path implements Scheme with weighted per-hop selection.
+// Path implements Scheme with weighted per-hop selection. The path is
+// allocated once.
 func (w Weighted) Path(src, dst int, flowID uint64) []int {
+	return w.AppendPath(w.pathBuf(src, dst), src, dst, flowID)
+}
+
+// AppendPath implements Scheme.
+func (w Weighted) AppendPath(buf []int, src, dst int, flowID uint64) []int {
 	f := w.Fib
 	if src == dst {
-		return []int{src}
+		return append(buf, src)
 	}
 	target := f.vnode(f.deliveryLayer(), dst)
 	state := f.vnode(f.deliveryLayer(), src)
 	col := &f.cols[dst]
 	d := col.ctg[state]
 	if d >= unreachable {
-		return nil
+		return buf
 	}
-	// As in Fib.Path, the cost-to-go bounds the hop count.
-	path := make([]int, 1, d+1)
-	path[0] = src
+	// As in pathBuf, the cost-to-go bounds the hop count.
+	buf = append(slices.Grow(buf, int(d)+1), src)
 	counts := col.npaths
 	for hop := 0; state != target; hop++ {
 		nh := col.hops(state)
@@ -631,12 +652,12 @@ func (w Weighted) Path(src, dst int, flowID uint64) []int {
 			}
 		}
 		state = int(pick)
-		path = append(path, f.router(state))
+		buf = append(buf, f.router(state))
 		if hop > f.layers*f.n {
 			panic("routing: weighted walk did not terminate")
 		}
 	}
-	return path
+	return buf
 }
 
 var _ Scheme = Weighted{}

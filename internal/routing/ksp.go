@@ -44,6 +44,18 @@ func (s *KSP) Path(src, dst int, flowID uint64) []int {
 	return paths[hashChoice(flowID, 0, src, len(paths))]
 }
 
+// AppendPath implements Scheme, copying the cached path onto buf.
+func (s *KSP) AppendPath(buf []int, src, dst int, flowID uint64) []int {
+	if src == dst {
+		return append(buf, src)
+	}
+	paths := s.paths(src, dst)
+	if len(paths) == 0 {
+		return buf
+	}
+	return append(buf, paths[hashChoice(flowID, 0, src, len(paths))]...)
+}
+
 // PathSet implements Scheme.
 func (s *KSP) PathSet(src, dst, maxPaths int) [][]int {
 	if src == dst {

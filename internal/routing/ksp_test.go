@@ -142,13 +142,13 @@ func TestSpliceLoops(t *testing.T) {
 		{[]int{0, 1, 2, 0, 1, 3}, []int{0, 1, 3}},
 	}
 	for _, c := range cases {
-		got := SpliceLoops(append([]int(nil), c.in...))
+		got := spliceLoops(append([]int(nil), c.in...))
 		if len(got) != len(c.want) {
-			t.Fatalf("SpliceLoops(%v) = %v, want %v", c.in, got, c.want)
+			t.Fatalf("spliceLoops(%v) = %v, want %v", c.in, got, c.want)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("SpliceLoops(%v) = %v, want %v", c.in, got, c.want)
+				t.Fatalf("spliceLoops(%v) = %v, want %v", c.in, got, c.want)
 			}
 		}
 	}

@@ -16,9 +16,9 @@ import "fmt"
 // Scheme selects switch-level paths between racks.
 //
 // Concurrency contract: once constructed, a Scheme must be safe for
-// concurrent Path/PathSet calls — the parallel trial engine shares one
-// scheme instance across every worker of a fan-out. The implementations in
-// this package satisfy it as follows:
+// concurrent Path/AppendPath/PathSet calls — the parallel trial engine
+// shares one scheme instance across every worker of a fan-out. The
+// implementations in this package satisfy it as follows:
 //
 //   - Fib, Weighted, VLB: immutable after construction; lookups read only
 //     precomputed slices.
@@ -44,6 +44,13 @@ type Scheme interface {
 	// src == dst it returns [src]. The same (src, dst, flowID) always yields
 	// the same path.
 	Path(src, dst int, flowID uint64) []int
+
+	// AppendPath appends the path Path returns onto buf and returns the
+	// extended slice; buf is returned unchanged when dst is unreachable.
+	// It makes no allocation when buf has room for the path (KSP: once the
+	// pair's path set is cached), so a caller routing many flows can keep
+	// every path in one arena.
+	AppendPath(buf []int, src, dst int, flowID uint64) []int
 
 	// PathSet enumerates the admissible paths from src to dst, up to maxPaths
 	// entries (0 means no cap). Paths include both endpoints.

@@ -28,8 +28,8 @@ type Phase struct {
 }
 
 // TimeVarying is the concrete multi-phase TimeScheme. Its plain Scheme
-// methods (Path, PathSet) serve the initial phase, so time-unaware callers
-// see the pre-failure behavior.
+// methods (Path, AppendPath, PathSet) serve the initial phase, so
+// time-unaware callers see the pre-failure behavior.
 type TimeVarying struct {
 	phases []Phase
 }
@@ -67,6 +67,11 @@ func (tv *TimeVarying) Name() string {
 // Path implements Scheme, serving the initial phase.
 func (tv *TimeVarying) Path(src, dst int, flowID uint64) []int {
 	return tv.phases[0].Scheme.Path(src, dst, flowID)
+}
+
+// AppendPath implements Scheme, serving the initial phase.
+func (tv *TimeVarying) AppendPath(buf []int, src, dst int, flowID uint64) []int {
+	return tv.phases[0].Scheme.AppendPath(buf, src, dst, flowID)
 }
 
 // PathSet implements Scheme, serving the initial phase.

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"spineless/internal/topology"
 )
 
@@ -26,19 +28,28 @@ func (s *VLB) Name() string { return "vlb" }
 // Any switch-level loop created by the concatenation is spliced out, which
 // is what a real FIB would do (the packet would simply be forwarded on).
 func (s *VLB) Path(src, dst int, flowID uint64) []int {
+	return s.AppendPath(nil, src, dst, flowID)
+}
+
+// AppendPath implements Scheme: both legs are appended onto buf and the
+// loops spliced out in place.
+func (s *VLB) AppendPath(buf []int, src, dst int, flowID uint64) []int {
 	if src == dst {
-		return []int{src}
+		return append(buf, src)
 	}
 	mid := s.intermediate(src, dst, flowID)
 	if mid < 0 {
-		return s.ecmp.Path(src, dst, flowID)
+		return s.ecmp.AppendPath(buf, src, dst, flowID)
 	}
-	a := s.ecmp.Path(src, mid, flowID)
-	b := s.ecmp.Path(mid, dst, splitmix64(flowID))
-	if a == nil || b == nil {
-		return nil
+	da, db := s.ecmp.Distance(src, mid), s.ecmp.Distance(mid, dst)
+	if da < 0 || db < 0 {
+		return buf
 	}
-	return SpliceLoops(append(a, b[1:]...))
+	start := len(buf)
+	buf = s.ecmp.AppendPath(slices.Grow(buf, da+db+1), src, mid, flowID)
+	// The second leg starts at mid, where the first ends.
+	buf = s.ecmp.AppendPath(buf[:len(buf)-1], mid, dst, splitmix64(flowID))
+	return buf[:start+len(spliceLoops(buf[start:]))]
 }
 
 // PathSet implements Scheme. VLB admits, for every intermediate m, the
@@ -58,7 +69,7 @@ func (s *VLB) PathSet(src, dst, maxPaths int) [][]int {
 		if a == nil || b == nil {
 			continue
 		}
-		out = append(out, SpliceLoops(append(a, b[1:]...)))
+		out = append(out, spliceLoops(append(a, b[1:]...)))
 		if maxPaths > 0 && len(out) >= maxPaths {
 			break
 		}
@@ -78,23 +89,21 @@ func (s *VLB) intermediate(src, dst int, flowID uint64) int {
 	return m
 }
 
-// SpliceLoops removes switch-level loops from a walk by keeping only the
-// last occurrence of each repeated switch, yielding a simple path with the
-// same endpoints.
-func SpliceLoops(walk []int) []int {
-	last := make(map[int]int, len(walk))
-	for i, v := range walk {
-		last[v] = i
-	}
-	out := make([]int, 0, len(walk))
+// spliceLoops removes switch-level loops from a walk in place: it keeps the
+// first occurrence of each repeated switch, drops the excursion up to its
+// last occurrence, and returns the shortened prefix of walk — a simple path
+// with the same endpoints. The scan is quadratic, which suits forwarding
+// paths of a few hops, and it allocates nothing.
+func spliceLoops(walk []int) []int {
 	for i := 0; i < len(walk); i++ {
-		v := walk[i]
-		out = append(out, v)
-		if j := last[v]; j > i {
-			i = j // skip the loop; v already emitted once
+		for j := len(walk) - 1; j > i; j-- {
+			if walk[j] == walk[i] {
+				walk = append(walk[:i], walk[j:]...)
+				break
+			}
 		}
 	}
-	return out
+	return walk
 }
 
 var _ Scheme = (*VLB)(nil)

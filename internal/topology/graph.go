@@ -172,11 +172,17 @@ func (g *Graph) LinkMultiplicity(a, b int) int {
 // links. The numbering is only as current as the adjacency it was taken
 // from.
 func (g *Graph) PortOffsets() []int32 {
-	off := make([]int32, len(g.adj)+1)
-	for u, nb := range g.adj {
-		off[u+1] = off[u] + int32(len(nb))
+	return g.AppendPortOffsets(make([]int32, 0, len(g.adj)+1))
+}
+
+// AppendPortOffsets appends PortOffsets' N()+1 entries onto buf and returns
+// the extended slice, allocating nothing when buf has room.
+func (g *Graph) AppendPortOffsets(buf []int32) []int32 {
+	buf = append(buf, 0)
+	for _, nb := range g.adj {
+		buf = append(buf, buf[len(buf)-1]+int32(len(nb)))
 	}
-	return off
+	return buf
 }
 
 // Port returns the position in u's adjacency row of the c-th copy (from 0)
