@@ -12,6 +12,7 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -55,17 +56,18 @@ type PathFlow struct {
 
 // MaxMin returns the max-min fair rate (bits/s) of every flow.
 //
-// Cost is one adjacency-row scan per path hop to index the instance plus a
-// few heap operations per resource a filling level visits, and the working
-// memory is pooled, so a call allocates only the rates it returns once its
-// pool is warm (DESIGN.md §16).
+// Cost is a hashed table lookup per path hop, plus one adjacency-row scan
+// per distinct link, to index the instance, and a few heap operations per
+// resource a filling level visits. The working memory is pooled, so a call
+// allocates only the rates it returns once its pool is warm (DESIGN.md §16).
 func MaxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
 	in := instancePool.Get().(*instance)
 	defer instancePool.Put(in)
+	in.hosts(g)
 	return in.maxMin(g, flows, cfg)
 }
 
-// maxMin is MaxMin in in's working memory.
+// maxMin is MaxMin in in's working memory, once in.hosts(g) has run.
 func (in *instance) maxMin(g *topology.Graph, flows []PathFlow, cfg Config) ([]float64, error) {
 	if err := in.index(g, flows, cfg); err != nil {
 		return nil, err
@@ -96,7 +98,17 @@ type instance struct {
 	resOff, resFlows []int32
 
 	portOff []int32 // Graph.PortOffsets
+	rackOf  []int32 // server → its rack's switch id
 	hostIDs []int32 // uplink then downlink resource per server; -1 before first use
+
+	// links maps the directed link u→v to its resource by open addressing:
+	// a power-of-two table at least twice the port count, probed linearly
+	// from a Fibonacci hash of u·N+v. linkUsed lists the slots the current
+	// call filled; index empties exactly those before it returns, so every
+	// slot is empty between calls.
+	links     []linkSlot
+	linkShift uint // 64 − log₂ len(links)
+	linkUsed  []int32
 
 	// decLog[resOff[r]:resOff[r+1]] is r's decrement log: the level of each
 	// decrement of active[r], oldest first. Each crossing is decremented at
@@ -129,17 +141,70 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// onRack reports whether server h sits on switch v, for any v.
-func onRack(g *topology.Graph, h, v int) bool {
-	if v < 0 || v >= g.N() {
-		return false
+// linkSlot is one entry of instance.links: the link u→v and its resource r.
+// r is a port of u, off[u] ≤ r < off[u+1], so the slot need not store u.
+type linkSlot struct {
+	v1 int32 // v+1; 0 marks an empty slot
+	r  int32
+}
+
+// hosts fills the server→rack table for g and marks every host resource
+// unassigned, in one pass over the servers. index and Throughput read both.
+func (in *instance) hosts(g *topology.Graph) {
+	servers := g.Servers()
+	rackOf, hostIDs := resize(in.rackOf, servers), resize(in.hostIDs, 2*servers)
+	for v := range g.N() {
+		lo, hi := g.ServersOf(v)
+		for h := lo; h < hi; h++ {
+			rackOf[h] = int32(v)
+			hostIDs[h], hostIDs[servers+h] = -1, -1
+		}
 	}
-	lo, hi := g.ServersOf(v)
-	return lo <= h && h < hi
+	in.rackOf, in.hostIDs = rackOf, hostIDs
+}
+
+// link returns the resource of the directed link u→v, or -1 when g has no
+// such link. Its first use in a call scans u's adjacency row once for the
+// first copy's port and the multiplicity, and sets the capacity; later uses
+// hit the table.
+func (in *instance) link(g *topology.Graph, u, v int, rate float64) int32 {
+	lo, hi := in.portOff[u], in.portOff[u+1]
+	mask := len(in.links) - 1
+	s := int(((uint64(u)*uint64(g.N()) + uint64(v)) * 0x9e3779b97f4a7c15) >> in.linkShift)
+	for ; in.links[s].v1 != 0; s = (s + 1) & mask {
+		if e := in.links[s]; int(e.v1) == v+1 && lo <= e.r && e.r < hi {
+			return e.r
+		}
+	}
+	first, m := -1, 0
+	for j, w := range g.Neighbors(u) {
+		if w == v {
+			if m == 0 {
+				first = j
+			}
+			m++
+		}
+	}
+	if m == 0 {
+		return -1
+	}
+	r := lo + int32(first)
+	in.cap[r] = float64(float64(m) * rate)
+	in.links[s] = linkSlot{v1: int32(v + 1), r: r}
+	in.linkUsed = append(in.linkUsed, int32(s))
+	return r
+}
+
+// clearLinks empties the slots of in.links that this call filled.
+func (in *instance) clearLinks() {
+	for _, s := range in.linkUsed {
+		in.links[s] = linkSlot{}
+	}
+	in.linkUsed = in.linkUsed[:0]
 }
 
 // index checks cfg and flows and builds the index form of the problem in
-// in's arenas.
+// in's arenas. in.hosts(g) must have run first.
 func (in *instance) index(g *topology.Graph, flows []PathFlow, cfg Config) error {
 	if err := cfg.check(); err != nil {
 		return err
@@ -159,13 +224,14 @@ func (in *instance) index(g *topology.Graph, flows []PathFlow, cfg Config) error
 	in.cap = slices.Grow(in.cap[:0], ports+2*min(servers, len(flows)))[:ports]
 	clear(in.cap)
 
-	// Host resources, assigned on first use.
-	hostIDs := resize(in.hostIDs, 2*servers)
-	for h := range hostIDs {
-		hostIDs[h] = -1
-	}
-	in.hostIDs = hostIDs
-	hostUp, hostDown := hostIDs[:servers], hostIDs[servers:]
+	// Every slot is empty between calls, so a table a larger fabric left
+	// behind is reused as an empty shorter view.
+	lg := uint(bits.Len(uint(max(2*ports-1, 0))))
+	in.links, in.linkShift = resize(in.links, 1<<lg), 64-lg
+	defer in.clearLinks()
+
+	// Host resources, assigned on first use; hosts reset them.
+	hostUp, hostDown := in.hostIDs[:servers], in.hostIDs[servers:]
 	hostBps := cfg.hostRate()
 	host := func(ids []int32, h int) int32 {
 		if ids[h] < 0 {
@@ -186,7 +252,7 @@ func (in *instance) index(g *topology.Graph, flows []PathFlow, cfg Config) error
 			return fmt.Errorf("flowsim: flow %d: flow %d→%d has no path", i, f.Src, f.Dst)
 		case f.Src < 0 || f.Src >= servers || f.Dst < 0 || f.Dst >= servers:
 			return fmt.Errorf("flowsim: flow %d: hosts %d→%d out of range [0,%d)", i, f.Src, f.Dst, servers)
-		case !onRack(g, f.Src, f.Path[0]) || !onRack(g, f.Dst, f.Path[len(f.Path)-1]):
+		case int(in.rackOf[f.Src]) != f.Path[0] || int(in.rackOf[f.Dst]) != f.Path[len(f.Path)-1]:
 			return fmt.Errorf("flowsim: flow %d: path %v does not join racks of hosts %d and %d", i, f.Path, f.Src, f.Dst)
 		}
 		in.flowRes = append(in.flowRes, host(hostUp, f.Src))
@@ -195,13 +261,9 @@ func (in *instance) index(g *topology.Graph, flows []PathFlow, cfg Config) error
 			if v < 0 || v >= n {
 				return fmt.Errorf("flowsim: flow %d: path %v names switch %d, out of range [0,%d)", i, f.Path, v, n)
 			}
-			j := g.Port(u, v, 0)
-			if j < 0 {
+			r := in.link(g, u, v, cfg.LinkRateBps)
+			if r < 0 {
 				return fmt.Errorf("flowsim: flow %d: path %v uses nonexistent link %d→%d", i, f.Path, u, v)
-			}
-			r := off[u] + int32(j)
-			if in.cap[r] <= 0 { // first use: the capacity is not set yet
-				in.cap[r] = float64(float64(g.LinkMultiplicity(u, v)) * cfg.LinkRateBps)
 			}
 			in.flowRes = append(in.flowRes, r)
 		}
@@ -305,7 +367,7 @@ func (in *instance) fill(rates []float64) {
 			capMax = max(capMax, limit[r])
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
+	for i := (len(h) - 2) / arity; i >= 0; i-- {
 		siftDown(h, i)
 	}
 	ulp := float64(2*capMax) * 0x1p-53
@@ -414,44 +476,67 @@ func (in *instance) bound(p pending, k int32, levels []float64, ulp float64) flo
 	return keyOf(levels[k], x, in.cap[r], a) - margin
 }
 
+// fill's heap is 4-ary: children of i are 4i+1..4i+4. It is half as deep
+// as a binary heap, and a sift-down's four sibling keys share a cache line
+// or two, so a pop costs fewer moves for a few more comparisons. Ties may
+// pop in another order than a binary heap's, which the rates cannot show
+// (DESIGN.md §16, observation 3).
+const arity = 4
+
 func siftUp(h []pending, i int) {
+	x := h[i]
 	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].key <= h[i].key {
-			return
+		p := (i - 1) / arity
+		if h[p].key <= x.key {
+			break
 		}
-		h[p], h[i] = h[i], h[p]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = x
 }
 
 func siftDown(h []pending, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].key < h[c].key {
-			c++
-		}
-		if h[i].key <= h[c].key {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
+	if i >= len(h) {
+		return
 	}
+	x := h[i]
+	for {
+		c := arity*i + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+arity, len(h)); j++ {
+			if h[j].key < h[m].key {
+				m = j
+			}
+		}
+		if x.key <= h[m].key {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }
 
 // Throughput routes each (client, server) host pair with the given scheme
 // and returns the per-flow max-min rates plus their aggregate (bits/s).
 // Flow ids are the pair indices, so path selection is deterministic. Every
-// path is appended to one pooled arena.
+// path is appended to one pooled arena, and both racks of a pair come from
+// the pooled server→rack table.
 func Throughput(g *topology.Graph, scheme routing.Scheme, pairs [][2]int, cfg Config) (rates []float64, aggregate float64, err error) {
 	in := instancePool.Get().(*instance)
 	defer instancePool.Put(in)
+	in.hosts(g)
+	servers := g.Servers()
 	paths, ends := in.paths[:0], resize(in.ends, len(pairs))
 	for i, p := range pairs {
-		srcRack, dstRack := g.RackOf(p[0]), g.RackOf(p[1])
+		if p[0] < 0 || p[0] >= servers || p[1] < 0 || p[1] >= servers {
+			return nil, 0, fmt.Errorf("flowsim: pair %d: hosts %d→%d out of range [0,%d)", i, p[0], p[1], servers)
+		}
+		srcRack, dstRack := int(in.rackOf[p[0]]), int(in.rackOf[p[1]])
 		start := len(paths)
 		paths = scheme.AppendPath(paths, srcRack, dstRack, uint64(i))
 		if len(paths) == start {

@@ -305,6 +305,26 @@ func TestThroughputUnreachable(t *testing.T) {
 	}
 }
 
+// TestThroughputErrors: a pair naming a host outside the fabric is an error
+// that names the pair — never a panic, although the rack table and the
+// FIBs index by host and rack.
+func TestThroughputErrors(t *testing.T) {
+	g, err := topology.LeafSpine(topology.LeafSpineSpec{X: 3, Y: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecmp := routing.NewECMP(g)
+	for _, bad := range [][2]int{{0, g.Servers()}, {-1, 5}} {
+		rates, _, err := Throughput(g, ecmp, [][2]int{{1, g.Servers() - 1}, bad}, DefaultConfig())
+		if err == nil {
+			t.Fatalf("pair %v accepted, rates %v", bad, rates)
+		}
+		if !strings.Contains(err.Error(), "pair 1:") {
+			t.Fatalf("pair %v: error %q does not name pair 1", bad, err)
+		}
+	}
+}
+
 // maxMinReference is the allocator as it stood before the indexed rewrite,
 // kept as the oracle: map-indexed resources, one slice per flow, and every
 // resource and every flow scanned on every filling level. Its subtraction's
@@ -442,8 +462,8 @@ func (r *refResources) host(m map[int]int32, h int) int32 {
 }
 
 // assertMatchesReference fails unless MaxMin and the oracle agree on every
-// rate to the last bit.
-func assertMatchesReference(t *testing.T, g *topology.Graph, flows []PathFlow, cfg Config) {
+// rate to the last bit, and returns MaxMin's rates.
+func assertMatchesReference(t *testing.T, g *topology.Graph, flows []PathFlow, cfg Config) []float64 {
 	t.Helper()
 	got, err := MaxMin(g, flows, cfg)
 	if err != nil {
@@ -462,6 +482,7 @@ func assertMatchesReference(t *testing.T, g *topology.Graph, flows []PathFlow, c
 				i, len(flows), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
+	return got
 }
 
 // randomFlows routes n random host pairs; hot > 0 draws every destination
@@ -655,7 +676,9 @@ func trunkRing(t testing.TB) *topology.Graph {
 }
 
 // FuzzMaxMin holds MaxMin to maxMinReference bit for bit on fuzzer-chosen
-// flow sets. A script's bytes pick, in order: the fabric, the routing
+// flow sets, and, for routed flow sets, Throughput on the same host pairs to
+// MaxMin: the pooled rack and link tables, reused across four fabrics, must
+// not show in a rate. A script's bytes pick, in order: the fabric, the routing
 // (ECMP, Shortest-Union(2), or a random walk that may cross a link twice),
 // the NIC speed as a multiple of the link speed, how many hot destination
 // hosts (0 for none), the flow count (two bytes), and the rest seed the
@@ -695,14 +718,26 @@ func FuzzMaxMin(f *testing.F) {
 		hot := min(int(b[3])%9, g.Servers())
 		n := 1 + int(binary.LittleEndian.Uint16(b[4:6]))%(3*g.Servers())
 		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(b[6:14]))))
-		var flows []PathFlow
-		switch mode := b[1] % 3; mode {
-		case 0, 1:
-			flows = randomFlows(g, schemes[fi][mode], n, hot, rng)
-		default:
-			flows = randomWalks(g, schemes[fi][0], n, hot, rng)
+		mode := b[1] % 3
+		if mode == 2 {
+			assertMatchesReference(t, g, randomWalks(g, schemes[fi][0], n, hot, rng), cfg)
+			return
 		}
-		assertMatchesReference(t, g, flows, cfg)
+		flows := randomFlows(g, schemes[fi][mode], n, hot, rng)
+		want := assertMatchesReference(t, g, flows, cfg)
+		pairs := make([][2]int, len(flows))
+		for i, f := range flows {
+			pairs[i] = [2]int{f.Src, f.Dst}
+		}
+		got, _, err := Throughput(g, schemes[fi][mode], pairs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("flow %d of %d: Throughput gives %v, MaxMin %v", i, len(flows), got[i], want[i])
+			}
+		}
 	})
 }
 
@@ -726,6 +761,13 @@ func randomWalks(g *topology.Graph, ecmp routing.Scheme, n, hot int, rng *rand.R
 	return flows
 }
 
+// load indexes flows on g in in's arenas at DefaultConfig, as MaxMin does
+// before it fills.
+func (in *instance) load(g *topology.Graph, flows []PathFlow) error {
+	in.hosts(g)
+	return in.index(g, flows, DefaultConfig())
+}
+
 // TestResourceNumberingIsDeterministic: the directed link u→v is the
 // topology port of its first copy — Σ_{w<u} deg(w) plus the position of v's
 // first entry in u's adjacency row — and host resources follow every port in
@@ -739,17 +781,17 @@ func TestResourceNumberingIsDeterministic(t *testing.T) {
 	g := trunked(t, dring)
 	flows := randomFlows(g, routing.NewECMP(g), 300, 0, rand.New(rand.NewSource(7)))
 	a := new(instance)
-	if err := a.index(g, flows, DefaultConfig()); err != nil {
+	if err := a.load(g, flows); err != nil {
 		t.Fatal(err)
 	}
 	b := new(instance)
 	for run := 0; run < 10; run++ {
 		// b's arenas are reused, as a pooled instance's are, and were last
 		// filled by a different flow list.
-		if err := b.index(g, flows[run:], DefaultConfig()); err != nil {
+		if err := b.load(g, flows[run:]); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.index(g, flows, DefaultConfig()); err != nil {
+		if err := b.load(g, flows); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(a.flowRes, b.flowRes) || !slices.Equal(a.flowOff, b.flowOff) || !slices.Equal(a.cap, b.cap) {
@@ -784,6 +826,69 @@ func TestResourceNumberingIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestPooledInstanceReuse: one instance indexes four flow lists in turn,
+// alternating two fabrics of different sizes as fig5-flow's cells do, with
+// an error midway. Every valid call numbers the resources as a fresh
+// instance does, and no call, the failing one included, leaves a filled
+// link-table slot behind.
+func TestPooledInstanceReuse(t *testing.T) {
+	dring, err := topology.DRing(topology.Uniform(6, 2, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := topology.LeafSpine(topology.LeafSpineSpec{X: 4, Y: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dring.N() == ls.N() || dring.Links() == ls.Links() {
+		t.Fatal("the two fabrics share a size; the test needs them to differ")
+	}
+	dringFlows := randomFlows(dring, routing.NewECMP(dring), 300, 0, rand.New(rand.NewSource(5)))
+	lsFlows := randomFlows(ls, routing.NewECMP(ls), 150, 0, rand.New(rand.NewSource(6)))
+	// Two leaves have no link between them: the list fails after every
+	// valid flow is indexed.
+	racks := ls.Racks()
+	a, b := racks[0], racks[1]
+	if ls.HasLink(a, b) {
+		t.Fatalf("leaves %d and %d are linked", a, b)
+	}
+	srcLo, _ := ls.ServersOf(a)
+	dstLo, _ := ls.ServersOf(b)
+	bad := append(slices.Clone(lsFlows), PathFlow{Src: srcLo, Dst: dstLo, Path: []int{a, b}})
+
+	in := new(instance)
+	for step, c := range []struct {
+		g     *topology.Graph
+		flows []PathFlow
+	}{{dring, dringFlows}, {ls, bad}, {ls, lsFlows}, {dring, dringFlows}} {
+		err := in.load(c.g, c.flows)
+		for s, slot := range in.links {
+			if slot != (linkSlot{}) {
+				t.Fatalf("call %d left link-table slot %d filled: %+v", step+1, s, slot)
+			}
+		}
+		if len(in.linkUsed) != 0 {
+			t.Fatalf("call %d left %d slots listed", step+1, len(in.linkUsed))
+		}
+		if step == 1 {
+			if err == nil || !strings.Contains(err.Error(), "nonexistent link") {
+				t.Fatalf("call %d: error %v, want a nonexistent link", step+1, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := new(instance)
+		if err := fresh.load(c.g, c.flows); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(in.flowRes, fresh.flowRes) || !slices.Equal(in.flowOff, fresh.flowOff) || !slices.Equal(in.cap, fresh.cap) {
+			t.Fatalf("call %d numbered the resources unlike a fresh instance", step+1)
+		}
+	}
+}
+
 // TestMaxMinAllocsIndependentOfFlows pins MaxMin's allocation discipline
 // at its exact count: once the pool is warm, the returned rates and nothing
 // else — nothing per flow, per filling level or per fill call. One extra
@@ -810,5 +915,32 @@ func TestMaxMinAllocsIndependentOfFlows(t *testing.T) {
 	few, many := allocs(200), allocs(2000)
 	if few != want || many != want {
 		t.Fatalf("MaxMin allocates %.0f objects for 200 flows and %.0f for 2000, want exactly %d for both", few, many, want)
+	}
+}
+
+// TestThroughputAllocs pins Throughput at its exact count once the pool is
+// warm: the returned rates and nothing else. The paths, the rack and link
+// tables and the index all live in the pooled instance.
+func TestThroughputAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
+	g, err := topology.DRing(topology.Uniform(8, 2, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecmp := routing.NewECMP(g)
+	flows := randomFlows(g, ecmp, 500, 0, rand.New(rand.NewSource(500)))
+	pairs := make([][2]int, len(flows))
+	for i, f := range flows {
+		pairs[i] = [2]int{f.Src, f.Dst}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := Throughput(g, ecmp, pairs, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Throughput allocates %.0f objects for %d pairs, want exactly 1", allocs, len(pairs))
 	}
 }
