@@ -116,10 +116,10 @@ func BenchmarkFig4_FBUniform(b *testing.B)   { benchFig4(b, spineless.TMFBUnifor
 func BenchmarkFig4_FBSkewedRP(b *testing.B)  { benchFig4(b, spineless.TMFBSkewedRP) }
 func BenchmarkFig4_FBUniformRP(b *testing.B) { benchFig4(b, spineless.TMFBUniformRP) }
 
-// TestFig4A2AAllocs pins BenchmarkFig4_A2A: 4,351 allocs and 2.52 MB when
+// TestFig4A2AAllocs pins BenchmarkFig4_A2A: 4,311 allocs and 1.82 MB when
 // set.
 func TestFig4A2AAllocs(t *testing.T) {
-	allocPin(t, 3, 4_790, 2_780_000, fig4Run(t, spineless.TMA2A))
+	allocPin(t, 3, 4_740, 2_010_000, fig4Run(t, spineless.TMA2A))
 }
 
 // fig5Run returns one heatmap panel's fill. workers < 0 keeps the config
@@ -424,10 +424,10 @@ func BenchmarkNetsimEvents(b *testing.B) { benchLoop(b, netsimRun(b, false)) }
 func BenchmarkNetsimEventsTelemetry(b *testing.B) { benchLoop(b, netsimRun(b, true)) }
 
 // TestNetsimEventsTelemetryAllocs pins BenchmarkNetsimEventsTelemetry
-// absolutely: 1,398 allocs and 4.51 MB when set. TestTelemetryAddsNoAllocs
+// absolutely: 1,393 allocs and 4.47 MB when set. TestTelemetryAddsNoAllocs
 // pins the per-event delta against the bare run.
 func TestNetsimEventsTelemetryAllocs(t *testing.T) {
-	allocPin(t, 3, 1_540, 4_970_000, netsimRun(t, true))
+	allocPin(t, 3, 1_530, 4_920_000, netsimRun(t, true))
 }
 
 // BenchmarkFibConstruction measures Shortest-Union(2) FIB build cost at

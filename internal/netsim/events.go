@@ -12,28 +12,46 @@ package netsim
 // The rest go to a small binary heap. pop takes the least (t, seq) among
 // the heap top and the lane heads — the total order one heap over every
 // event gives — at O(1) for a lane event instead of O(log n).
+//
+// An event is 24 bytes with no pointer in it: seq and kind share one word
+// (key = seq<<3 | kind, so comparing keys compares seqs), and a packet is
+// named by its id in the simulator's chunked pool, not by its address.
+// The queue's rings and heap are therefore never scanned by the garbage
+// collector, and writing an event into them needs no write barrier. RTO
+// events carry a 32-bit timer epoch in the same word a packet id uses.
 
-// Event kinds.
+// Event kinds. A kind fits in the low three bits of event.key.
 const (
 	evStart   uint8 = iota // a flow begins (idx = flow)
-	evTxDone               // a link finished serializing pkt (idx = link)
-	evDeliver              // pkt arrives after propagation
-	evRTO                  // a flow's retransmission timer fires (idx = flow)
+	evTxDone               // a link finished serializing a packet (idx = link, arg = packet id)
+	evDeliver              // a packet arrives after propagation (arg = packet id)
+	evRTO                  // a flow's retransmission timer fires (idx = flow, arg = epoch)
 	evFault                // the next batch of scheduled fault events applies
 	evReroute              // a time-varying routing phase boundary is reached
 	numKinds
 )
 
-// event is one scheduled occurrence. seq breaks time ties so the event
-// order (and hence the whole simulation) is deterministic.
+// kindBits is the width of the kind field at the bottom of event.key.
+const kindBits = 3
+
+// event is one scheduled occurrence. key packs the push counter above the
+// kind, seq<<kindBits | kind: seq is unique, so ordering by (t, key) is
+// ordering by (t, seq), and seq breaks time ties so the event order (and
+// hence the whole simulation) is deterministic.
+//
+// arg is a packet id for transmissions and deliveries and the flow's timer
+// epoch for RTO events. Epochs are 32 bits wide and only compared for
+// equality: a stale timer could fire as live only if its flow re-armed its
+// timer 2^32 times while that one timer was pending.
 type event struct {
-	t     int64
-	seq   uint64
-	kind  uint8
-	idx   int32
-	epoch uint64
-	pkt   *packet
+	t   int64
+	key uint64
+	idx int32
+	arg uint32
 }
+
+// kind returns the event kind packed into key's low bits.
+func (e event) kind() uint8 { return uint8(e.key & (1<<kindBits - 1)) }
 
 // lane is a ring-buffer FIFO of events of one kind, sorted by (t, seq).
 type lane struct {
@@ -55,9 +73,10 @@ type eventQueue struct {
 // allocation no larger than the 4·nflows+64 events one heap was given: a
 // start lane holding every flow, two RTO timers per flow, and a quarter
 // slot per flow for each of transmissions, deliveries and the residual
-// heap. A lane that outgrows its share is reallocated on its own: under
-// load an RTO lane holds two timers for every ACK of the last MinRTO, far
-// more than any share the flow count can predict.
+// heap. At 24 bytes an event, that is at most 96·nflows+1536 bytes of
+// pointer-free memory. A lane that outgrows its share is reallocated on
+// its own: under load an RTO lane holds two timers for every ACK of the
+// last MinRTO, far more than any share the flow count can predict.
 func (q *eventQueue) reset(nflows int) {
 	share := [numKinds]int{
 		evStart:   nflows,
@@ -84,7 +103,7 @@ func (q *eventQueue) reset(nflows int) {
 
 func (q *eventQueue) push(ev event) {
 	q.size++
-	l := &q.lanes[ev.kind]
+	l := &q.lanes[ev.kind()]
 	if l.n > 0 && ev.t < l.last {
 		heapPush(&q.heap, ev)
 		return
@@ -107,9 +126,9 @@ func (q *eventQueue) pop() event {
 	q.size--
 	best, found := -1, len(q.heap) > 0 // best -1 is the heap
 	var bt int64
-	var bs uint64
+	var bk uint64
 	if found {
-		bt, bs = q.heap[0].t, q.heap[0].seq
+		bt, bk = q.heap[0].t, q.heap[0].key
 	}
 	for k := range q.lanes {
 		l := &q.lanes[k]
@@ -117,8 +136,8 @@ func (q *eventQueue) pop() event {
 			continue
 		}
 		e := &l.buf[l.head]
-		if !found || e.t < bt || (e.t == bt && e.seq < bs) {
-			best, found, bt, bs = k, true, e.t, e.seq
+		if !found || e.t < bt || (e.t == bt && e.key < bk) {
+			best, found, bt, bk = k, true, e.t, e.key
 		}
 	}
 	if best < 0 {
@@ -126,7 +145,6 @@ func (q *eventQueue) pop() event {
 	}
 	l := &q.lanes[best]
 	ev := l.buf[l.head]
-	l.buf[l.head].pkt = nil // release pkt pointer
 	l.head++
 	if l.head == len(l.buf) {
 		l.head = 0
@@ -145,7 +163,7 @@ func (l *lane) grow() {
 	l.head = 0
 }
 
-// heapPush and heapPop keep h a binary min-heap ordered by (t, seq). A
+// heapPush and heapPop keep h a binary min-heap ordered by (t, key). A
 // hand-rolled heap avoids container/heap's interface boxing.
 func heapPush(h *[]event, ev event) {
 	*h = append(*h, ev)
@@ -164,7 +182,6 @@ func heapPop(h *[]event) event {
 	top := (*h)[0]
 	last := len(*h) - 1
 	(*h)[0] = (*h)[last]
-	(*h)[last] = event{} // release pkt pointer
 	*h = (*h)[:last]
 	i := 0
 	for {
@@ -185,16 +202,16 @@ func heapPop(h *[]event) event {
 	return top
 }
 
-func (s *Simulator) push(ev event) {
-	ev.seq = s.nextSeq()
-	s.events.push(ev)
+// push schedules an event of kind at time t, stamping it with the next seq.
+func (s *Simulator) push(t int64, kind uint8, idx int32, arg uint32) {
+	s.events.push(event{t: t, key: s.nextSeq()<<kindBits | uint64(kind), idx: idx, arg: arg})
 }
 
 func less(a, b event) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 func (s *Simulator) nextSeq() uint64 {

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // eventHeapReference is the event queue the per-kind lanes replaced — one
@@ -50,7 +52,8 @@ func (h *eventHeapReference) pop() event {
 
 // checkLanesMatchHeap replays one operation script against the lanes and
 // the reference heap and fails on the first pop where the two disagree in
-// any field. The first byte sizes the lanes (as a run of 0–3 flows, so
+// any field, or where the popped event's kind is not the kind it was
+// pushed with (the kind shares event.key with seq). The first byte sizes the lanes (as a run of 0–3 flows, so
 // they outgrow their shares and wrap); each following byte is one op:
 //
 //	op%8 == 0, 1: pop one event
@@ -69,7 +72,7 @@ func checkLanesMatchHeap(t *testing.T, script []byte) {
 	var q eventQueue
 	q.reset(int(script[0] % 4))
 	var ref eventHeapReference
-	var pkts [4]packet
+	pushedKind := []uint8{0} // by seq; seq 0 is never pushed
 	var seq uint64
 	var now int64
 	pops := 0
@@ -78,6 +81,9 @@ func checkLanesMatchHeap(t *testing.T, script []byte) {
 		pops++
 		if got != want {
 			t.Fatalf("pop %d: lanes gave %+v, reference heap %+v", pops, got, want)
+		}
+		if k, s := got.kind(), got.key>>kindBits; s == 0 || s > seq || k != pushedKind[s] {
+			t.Fatalf("pop %d: event %+v unpacks to seq %d, kind %d; pushed %d seqs", pops, got, s, k, seq)
 		}
 		if q.size != len(ref) {
 			t.Fatalf("pop %d: lanes hold %d events, reference heap %d", pops, q.size, len(ref))
@@ -109,8 +115,9 @@ func checkLanesMatchHeap(t *testing.T, script []byte) {
 				tm = int64(arg)
 			}
 			seq++
-			ev := event{t: tm, seq: seq, kind: (op >> 3 & 0xf) % numKinds,
-				idx: int32(i), epoch: uint64(arg), pkt: &pkts[arg%4]}
+			kind := (op >> 3 & 0xf) % numKinds
+			pushedKind = append(pushedKind, kind)
+			ev := event{t: tm, key: seq<<kindBits | uint64(kind), idx: int32(i), arg: uint32(arg)}
 			q.push(ev)
 			ref.push(ev)
 		}
@@ -150,4 +157,44 @@ func TestEventLanesMatchHeap(t *testing.T) {
 // go test replays.
 func FuzzEventLanes(f *testing.F) {
 	f.Fuzz(checkLanesMatchHeap)
+}
+
+// TestHotTypesHoldNoPointers keeps the event queue's rings, the packet
+// chunks and the link table pointer-free, so the garbage collector never
+// scans them and storing an event needs no write barrier. A field that
+// holds a pointer, directly or through a slice, map, string, interface,
+// chan or func, would quietly give that back; so would an event wider than
+// its 24 bytes.
+func TestHotTypesHoldNoPointers(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(event{}), reflect.TypeOf(packet{}),
+		reflect.TypeOf(link{}), reflect.TypeOf(pathRef{}),
+	} {
+		for _, f := range pointerFields(typ, typ.Name()) {
+			t.Errorf("%s holds a pointer", f)
+		}
+	}
+	if size := unsafe.Sizeof(event{}); size != 24 {
+		t.Errorf("event is %d bytes, want 24", size)
+	}
+}
+
+// pointerFields names every field of typ, reached from name, whose memory
+// the garbage collector would have to scan.
+func pointerFields(typ reflect.Type, name string) []string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return []string{name + " (" + typ.Kind().String() + ")"}
+	case reflect.Array:
+		return pointerFields(typ.Elem(), name+"[]")
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			out = append(out, pointerFields(f.Type, name+"."+f.Name)...)
+		}
+		return out
+	}
+	return nil
 }

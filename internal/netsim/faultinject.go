@@ -43,7 +43,7 @@ func (s *Simulator) applyDueFaults() {
 		s.faultIdx++
 	}
 	if s.faultIdx < len(s.faultEvents) {
-		s.push(event{t: s.faultEvents[s.faultIdx].TimeNS, kind: evFault})
+		s.push(s.faultEvents[s.faultIdx].TimeNS, evFault, 0, 0)
 	}
 }
 
@@ -60,7 +60,7 @@ func (s *Simulator) applyFault(e faults.Event) {
 			case faults.LinkDown:
 				l.down = true
 				for l.queued() > 0 {
-					s.blackhole(id, l.pop())
+					s.blackhole(id, s.dequeue(l))
 				}
 			case faults.LinkUp:
 				l.down = false
@@ -78,9 +78,10 @@ func (s *Simulator) applyFault(e faults.Event) {
 	}
 }
 
-// blackhole discards a packet lost into down link id, tracking the
+// blackhole discards packet pid, lost into down link id, tracking the
 // observed blackhole window.
-func (s *Simulator) blackhole(id int32, p *packet) {
+func (s *Simulator) blackhole(id, pid int32) {
+	p := s.pkt(pid)
 	s.stats.Blackholed++
 	if s.blackholeFirst < 0 {
 		s.blackholeFirst = s.now
@@ -89,7 +90,7 @@ func (s *Simulator) blackhole(id int32, p *packet) {
 	if s.tracer != nil {
 		s.tracer.OnDrop(s.now, id, p.flow, p.isAck, DropBlackhole)
 	}
-	s.free(p)
+	s.free(pid)
 }
 
 // reroute advances the time-varying scheme to the current phase and
@@ -115,9 +116,9 @@ func (s *Simulator) reroute() {
 		if fwd == nil || rev == nil {
 			continue
 		}
-		stranded := f.dataLinks == nil
-		f.dataLinks = s.expandPath(spec.Src, spec.Dst, fwd, h)
-		f.ackLinks = s.expandPath(spec.Dst, spec.Src, rev, spec.ID^0x5ca1ab1e)
+		stranded := f.data.n == 0
+		f.data = s.expandPath(spec.Src, spec.Dst, fwd, h)
+		f.ack = s.expandPath(spec.Dst, spec.Src, rev, spec.ID^0x5ca1ab1e)
 		s.stats.Reroutes++
 		if stranded {
 			idx := int32(i)

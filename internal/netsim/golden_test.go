@@ -182,12 +182,14 @@ func TestRunGoldenDigests(t *testing.T) {
 }
 
 // TestRunAllocsPin pins New + Run on BenchmarkNetsimEvents' shape (a
-// DRing(6, 2, 24) under ECMP, 200 Pareto flows over 4 ms) to the objects
-// and bytes the single-heap queue allocated: 416 objects and 203,000 bytes
-// a run. The event queue is one backing allocation sized from the flow
-// count, so a lane that grows on this workload shows here.
+// DRing(6, 2, 24) under ECMP, 200 Pareto flows over 4 ms). The object
+// bound is what the single-heap queue allocated, 416 a run; pointer-free
+// events and packets brought the run to 411 objects and 152,536 bytes,
+// and the byte bound sits about 10% above that. The event queue is one
+// backing allocation sized from the flow count, so a lane that grows on
+// this workload shows here.
 func TestRunAllocsPin(t *testing.T) {
-	const maxAllocs, maxBytes = 416, 203_000
+	const maxAllocs, maxBytes = 416, 168_000
 	g, err := topology.DRing(topology.Uniform(6, 2, 24))
 	if err != nil {
 		t.Fatal(err)

@@ -152,7 +152,8 @@ func TestPortNumberingMatchesPairTable(t *testing.T) {
 					src, dst := r.Intn(g.Servers()), r.Intn(g.Servers())
 					id := r.Uint64()
 					path := scheme.Path(g.RackOf(src), g.RackOf(dst), id)
-					got := sim.expandPath(src, dst, path, id)
+					ref := sim.expandPath(src, dst, path, id)
+					got := sim.paths[ref.off : ref.off+ref.n]
 					if want := expandReference(sim, pair, src, dst, path, id); !slices.Equal(got, want) {
 						t.Fatalf("%s flow %d→%d id %#x path %v: links %v, pair table gives %v",
 							scheme.Name(), src, dst, id, path, got, want)

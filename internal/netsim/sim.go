@@ -47,15 +47,15 @@ type Simulator struct {
 	seqCounter uint64
 	now        int64
 
-	// Free packets are handed out from pool; refills come from poolChunk,
-	// a block allocation that amortizes one heap object over many packets.
-	pool      []*packet
-	poolChunk []packet
-	poolNext  int
+	// pkts holds every packet ever carved, in fixed chunks of pktChunkSize
+	// (see Simulator.pkt); pktCount of them are carved. Freed packets form
+	// a stack threaded through packet.qnext, headed by freePkt.
+	pkts     [][]packet
+	pktCount int32
+	freePkt  int32
 
-	// arena backs expandPath's per-flow link-id slices.
-	arena     []int32
-	arenaNext int
+	// paths is the arena that every expanded path (pathRef) indexes.
+	paths []int32
 
 	// tracer, when non-nil, observes the data plane (see Tracer). Every
 	// hook sits behind a nil check so the disabled path costs nothing.
@@ -124,9 +124,9 @@ type Results struct {
 }
 
 type flowState struct {
-	spec      workload.Flow
-	dataLinks []int32
-	ackLinks  []int32
+	spec workload.Flow
+	// data and ack are the flow's current paths; n == 0 until routed.
+	data, ack pathRef
 
 	// Sender.
 	sndUna, sndNxt int64
@@ -136,7 +136,7 @@ type flowState struct {
 	recover        int64
 	srtt, rttvar   float64 // ns
 	rto            int64   // ns
-	rtoEpoch       uint64
+	rtoEpoch       uint32  // see event: equality-only, so 32 bits suffice
 
 	// DCTCP state (ECN configs only).
 	alpha       float64
@@ -166,7 +166,7 @@ func New(g *topology.Graph, scheme routing.Scheme, cfg Config) (*Simulator, erro
 		return nil, err
 	}
 	s := &Simulator{g: g, scheme: scheme, cfg: cfg,
-		blackholeFirst: -1, blackholeLast: -1}
+		blackholeFirst: -1, blackholeLast: -1, freePkt: noPacket}
 	s.activeScheme = scheme
 	if tv, ok := scheme.(routing.TimeScheme); ok {
 		s.tv = tv
@@ -179,6 +179,8 @@ func New(g *topology.Graph, scheme routing.Scheme, cfg Config) (*Simulator, erro
 			nominalBytesPerNS: rateBps / 8 / 1e9,
 			delayNS:           delayNS,
 			capBytes:          cfg.QueueBytes,
+			qHead:             noPacket,
+			qTail:             noPacket,
 		})
 		return id
 	}
@@ -220,17 +222,18 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 	}
 	s.flows = make([]flowState, len(flows))
 	s.events.reset(len(flows))
+	s.paths = make([]int32, 0, pathArenaPerFlow*len(flows))
 	for i, f := range flows {
 		s.flows[i].spec = f
 		s.flows[i].fct = -1
-		s.push(event{t: f.StartNS, kind: evStart, idx: int32(i)})
+		s.push(f.StartNS, evStart, int32(i), 0)
 	}
 	if len(s.faultEvents) > 0 {
-		s.push(event{t: s.faultEvents[0].TimeNS, kind: evFault})
+		s.push(s.faultEvents[0].TimeNS, evFault, 0, 0)
 	}
 	if s.tv != nil {
 		for _, b := range s.tv.Boundaries() {
-			s.push(event{t: b, kind: evReroute})
+			s.push(b, evReroute, 0, 0)
 		}
 	}
 	maxT := int64(s.cfg.MaxSimTime)
@@ -240,19 +243,19 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 			break
 		}
 		if s.tracer != nil && ev.t < s.now {
-			s.violate("event time moved backwards: %d after %d (kind %d)", ev.t, s.now, ev.kind)
+			s.violate("event time moved backwards: %d after %d (kind %d)", ev.t, s.now, ev.kind())
 		}
 		s.now = ev.t
 		s.stats.Events++
-		switch ev.kind {
+		switch ev.kind() {
 		case evStart:
 			s.startFlow(ev.idx)
 		case evTxDone:
-			s.txDone(ev.idx, ev.pkt)
+			s.txDone(ev.idx, int32(ev.arg))
 		case evDeliver:
-			s.deliver(ev.pkt)
+			s.deliver(int32(ev.arg))
 		case evRTO:
-			s.timeout(ev.idx, ev.epoch)
+			s.timeout(ev.idx, ev.arg)
 		case evFault:
 			s.applyDueFaults()
 		case evReroute:
@@ -290,8 +293,8 @@ func (s *Simulator) startFlow(idx int32) {
 		// Unreachable racks: leave the flow incomplete forever.
 		return
 	}
-	f.dataLinks = s.expandPath(spec.Src, spec.Dst, fwd, spec.ID)
-	f.ackLinks = s.expandPath(spec.Dst, spec.Src, rev, spec.ID^0x5ca1ab1e)
+	f.data = s.expandPath(spec.Src, spec.Dst, fwd, spec.ID)
+	f.ack = s.expandPath(spec.Dst, spec.Src, rev, spec.ID^0x5ca1ab1e)
 	s.initSender(f, idx)
 	s.trySend(f, idx)
 }
@@ -311,42 +314,28 @@ func (s *Simulator) initSender(f *flowState, idx int32) {
 	}
 }
 
-// allocLinkIDs hands out a zero-length slice with capacity n carved from a
-// chunked arena, so per-flow path expansion does not hit the heap. The
-// capacity is exact: an append past n would fall back to a fresh heap slice
-// rather than trample the arena neighbor.
-func (s *Simulator) allocLinkIDs(n int) []int32 {
-	if s.arenaNext+n > len(s.arena) {
-		sz := linkIDArenaChunk
-		if n > sz {
-			sz = n
-		}
-		s.arena = make([]int32, sz) // arena refill: one allocation per 4096 link ids, amortized away
-		s.arenaNext = 0
-	}
-	out := s.arena[s.arenaNext : s.arenaNext : s.arenaNext+n]
-	s.arenaNext += n
-	return out
-}
-
-// linkIDArenaChunk is the arena block size (int32s) for expanded paths.
-const linkIDArenaChunk = 4096
+// pathArenaPerFlow sizes the path arena at Run: room for each flow's data
+// and ACK paths at six links each (five switches). The paper-scale Figure 4
+// cells use about eight ids a flow. Flowlet switches, reroutes and longer
+// paths grow the arena by append; offsets stay valid when it moves.
+const pathArenaPerFlow = 12
 
 // expandPath converts a switch path into the directed link sequence
-// host-uplink, network links (hashing across parallel copies), host-downlink.
-func (s *Simulator) expandPath(srcHost, dstHost int, swPath []int, flowID uint64) []int32 {
-	out := s.allocLinkIDs(len(swPath) + 1)
-	out = append(out, s.hostUp[srcHost])
+// host-uplink, network links (hashing across parallel copies),
+// host-downlink, appended to the path arena.
+func (s *Simulator) expandPath(srcHost, dstHost int, swPath []int, flowID uint64) pathRef {
+	ref := pathRef{off: int32(len(s.paths)), n: int32(len(swPath) + 1)}
+	s.paths = append(s.paths, s.hostUp[srcHost])
 	for h := 0; h+1 < len(swPath); h++ {
 		u, v := swPath[h], swPath[h+1]
 		// The modulo must stay in uint64: converting the shifted hash to
 		// int first yields a negative index whenever the top bit is set
 		// (reachable via the flowlet rehash on any trunked pair).
 		c := (flowID >> uint(h%32)) % uint64(s.g.LinkMultiplicity(u, v))
-		out = append(out, s.portOff[u]+int32(s.g.Port(u, v, int(c))))
+		s.paths = append(s.paths, s.portOff[u]+int32(s.g.Port(u, v, int(c))))
 	}
-	out = append(out, s.hostDown[dstHost])
-	return out
+	s.paths = append(s.paths, s.hostDown[dstHost])
+	return ref
 }
 
 // trySend transmits new segments while the congestion window allows.
@@ -372,13 +361,13 @@ func (s *Simulator) sendSegment(f *flowState, idx int32, seq int64) {
 			srcRack, dstRack := s.g.RackOf(spec.Src), s.g.RackOf(spec.Dst)
 			h := spec.ID ^ (f.flowletID * 0x9e3779b97f4a7c15)
 			if fwd := s.activeScheme.Path(srcRack, dstRack, h); fwd != nil {
-				f.dataLinks = s.expandPath(spec.Src, spec.Dst, fwd, h)
+				f.data = s.expandPath(spec.Src, spec.Dst, fwd, h)
 			}
 		}
 		f.lastSendNS = s.now
 	}
 	payload := min(int64(s.cfg.MSS), f.spec.SizeBytes-seq)
-	p := s.alloc()
+	id, p := s.alloc()
 	p.flow = idx
 	p.hop = 0
 	p.isAck = false
@@ -387,13 +376,13 @@ func (s *Simulator) sendSegment(f *flowState, idx int32, seq int64) {
 	p.payload = int32(payload)
 	p.wireSize = int32(payload) + int32(s.cfg.HeaderBytes)
 	p.echo = s.now
-	p.links = f.dataLinks
+	p.path = f.data
 	s.stats.DataPackets++
-	s.enterLink(p)
+	s.enterLink(id)
 }
 
 func (s *Simulator) sendAck(f *flowState, idx int32, echo int64, ce bool) {
-	p := s.alloc()
+	id, p := s.alloc()
 	p.flow = idx
 	p.hop = 0
 	p.isAck = true
@@ -402,16 +391,18 @@ func (s *Simulator) sendAck(f *flowState, idx int32, echo int64, ce bool) {
 	p.payload = 0
 	p.wireSize = int32(s.cfg.AckBytes)
 	p.echo = echo
-	p.links = f.ackLinks
+	p.path = f.ack
 	s.stats.AckPackets++
-	s.enterLink(p)
+	s.enterLink(id)
 }
 
-func (s *Simulator) enterLink(p *packet) {
-	id := p.links[p.hop]
+// enterLink offers packet pid to the next link on its path.
+func (s *Simulator) enterLink(pid int32) {
+	p := s.pkt(pid)
+	id := s.paths[p.path.off+p.hop]
 	l := &s.links[id]
 	if l.down {
-		s.blackhole(id, p)
+		s.blackhole(id, pid)
 		return
 	}
 	if l.lossProb > 0 && s.faultRNG.Float64() < l.lossProb {
@@ -419,7 +410,7 @@ func (s *Simulator) enterLink(p *packet) {
 		if s.tracer != nil {
 			s.tracer.OnDrop(s.now, id, p.flow, p.isAck, DropGray)
 		}
-		s.free(p)
+		s.free(pid)
 		return
 	}
 	if s.cfg.ECN && !p.isAck && !p.ce && l.queueBytes >= s.cfg.ECNThresholdBytes {
@@ -433,17 +424,17 @@ func (s *Simulator) enterLink(p *packet) {
 			s.tracer.OnEnqueue(s.now, id, p.flow, int(p.hop), p.isAck, p.wireSize, l.queueBytes, l.qCount)
 			s.tracer.OnTxStart(s.now, id, p.flow, p.isAck, p.wireSize)
 		}
-		s.push(event{t: s.now + l.txTimeNS(p.wireSize), kind: evTxDone, idx: id, pkt: p})
+		s.push(s.now+l.txTimeNS(p.wireSize), evTxDone, id, uint32(pid))
 		return
 	}
-	if !l.push(p) {
+	if !s.enqueue(l, pid) {
 		// Drop-tail overflow: counted here, at the drop site, so the
 		// aggregate can never disagree with the per-link counters.
 		s.stats.Drops++
 		if s.tracer != nil {
 			s.tracer.OnDrop(s.now, id, p.flow, p.isAck, DropQueue)
 		}
-		s.free(p)
+		s.free(pid)
 		return
 	}
 	if s.tracer != nil {
@@ -451,35 +442,37 @@ func (s *Simulator) enterLink(p *packet) {
 	}
 }
 
-func (s *Simulator) txDone(linkID int32, p *packet) {
+func (s *Simulator) txDone(linkID, pid int32) {
 	l := &s.links[linkID]
 	if l.down {
 		// The link was cut mid-serialization: the frame and anything still
 		// queued are lost.
-		s.blackhole(linkID, p)
+		s.blackhole(linkID, pid)
 		for l.queued() > 0 {
-			s.blackhole(linkID, l.pop())
+			s.blackhole(linkID, s.dequeue(l))
 		}
 		l.busy = false
 		return
 	}
-	l.txBytes += uint64(p.wireSize)
-	s.push(event{t: s.now + l.delayNS, kind: evDeliver, pkt: p})
+	l.txBytes += uint64(s.pkt(pid).wireSize)
+	s.push(s.now+l.delayNS, evDeliver, 0, uint32(pid))
 	if l.queued() > 0 {
-		next := l.pop()
+		nid := s.dequeue(l)
+		next := s.pkt(nid)
 		if s.tracer != nil {
 			s.tracer.OnTxStart(s.now, linkID, next.flow, next.isAck, next.wireSize)
 		}
-		s.push(event{t: s.now + l.txTimeNS(next.wireSize), kind: evTxDone, idx: linkID, pkt: next})
+		s.push(s.now+l.txTimeNS(next.wireSize), evTxDone, linkID, uint32(nid))
 	} else {
 		l.busy = false
 	}
 }
 
-func (s *Simulator) deliver(p *packet) {
+func (s *Simulator) deliver(pid int32) {
+	p := s.pkt(pid)
 	p.hop++
-	if int(p.hop) < len(p.links) {
-		s.enterLink(p)
+	if p.hop < p.path.n {
+		s.enterLink(pid)
 		return
 	}
 	idx := p.flow
@@ -489,13 +482,13 @@ func (s *Simulator) deliver(p *packet) {
 	}
 	if p.isAck {
 		ack, echo, ce := p.seq, p.echo, p.ce
-		s.free(p)
+		s.free(pid)
 		s.handleAck(f, idx, ack, echo, ce)
 		return
 	}
 	// Receiver side.
 	seq, payload, echo, ce := p.seq, int64(p.payload), p.echo, p.ce
-	s.free(p)
+	s.free(pid)
 	if f.done {
 		return
 	}
@@ -588,7 +581,7 @@ func (s *Simulator) handleAck(f *flowState, idx int32, ack, echo int64, ce bool)
 	}
 }
 
-func (s *Simulator) timeout(idx int32, epoch uint64) {
+func (s *Simulator) timeout(idx int32, epoch uint32) {
 	f := &s.flows[idx]
 	if f.done || epoch != f.rtoEpoch || f.sndNxt == f.sndUna {
 		return
@@ -659,33 +652,35 @@ func (s *Simulator) updateRTT(f *flowState, sample int64) {
 // any previously scheduled firing.
 func (s *Simulator) armRTO(f *flowState, idx int32) {
 	f.rtoEpoch++
-	s.push(event{t: s.now + f.rto, kind: evRTO, idx: idx, epoch: f.rtoEpoch})
+	s.push(s.now+f.rto, evRTO, idx, f.rtoEpoch)
 }
 
-func (s *Simulator) alloc() *packet {
+// alloc hands out a packet and its id: the most recently freed one, or
+// else the next slot of the newest chunk.
+func (s *Simulator) alloc() (int32, *packet) {
 	s.allocCount++
-	if n := len(s.pool); n > 0 {
-		p := s.pool[n-1]
-		s.pool = s.pool[:n-1]
+	if id := s.freePkt; id != noPacket {
+		p := s.pkt(id)
+		s.freePkt = p.qnext
+		p.qnext = noPacket
 		p.pooled = false
-		return p
+		return id, p
 	}
-	// Pool dry: carve the next packet out of the current block. Earlier
-	// blocks stay alive through the pointers already circulating, so growth
-	// costs one allocation per poolChunkSize packets instead of one each.
-	if s.poolNext == len(s.poolChunk) {
-		s.poolChunk = make([]packet, poolChunkSize) // pool refill: one allocation per 256 packets, amortized away
-		s.poolNext = 0
+	// Free list empty: carve the next packet, adding a chunk when the
+	// newest is full, so growth costs one allocation per pktChunkSize
+	// packets instead of one each.
+	id := s.pktCount
+	if int(id>>pktChunkShift) == len(s.pkts) {
+		s.pkts = append(s.pkts, make([]packet, pktChunkSize)) // pool refill: one allocation per 256 packets, amortized away
 	}
-	p := &s.poolChunk[s.poolNext]
-	s.poolNext++
-	return p
+	s.pktCount++
+	p := s.pkt(id)
+	p.qnext = noPacket
+	return id, p
 }
 
-// poolChunkSize is the packet-pool block size; 256 packets ≈ 16 KiB.
-const poolChunkSize = 256
-
-func (s *Simulator) free(p *packet) {
+func (s *Simulator) free(id int32) {
+	p := s.pkt(id)
 	if p.pooled {
 		// Double free: the packet is already in the pool. Handing it out
 		// twice would silently corrupt two flows' state; record the breach
@@ -697,8 +692,8 @@ func (s *Simulator) free(p *packet) {
 	}
 	p.pooled = true
 	s.freeCount++
-	p.links = nil
-	s.pool = append(s.pool, p)
+	p.qnext = s.freePkt
+	s.freePkt = id
 }
 
 // LinkDrops returns the total packets dropped at queues (diagnostics).

@@ -104,23 +104,27 @@ func (s *Simulator) Stats() Stats { return s.stats }
 
 // SelfAudit cross-checks the simulator's internal accounting and returns
 // any violations found (nil when clean). It verifies, for every link, that
-// the cached queueBytes/qCount match a walk of the intrusive FIFO (and that
-// head/tail pointers are consistent), and that the aggregate drop counter
-// matches the per-link counters. Violations recorded during the run
-// (double frees, non-monotone event times) are included. Safe to call at
-// any point; the invariant auditor calls it at fault boundaries and at the
-// end of the run.
+// the cached queueBytes/qCount match a walk of the intrusive FIFO's id
+// chain (and that head and tail ids are consistent), and that the
+// aggregate drop counter matches the per-link counters. Violations
+// recorded during the run (double frees, non-monotone event times) are
+// included. Safe to call at any point; the invariant auditor calls it at
+// fault boundaries and at the end of the run.
 func (s *Simulator) SelfAudit() []string {
 	var out []string
 	for i := range s.links {
 		l := &s.links[i]
 		var bytes int64
 		n := 0
-		var last *packet
-		for p := l.qHead; p != nil; p = p.qnext {
-			bytes += int64(p.wireSize)
+		last := noPacket
+		for id := l.qHead; id != noPacket; id = s.pkt(id).qnext {
+			if id < 0 || id >= s.pktCount {
+				out = append(out, fmt.Sprintf("link %d: FIFO chain names packet id %d, outside the %d carved", i, id, s.pktCount))
+				break
+			}
+			bytes += int64(s.pkt(id).wireSize)
 			n++
-			last = p
+			last = id
 			if n > l.qCount+1 {
 				// Cycle or runaway chain: stop walking.
 				out = append(out, fmt.Sprintf("link %d: FIFO chain exceeds qCount=%d", i, l.qCount))
@@ -136,8 +140,8 @@ func (s *Simulator) SelfAudit() []string {
 		if last != l.qTail {
 			out = append(out, fmt.Sprintf("link %d: qTail does not terminate the FIFO chain", i))
 		}
-		if (l.qHead == nil) != (l.qTail == nil) {
-			out = append(out, fmt.Sprintf("link %d: qHead/qTail nil-ness disagrees", i))
+		if (l.qHead == noPacket) != (l.qTail == noPacket) {
+			out = append(out, fmt.Sprintf("link %d: qHead/qTail emptiness disagrees", i))
 		}
 	}
 	if ld := s.LinkDrops(); s.stats.Drops != ld {

@@ -156,3 +156,77 @@ func TestStartDuringPartitionCompletes(t *testing.T) {
 		t.Fatal("no reroutes recorded at the repair boundary")
 	}
 }
+
+// queuedSimulator returns a simulator on a two-switch fabric whose first
+// host uplink is serializing one packet with three more queued behind it,
+// and the three queued ids in FIFO order.
+func queuedSimulator(t *testing.T) (*Simulator, *link, [3]int32) {
+	t.Helper()
+	g := pairFabric(t, 1, 2)
+	sim, err := New(g, routing.NewECMP(g), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.events.reset(1)
+	up := sim.hostUp[0]
+	sim.paths = []int32{up}
+	var queued [3]int32
+	for i := 0; i < 4; i++ {
+		id, p := sim.alloc()
+		p.wireSize = int32(100 + i)
+		p.path = pathRef{off: 0, n: 1}
+		sim.enterLink(id)
+		if i > 0 {
+			queued[i-1] = id
+		}
+	}
+	l := &sim.links[up]
+	if !l.busy || l.qCount != 3 || l.qHead != queued[0] || l.qTail != queued[2] {
+		t.Fatalf("setup: busy=%v, %d queued from %d to %d, want 3 from %d to %d",
+			l.busy, l.qCount, l.qHead, l.qTail, queued[0], queued[2])
+	}
+	return sim, l, queued
+}
+
+// TestSelfAuditCatchesPlantedDefects plants each accounting defect that
+// SelfAudit is documented to catch (DESIGN.md §9) into an otherwise clean
+// simulator and checks that SelfAudit names it. A defect that corrupts
+// nothing else must be the only violation reported.
+func TestSelfAuditCatchesPlantedDefects(t *testing.T) {
+	sim, _, _ := queuedSimulator(t)
+	if v := sim.SelfAudit(); v != nil {
+		t.Fatalf("clean simulator: SelfAudit = %q, want nil", v)
+	}
+	cases := []struct {
+		name  string
+		plant func(s *Simulator, l *link, q [3]int32)
+		want  string
+		alone bool
+	}{
+		{"cycle", func(s *Simulator, l *link, q [3]int32) { s.pkt(q[2]).qnext = q[0] }, "FIFO chain exceeds", false},
+		{"tail", func(s *Simulator, l *link, q [3]int32) { l.qTail = q[1] }, "qTail does not terminate", true},
+		{"bytes", func(s *Simulator, l *link, q [3]int32) { l.queueBytes++ }, "queueBytes=", true},
+		{"double free", func(s *Simulator, l *link, q [3]int32) {
+			if err := s.SetTracer(&countTracer{}); err != nil {
+				t.Fatal(err)
+			}
+			id, _ := s.alloc()
+			s.free(id)
+			s.free(id)
+		}, "double-freed", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sim, l, q := queuedSimulator(t)
+			c.plant(sim, l, q)
+			v := sim.SelfAudit()
+			found := false
+			for _, msg := range v {
+				found = found || strings.Contains(msg, c.want)
+			}
+			if !found || (c.alone && len(v) != 1) {
+				t.Fatalf("SelfAudit = %q, want a violation containing %q (alone: %v)", v, c.want, c.alone)
+			}
+		})
+	}
+}
