@@ -111,14 +111,14 @@ func (s *Simulator) reroute() {
 		spec := f.spec
 		srcRack, dstRack := s.g.RackOf(spec.Src), s.g.RackOf(spec.Dst)
 		h := spec.ID ^ (f.flowletID * 0x9e3779b97f4a7c15)
-		fwd := s.activeScheme.Path(srcRack, dstRack, h)
-		rev := s.activeScheme.Path(dstRack, srcRack, spec.ID^0x5ca1ab1e)
-		if fwd == nil || rev == nil {
+		s.fwdBuf = s.activeScheme.AppendPath(s.fwdBuf[:0], srcRack, dstRack, h)
+		s.revBuf = s.activeScheme.AppendPath(s.revBuf[:0], dstRack, srcRack, spec.ID^0x5ca1ab1e)
+		if len(s.fwdBuf) == 0 || len(s.revBuf) == 0 {
 			continue
 		}
 		stranded := f.data.n == 0
-		f.data = s.expandPath(spec.Src, spec.Dst, fwd, h)
-		f.ack = s.expandPath(spec.Dst, spec.Src, rev, spec.ID^0x5ca1ab1e)
+		f.data = s.expandPath(spec.Src, spec.Dst, s.fwdBuf, h)
+		f.ack = s.expandPath(spec.Dst, spec.Src, s.revBuf, spec.ID^0x5ca1ab1e)
 		s.stats.Reroutes++
 		if stranded {
 			idx := int32(i)

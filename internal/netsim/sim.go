@@ -56,6 +56,10 @@ type Simulator struct {
 
 	// paths is the arena that every expanded path (pathRef) indexes.
 	paths []int32
+	// fwdBuf and revBuf receive each lookup's switch path from
+	// Scheme.AppendPath before expandPath copies it into the arena; they
+	// are reused, so they grow only to the longest path routed.
+	fwdBuf, revBuf []int
 
 	// tracer, when non-nil, observes the data plane (see Tracer). Every
 	// hook sits behind a nil check so the disabled path costs nothing.
@@ -287,14 +291,14 @@ func (s *Simulator) startFlow(idx int32) {
 	f.started = true
 	spec := f.spec
 	srcRack, dstRack := s.g.RackOf(spec.Src), s.g.RackOf(spec.Dst)
-	fwd := s.activeScheme.Path(srcRack, dstRack, spec.ID)
-	rev := s.activeScheme.Path(dstRack, srcRack, spec.ID^0x5ca1ab1e)
-	if fwd == nil || rev == nil {
+	s.fwdBuf = s.activeScheme.AppendPath(s.fwdBuf[:0], srcRack, dstRack, spec.ID)
+	s.revBuf = s.activeScheme.AppendPath(s.revBuf[:0], dstRack, srcRack, spec.ID^0x5ca1ab1e)
+	if len(s.fwdBuf) == 0 || len(s.revBuf) == 0 {
 		// Unreachable racks: leave the flow incomplete forever.
 		return
 	}
-	f.data = s.expandPath(spec.Src, spec.Dst, fwd, spec.ID)
-	f.ack = s.expandPath(spec.Dst, spec.Src, rev, spec.ID^0x5ca1ab1e)
+	f.data = s.expandPath(spec.Src, spec.Dst, s.fwdBuf, spec.ID)
+	f.ack = s.expandPath(spec.Dst, spec.Src, s.revBuf, spec.ID^0x5ca1ab1e)
 	s.initSender(f, idx)
 	s.trySend(f, idx)
 }
@@ -317,12 +321,16 @@ func (s *Simulator) initSender(f *flowState, idx int32) {
 // pathArenaPerFlow sizes the path arena at Run: room for each flow's data
 // and ACK paths at six links each (five switches). The paper-scale Figure 4
 // cells use about eight ids a flow. Flowlet switches, reroutes and longer
-// paths grow the arena by append; offsets stay valid when it moves.
+// paths grow the arena by append; offsets stay valid when it moves. The
+// switch paths themselves never live in the arena: each lookup lands in
+// fwdBuf or revBuf and only its link ids are kept.
 const pathArenaPerFlow = 12
 
 // expandPath converts a switch path into the directed link sequence
 // host-uplink, network links (hashing across parallel copies),
-// host-downlink, appended to the path arena.
+// host-downlink, appended to the path arena. swPath is the active scheme's
+// AppendPath result in fwdBuf or revBuf, which the next lookup overwrites,
+// so expandPath keeps nothing of it.
 func (s *Simulator) expandPath(srcHost, dstHost int, swPath []int, flowID uint64) pathRef {
 	ref := pathRef{off: int32(len(s.paths)), n: int32(len(swPath) + 1)}
 	s.paths = append(s.paths, s.hostUp[srcHost])
@@ -360,8 +368,9 @@ func (s *Simulator) sendSegment(f *flowState, idx int32, seq int64) {
 			spec := f.spec
 			srcRack, dstRack := s.g.RackOf(spec.Src), s.g.RackOf(spec.Dst)
 			h := spec.ID ^ (f.flowletID * 0x9e3779b97f4a7c15)
-			if fwd := s.activeScheme.Path(srcRack, dstRack, h); fwd != nil {
-				f.data = s.expandPath(spec.Src, spec.Dst, fwd, h)
+			s.fwdBuf = s.activeScheme.AppendPath(s.fwdBuf[:0], srcRack, dstRack, h)
+			if len(s.fwdBuf) > 0 {
+				f.data = s.expandPath(spec.Src, spec.Dst, s.fwdBuf, h)
 			}
 		}
 		f.lastSendNS = s.now

@@ -49,7 +49,10 @@ type Scheme interface {
 	// extended slice; buf is returned unchanged when dst is unreachable.
 	// It makes no allocation when buf has room for the path (KSP: once the
 	// pair's path set is cached), so a caller routing many flows can keep
-	// every path in one arena.
+	// every path in one arena. Both simulators route this way: flowsim
+	// appends every flow's path to one pooled arena, and netsim appends
+	// each lookup to a reused buffer that it expands into its link-id
+	// arena.
 	AppendPath(buf []int, src, dst int, flowID uint64) []int
 
 	// PathSet enumerates the admissible paths from src to dst, up to maxPaths

@@ -276,7 +276,16 @@ func (g *Graph) Clone() *Graph {
 // Racks returns the switches that host at least one server, in id order.
 // In a flat network this is every switch; in a leaf-spine it is the leaves.
 func (g *Graph) Racks() []int {
-	var r []int
+	n := 0
+	for _, s := range g.servers {
+		if s > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	r := make([]int, 0, n)
 	for v, s := range g.servers {
 		if s > 0 {
 			r = append(r, v)

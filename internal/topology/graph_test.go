@@ -130,6 +130,25 @@ func TestRacks(t *testing.T) {
 	if len(r) != 2 || r[0] != 1 || r[1] != 3 {
 		t.Fatalf("Racks = %v, want [1 3]", r)
 	}
+	if r := New("empty", 3, 4).Racks(); r != nil {
+		t.Fatalf("Racks of a fabric without servers = %v, want nil", r)
+	}
+}
+
+// TestRacksAllocs: Racks counts before it fills, so it makes exactly one
+// allocation, of exactly the rack count, on the paper-scale DRing.
+func TestRacksAllocs(t *testing.T) {
+	g, err := DRing(PaperDRing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r []int
+	if got := testing.AllocsPerRun(20, func() { r = g.Racks() }); got != 1 {
+		t.Fatalf("Racks makes %.0f allocations, want 1", got)
+	}
+	if len(r) != cap(r) || len(r) != g.N() {
+		t.Fatalf("Racks: len %d cap %d, want %d racks", len(r), cap(r), g.N())
+	}
 }
 
 func TestRackOfQuick(t *testing.T) {

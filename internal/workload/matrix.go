@@ -21,11 +21,14 @@ type Matrix struct {
 	W    [][]float64
 }
 
-// NewMatrix allocates an all-zero n×n matrix.
+// NewMatrix allocates an all-zero n×n matrix. The rows share one backing
+// array; each row's capacity ends where the next row begins, so an append
+// to a row copies it out instead of writing into its neighbour.
 func NewMatrix(name string, n int) *Matrix {
 	w := make([][]float64, n)
+	cells := make([]float64, n*n)
 	for i := range w {
-		w[i] = make([]float64, n)
+		w[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 	return &Matrix{Name: name, W: w}
 }
