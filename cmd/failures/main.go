@@ -126,7 +126,6 @@ func main() {
 		cfg.GrayLoss = *grayLoss
 		cfg.GrayRateFactor = *grayRate
 		cfg.PreserveConnectivity = *preserve
-		cfg.Workers = shared.Workers
 		cfg.Audit = shared.Audit
 		cfg.Telemetry = rec
 
@@ -143,7 +142,7 @@ func main() {
 		base.GrayLoss = cfg.GrayLoss
 		base.GrayRate = cfg.GrayRateFactor
 		base.Preserve = cfg.PreserveConnectivity
-		rows, err := cachedLiveSweep(cache, g, cfg, fracs, base)
+		rows, err := cachedLiveSweep(cache, g, cfg, fracs, shared.Workers, base)
 		fmt.Println(resilience.LiveTable(rows))
 		fmt.Println("repair = fail-at + detect + reconv × round-delay; blackhole = measured first→last packet lost into a down link.")
 		if rec != nil {
@@ -201,13 +200,15 @@ type cellSpec struct {
 	Preserve   bool    `json:"preserve,omitempty"`
 }
 
-// cachedLiveSweep is resilience.LiveSweep with a per-fraction cache,
-// preserving its semantics exactly: failed fractions contribute a
-// TrialError and no row (and are never cached), rows keep fraction order.
-func cachedLiveSweep(cache *store.Cache, g *topology.Graph, cfg resilience.LiveConfig, fracs []float64, base cellSpec) ([]resilience.LiveResult, error) {
+// cachedLiveSweep runs resilience.RunLive at each failure fraction, on up
+// to workers goroutines, through a per-fraction cache. Each fraction is an
+// independent trial isolated by core.Trial: a failed fraction (e.g. a draw
+// that partitions the fabric) contributes a TrialError and no row, and is
+// never cached. Rows and errors keep fraction order at any worker count.
+func cachedLiveSweep(cache *store.Cache, g *topology.Graph, cfg resilience.LiveConfig, fracs []float64, workers int, base cellSpec) ([]resilience.LiveResult, error) {
 	results := make([]resilience.LiveResult, len(fracs))
 	errs := make([]error, len(fracs))
-	_ = parallel.ForEach(cfg.Workers, len(fracs), func(i int) error {
+	_ = parallel.ForEach(workers, len(fracs), func(i int) error {
 		c := cfg
 		c.Fraction = fracs[i]
 		spec := base

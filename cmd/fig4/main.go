@@ -217,10 +217,12 @@ type fig4Cell struct {
 	MaxFlows  int     `json:"max_flows,omitempty"`
 }
 
-// cachedFig4Row is core.Fig4Row with a per-cell result cache: each combo's
-// cell is looked up (and on a miss computed and committed) independently,
-// preserving Fig4Row's combo-level parallelism and bit-identical output —
-// cells are independent because every RunFCT reseeds from cfg.Seed.
+// cachedFig4Row runs one workload across all combos — one group of bars in
+// Figure 4 — and returns results in combo order. Combos run in parallel on
+// cfg.Workers goroutines, each through a per-cell result cache (looked up,
+// and on a miss computed and committed, independently). Cells are
+// independent because every RunFCT reseeds from cfg.Seed, so the output
+// matches a serial loop bit for bit.
 func cachedFig4Row(cache *store.Cache, fs *core.FabricSet, combos []core.Combo, kind core.TMKind, cfg core.FCTConfig, paper bool, scale int) ([]core.FCTResult, error) {
 	out := make([]core.FCTResult, len(combos))
 	err := parallel.ForEach(cfg.Workers, len(combos), func(i int) error {

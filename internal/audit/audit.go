@@ -258,7 +258,3 @@ func (a *Auditor) Finish(res netsim.Results) error {
 	return fmt.Errorf("audit: %d invariant violation(s):\n  %s",
 		len(a.violations), strings.Join(a.violations, "\n  "))
 }
-
-// Violations returns the distinct violations recorded so far (nil when
-// clean). The slice is the auditor's own log; callers must not mutate it.
-func (a *Auditor) Violations() []string { return a.violations }

@@ -243,7 +243,7 @@ func TestAuditorDetectsTCPInsanity(t *testing.T) {
 	aud.OnCwnd(0, 0, 0.5, 10, 5)  // cwnd < 1 and sndUna > sndNxt
 	aud.OnCwnd(0, 0, 2, 0, 1<<40) // sndNxt beyond flow size
 	aud.OnCwnd(0, 5, 2, 0, 0)     // flow index out of range
-	v := strings.Join(aud.Violations(), "\n")
+	v := strings.Join(aud.violations, "\n")
 	for _, want := range []string{"cwnd", "sndUna", "beyond flow size", "out of range"} {
 		if !strings.Contains(v, want) {
 			t.Errorf("missing %q violation in:\n%s", want, v)
@@ -264,7 +264,7 @@ func TestAuditorDetectsTimeRegression(t *testing.T) {
 	}
 	aud.OnTxStart(1000, 0, 0, false, 1500)
 	aud.OnTxStart(999, 0, 0, false, 1500)
-	v := strings.Join(aud.Violations(), "\n")
+	v := strings.Join(aud.violations, "\n")
 	if !strings.Contains(v, "time moved backwards") {
 		t.Fatalf("missing time-regression violation in:\n%s", v)
 	}
@@ -284,7 +284,7 @@ func TestAuditorDeduplicatesViolations(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		aud.OnCwnd(0, 0, 0.5, 0, 0)
 	}
-	if n := len(aud.Violations()); n != 1 {
+	if n := len(aud.violations); n != 1 {
 		t.Fatalf("identical violation recorded %d times, want 1", n)
 	}
 }

@@ -120,12 +120,6 @@ func (n *Network) Nodes() []NodeID {
 	return out
 }
 
-// Prefix returns the rack prefix originated by a router, in the addressing
-// plan used by the config generator.
-func Prefix(router int) string {
-	return fmt.Sprintf("10.%d.%d.0/24", router/256, router%256)
-}
-
 // buildIndexes lays the session graph out as CSR tables over dense node ids
 // by two stable counting passes: sessions by advertiser (each advertiser's
 // dependents), then that order by receiver, so each receiver's inbound

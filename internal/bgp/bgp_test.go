@@ -120,7 +120,7 @@ func TestProtocolSubsetOfFibK3(t *testing.T) {
 
 func TestProtocolOnRRG(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g, err := topology.RegularRRG("rrg", 14, 4, rng)
+	g, err := topology.RRG("rrg", []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +253,5 @@ func TestSessionPairsSymmetricAddressing(t *testing.T) {
 		if p.aOut < 0 && p.bOut < 0 {
 			t.Fatalf("session %v useless in both directions", p)
 		}
-	}
-}
-
-func TestPrefixFormat(t *testing.T) {
-	if Prefix(0) != "10.0.0.0/24" {
-		t.Fatalf("Prefix(0) = %q", Prefix(0))
-	}
-	if Prefix(300) != "10.1.44.0/24" {
-		t.Fatalf("Prefix(300) = %q", Prefix(300))
 	}
 }

@@ -94,21 +94,3 @@ func TestASNumbering(t *testing.T) {
 		t.Fatalf("AS numbering broken: %d %d", AS(0), AS(79))
 	}
 }
-
-func TestConvergeOnFatTree(t *testing.T) {
-	g, err := topology.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Build(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rib, _, err := n.Converge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTheorem1(n, rib); err != nil {
-		t.Fatal(err)
-	}
-}

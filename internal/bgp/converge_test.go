@@ -531,7 +531,7 @@ func TestConvergeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
 	}
-	g, err := topology.DRing(topology.PaperDRing())
+	g, err := topology.DRing(topology.BalancedDRing(topology.PaperLeafSpine.Switches(), 12, topology.PaperLeafSpine.Radix()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,10 @@ func TestPaperFabricsMatchesSection51(t *testing.T) {
 	if s := fs.DRing.Servers(); s < 2940 || s > 3040 {
 		t.Fatalf("DRing servers = %d, want ≈2988", s)
 	}
+	// "about 2.8% fewer" servers than the leaf-spine's 3072.
+	if deficit := 1 - float64(fs.DRing.Servers())/3072; deficit < 0 || deficit > 0.05 {
+		t.Fatalf("DRing server deficit vs leaf-spine = %.3f, want ≈0.028", deficit)
+	}
 	if s := fs.RRG.Servers(); s != 3072 {
 		t.Fatalf("RRG servers = %d, want 3072", s)
 	}
@@ -188,21 +192,6 @@ func TestRunFCTDeterministicAcrossSeeds(t *testing.T) {
 	}
 	if a.Stats == c.Stats {
 		t.Fatal("different seeds produced identical stats (suspicious)")
-	}
-}
-
-func TestFig4Row(t *testing.T) {
-	fs := tinyFabrics(t)
-	combos, err := PaperCombos(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Fig4Row(fs, combos[:2], TMA2A, fastFCTConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
 	}
 }
 

@@ -302,28 +302,3 @@ func runFCT(fs *FabricSet, combo Combo, m *workload.Matrix, placement []int, cfg
 	}
 	return out, nil
 }
-
-// Fig4Row runs one workload across all combos — one group of bars in
-// Figure 4 — and returns results in combo order. Combos are independent
-// (each RunFCT reseeds from cfg.Seed), so they run in parallel across
-// cfg.Workers with results written to their combo's slot; output matches
-// the serial loop bit for bit.
-func Fig4Row(fs *FabricSet, combos []Combo, kind TMKind, cfg FCTConfig) ([]FCTResult, error) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]FCTResult, len(combos))
-	err := parallel.ForEachCtx(ctx, cfg.Workers, len(combos), func(i int) error {
-		r, err := RunFCT(fs, combos[i], kind, cfg)
-		if err != nil {
-			return fmt.Errorf("core: %s × %s: %w", combos[i].Label, kind, err)
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

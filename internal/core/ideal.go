@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"spineless/internal/fluid"
 	"spineless/internal/topology"
 	"spineless/internal/workload"
@@ -18,24 +16,4 @@ func IdealThroughput(g *topology.Graph, m *workload.Matrix, eps float64) (float6
 		return 0, err
 	}
 	return fluid.MaxConcurrentFlow(g, demands, fluid.Options{Epsilon: eps})
-}
-
-// RoutingEfficiency compares what an oblivious scheme realizes against the
-// topology's ideal: it returns idealλ for the matrix on each fabric and the
-// ratio idealλ(a)/idealλ(b) — used to separate topology effects from
-// routing effects when two fabrics disagree in the packet simulator.
-func RoutingEfficiency(a, b *topology.Graph, m *workload.Matrix, eps float64) (la, lb, ratio float64, err error) {
-	la, err = IdealThroughput(a, m, eps)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("core: ideal on %s: %w", a.Name, err)
-	}
-	// The same rack-level matrix applies to b only if rack counts agree.
-	if len(a.Racks()) != len(b.Racks()) {
-		return 0, 0, 0, fmt.Errorf("core: fabrics have %d vs %d racks", len(a.Racks()), len(b.Racks()))
-	}
-	lb, err = IdealThroughput(b, m, eps)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("core: ideal on %s: %w", b.Name, err)
-	}
-	return la, lb, la / lb, nil
 }

@@ -63,19 +63,3 @@ func TestIdealThroughputFlatBeatsLeafSpineOnHotRack(t *testing.T) {
 		t.Fatalf("flat ideal hot-rack egress %v not clearly above leaf-spine %v", perDemandRRG, perDemandLS)
 	}
 }
-
-func TestRoutingEfficiency(t *testing.T) {
-	fs := tinyFabrics(t)
-	m := workload.Uniform(len(fs.RRG.Racks()))
-	la, lb, ratio, err := RoutingEfficiency(fs.RRG, fs.DRing, m, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la <= 0 || lb <= 0 || math.Abs(ratio-la/lb) > 1e-12 {
-		t.Fatalf("la=%v lb=%v ratio=%v", la, lb, ratio)
-	}
-	// Mismatched rack counts must error.
-	if _, _, _, err := RoutingEfficiency(fs.LeafSpine, fs.DRing, m, 0.1); err == nil {
-		t.Fatal("rack mismatch accepted")
-	}
-}

@@ -95,29 +95,6 @@ func TestRunFCTSingleTrialMatchesLegacy(t *testing.T) {
 	}
 }
 
-func TestFig4RowParallelEqualsSerial(t *testing.T) {
-	fs := tinyFabrics(t)
-	combos, err := PaperCombos(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastFCTConfig()
-	cfg.MaxFlows = 60
-	cfg.Workers = 1
-	serial, err := Fig4Row(fs, combos[:3], TMA2A, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	par, err := Fig4Row(fs, combos[:3], TMA2A, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("Fig4Row: workers=8 differs from workers=1")
-	}
-}
-
 func TestCSRatioHeatmapParallelEqualsSerial(t *testing.T) {
 	fs := tinyFabrics(t)
 	dr, err := NewCombo("dring", fs.DRing, "su2")

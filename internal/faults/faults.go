@@ -116,17 +116,6 @@ func (s *Schedule) Sorted() []Event {
 	return out
 }
 
-// HasGrayLoss reports whether any event sets a nonzero loss probability,
-// i.e. whether the simulator will consume random coin flips.
-func (s *Schedule) HasGrayLoss() bool {
-	for _, e := range s.Events {
-		if e.Kind == GraySet && e.LossProb > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks event invariants that do not need the fabric: times,
 // endpoint sanity, and gray parameters. Link existence is checked by the
 // simulator, which knows the fabric.

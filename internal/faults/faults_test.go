@@ -56,16 +56,3 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		}
 	}
 }
-
-func TestHasGrayLoss(t *testing.T) {
-	var s Schedule
-	s.Cut(0, 0, 1)
-	s.Gray(0, 0, 1, 0, 0.5) // rate-only gray: no coin flips needed
-	if s.HasGrayLoss() {
-		t.Fatal("rate-only gray reported as lossy")
-	}
-	s.Gray(0, 2, 3, 0.05, 1)
-	if !s.HasGrayLoss() {
-		t.Fatal("lossy gray not detected")
-	}
-}

@@ -17,7 +17,8 @@
 // allocation on the hot paths to the AllocsPerRun pins, a nondeterministic
 // value reaching a result to the golden digests and the
 // parallel-equals-serial tests, and a leaked context cancel to go vet's
-// lostcancel (EXPERIMENTS.md, "spinelint ledger").
+// lostcancel (EXPERIMENTS.md, "spinelint ledger"). Dead code, which needs
+// every package at once, is TestNoUnusedDeclarations' job.
 //
 // The driver (cmd/spinelint) loads packages and applies DefaultCheckers;
 // golden-fixture tests in this package pin each checker's behaviour against

@@ -34,11 +34,27 @@ func fixtureCheckers(t *testing.T, dir string) []Checker {
 // runFixture loads one testdata package and runs the checkers over it.
 func runFixture(t *testing.T, dir string, checkers []Checker) []Finding {
 	t.Helper()
-	fset, pkg, err := LoadDir(filepath.Join("testdata", dir))
+	fset, pkg, err := loadDir(filepath.Join("testdata", dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Run(fset, []*LoadedPackage{pkg}, checkers)
+}
+
+// loadDir loads the single package rooted at dir.
+func loadDir(dir string) (*token.FileSet, *LoadedPackage, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	fset, pkgs, err := Load(filepath.Dir(abs), []string{"./" + filepath.Base(abs)})
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(pkgs) != 1 {
+		return nil, nil, fmt.Errorf("lint: %s: expected 1 package, got %d", dir, len(pkgs))
+	}
+	return fset, pkgs[0], nil
 }
 
 // TestGolden pins every checker against its testdata fixture: the findings

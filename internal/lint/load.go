@@ -79,22 +79,6 @@ func Load(dir string, patterns []string) (*token.FileSet, []*LoadedPackage, erro
 	return fset, out, nil
 }
 
-// LoadDir loads the single package rooted at dir (used by fixture tests).
-func LoadDir(dir string) (*token.FileSet, *LoadedPackage, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	fset, pkgs, err := Load(filepath.Dir(abs), []string{"./" + filepath.Base(abs)})
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(pkgs) != 1 {
-		return nil, nil, fmt.Errorf("lint: %s: expected 1 package, got %d", dir, len(pkgs))
-	}
-	return fset, pkgs[0], nil
-}
-
 func goList(dir string, patterns []string) ([]listedPackage, error) {
 	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)

@@ -20,6 +20,11 @@ func Percentile(values []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), values...)
 	sort.Float64s(s)
+	return percentileSorted(s, p)
+}
+
+// percentileSorted is Percentile on a non-empty, ascending slice.
+func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
 	}
@@ -49,27 +54,33 @@ type FCTStats struct {
 // millisecond statistics. Incomplete flows are counted but excluded from
 // the percentiles.
 func SummarizeFCT(fctNS []int64) FCTStats {
-	var done []float64
 	st := FCTStats{}
 	for _, v := range fctNS {
 		if v < 0 {
 			st.Incomplete++
+		}
+	}
+	done := make([]float64, 0, len(fctNS)-st.Incomplete)
+	// Sum in flow order, before the sort, so the mean's rounding does not
+	// depend on the sort.
+	sum, mx := 0.0, 0.0
+	for _, v := range fctNS {
+		if v < 0 {
 			continue
 		}
-		done = append(done, float64(v)/1e6)
+		ms := float64(v) / 1e6
+		done = append(done, ms)
+		sum += ms
+		mx = math.Max(mx, ms)
 	}
 	st.Count = len(done)
 	if len(done) == 0 {
 		st.MedianMS, st.P99MS, st.MeanMS, st.MaxMS = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		return st
 	}
-	st.MedianMS = Percentile(done, 50)
-	st.P99MS = Percentile(done, 99)
-	sum, mx := 0.0, 0.0
-	for _, v := range done {
-		sum += v
-		mx = math.Max(mx, v)
-	}
+	sort.Float64s(done)
+	st.MedianMS = percentileSorted(done, 50)
+	st.P99MS = percentileSorted(done, 99)
 	st.MeanMS = sum / float64(len(done))
 	st.MaxMS = mx
 	return st
@@ -83,15 +94,6 @@ type Table struct {
 
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row where each cell is a formatted value.
-func (t *Table) AddRowf(format string, cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprintf(format, c)
-	}
-	t.rows = append(t.rows, row)
-}
 
 // String renders the table.
 func (t *Table) String() string {
@@ -243,48 +245,4 @@ func Ratio(a, b float64) float64 {
 		return math.NaN()
 	}
 	return a / b
-}
-
-// CDF is an empirical cumulative distribution over a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds the empirical CDF of the samples (copied and sorted).
-func NewCDF(samples []float64) *CDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	return Percentile(c.sorted, q*100)
-}
-
-// Points returns n evenly spaced (x, P(X<=x)) pairs spanning the sample —
-// ready for a line chart of the FCT distribution.
-func (c *CDF) Points(n int) (xs, ys []float64) {
-	if len(c.sorted) == 0 || n < 2 {
-		return nil, nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	if hi <= lo {
-		return []float64{lo, hi}, []float64{1, 1}
-	}
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs = append(xs, x)
-		ys = append(ys, c.At(x))
-	}
-	return xs, ys
 }

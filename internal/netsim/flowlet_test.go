@@ -44,7 +44,7 @@ func TestFlowletSwitchingMovesPaths(t *testing.T) {
 	// The re-hashes must spread traffic over the spines.
 	used := 0
 	for sp := 8; sp < 12; sp++ {
-		if sim.NetLinkTx(0, sp) > 0 {
+		if netLinkTx(sim, 0, sp) > 0 {
 			used++
 		}
 	}
@@ -74,7 +74,7 @@ func TestNoFlowletSwitchingStaysPinned(t *testing.T) {
 	}
 	used := 0
 	for sp := 8; sp < 12; sp++ {
-		if sim.NetLinkTx(0, sp) > 0 {
+		if netLinkTx(sim, 0, sp) > 0 {
 			used++
 		}
 	}

@@ -168,7 +168,7 @@ func TestPortNumberingMatchesPairTable(t *testing.T) {
 // 2,000-switch 12-regular RRG with 4 servers per switch the ns×ns pair table
 // alone cost 32 MB (36.3 MB in all).
 func TestNewBytesAtRRGScale(t *testing.T) {
-	g, err := topology.RegularRRG("rrg", 2000, 12, rand.New(rand.NewSource(1)))
+	g, err := topology.RRG("rrg", topology.SpreadEvenly(2000*12, 2000), rand.New(rand.NewSource(1))) // 12-regular
 	if err != nil {
 		t.Fatal(err)
 	}

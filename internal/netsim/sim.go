@@ -725,18 +725,3 @@ func (s *Simulator) NumLinks() int { return len(s.links) }
 func (s *Simulator) LinkRateBps(id int32) float64 {
 	return s.links[id].nominalBytesPerNS * 8e9
 }
-
-// NetLinkTx returns the bytes transmitted on the directed switch link u→v,
-// summed over parallel copies. It reports 0 for non-existent links.
-func (s *Simulator) NetLinkTx(u, v int) uint64 {
-	if u < 0 || u >= s.g.N() {
-		return 0
-	}
-	var t uint64
-	for j, w := range s.g.Neighbors(u) {
-		if w == v {
-			t += s.links[s.portOff[u]+int32(j)].txBytes
-		}
-	}
-	return t
-}

@@ -164,7 +164,7 @@ func TestECMPSpreadsAcrossSpines(t *testing.T) {
 	// must appear on more than one spine uplink.
 	used := 0
 	for sp := 8; sp < 12; sp++ {
-		if sim.NetLinkTx(0, sp) > 0 {
+		if netLinkTx(sim, 0, sp) > 0 {
 			used++
 		}
 	}
@@ -292,3 +292,18 @@ func TestParetoWorkloadOnDRing(t *testing.T) {
 }
 
 func testRand() *rand.Rand { return rand.New(rand.NewSource(21)) }
+
+// netLinkTx returns the bytes transmitted on the directed switch link u→v,
+// summed over parallel copies. It reports 0 for non-existent links.
+func netLinkTx(s *Simulator, u, v int) uint64 {
+	if u < 0 || u >= s.g.N() {
+		return 0
+	}
+	var t uint64
+	for j, w := range s.g.Neighbors(u) {
+		if w == v {
+			t += s.links[s.portOff[u]+int32(j)].txBytes
+		}
+	}
+	return t
+}

@@ -98,10 +98,6 @@ func (s *Simulator) PacketsInFlight() uint64 {
 	return s.allocCount - s.freeCount
 }
 
-// Stats returns the run's aggregate counters so far (equal to
-// Results.Stats after Run).
-func (s *Simulator) Stats() Stats { return s.stats }
-
 // SelfAudit cross-checks the simulator's internal accounting and returns
 // any violations found (nil when clean). It verifies, for every link, that
 // the cached queueBytes/qCount match a walk of the intrusive FIFO's id

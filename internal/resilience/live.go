@@ -9,7 +9,6 @@ import (
 	"spineless/internal/faults"
 	"spineless/internal/metrics"
 	"spineless/internal/netsim"
-	"spineless/internal/parallel"
 	"spineless/internal/routing"
 	"spineless/internal/topology"
 	"spineless/internal/workload"
@@ -63,10 +62,6 @@ type LiveConfig struct {
 	Net netsim.Config
 	// Seed drives failure selection, the workload and gray-loss draws.
 	Seed int64
-	// Workers bounds fraction-level parallelism in LiveSweep (0 = one per
-	// CPU). Fractions are fully independent runs, so the sweep is
-	// bit-identical at any worker count.
-	Workers int
 	// Observers selects how the packet simulation is watched; with
 	// telemetry the outage is observable as time series (blackhole drop
 	// rate, link utilization) alongside the end-of-run transient summary.
@@ -244,43 +239,6 @@ func RunLive(g *topology.Graph, cfg LiveConfig) (LiveResult, error) {
 	}
 	res.Transient = metrics.SummarizeTransient(starts, out.FCTNS, cfg.FailAtNS, res.RepairNS)
 	return res, nil
-}
-
-// LiveSweep runs RunLive at each failure fraction, isolating trials with
-// core.Trial so one pathological draw (e.g. a partitioned fabric) marks
-// that fraction failed and the sweep continues. The returned error, if
-// non-nil, is a core.TrialErrors listing the failed fractions; rows for
-// successful fractions are always returned.
-func LiveSweep(g *topology.Graph, cfg LiveConfig, fractions []float64) ([]LiveResult, error) {
-	// Each fraction is a self-contained RunLive (own rng, own FIBs); slots
-	// are filled by index and compacted afterwards, preserving the serial
-	// semantics exactly: failed fractions contribute a TrialError and no
-	// row, and both lists keep fraction order at any worker count.
-	results := make([]LiveResult, len(fractions))
-	errs := make([]error, len(fractions))
-	_ = parallel.ForEach(cfg.Workers, len(fractions), func(i int) error {
-		c := cfg
-		c.Fraction = fractions[i]
-		errs[i] = core.Trial(fmt.Sprintf("fraction %.3f", fractions[i]), func() error {
-			var e error
-			results[i], e = RunLive(g, c)
-			return e
-		})
-		return nil
-	})
-	var rows []LiveResult
-	var terrs core.TrialErrors
-	for i, err := range errs {
-		if err != nil {
-			terrs = append(terrs, err.(core.TrialError))
-			continue
-		}
-		rows = append(rows, results[i])
-	}
-	if len(terrs) > 0 {
-		return rows, terrs
-	}
-	return rows, nil
 }
 
 // failRandomPairs cuts a fraction of the distinct linked switch pairs,

@@ -3,8 +3,6 @@ package resilience
 import (
 	"reflect"
 	"testing"
-
-	"spineless/internal/core"
 )
 
 func liveTestConfig() LiveConfig {
@@ -97,28 +95,6 @@ func TestRunLiveDeterministic(t *testing.T) {
 	}
 	if a.GrayDrops == 0 {
 		t.Fatal("gray links dropped nothing")
-	}
-}
-
-func TestLiveSweepDegradesGracefully(t *testing.T) {
-	g := ringFabric(t)
-	cfg := liveTestConfig()
-	cfg.Flows = 120
-	// Fraction 1.0 cannot preserve connectivity: that trial must fail alone
-	// while 5% still produces a row.
-	rows, err := LiveSweep(g, cfg, []float64{0.05, 1.0})
-	if err == nil {
-		t.Fatal("impossible fraction did not surface an error")
-	}
-	terrs, ok := err.(core.TrialErrors)
-	if !ok || len(terrs) != 1 {
-		t.Fatalf("want 1 aggregated trial error, got %v", err)
-	}
-	if len(rows) != 1 || rows[0].Fraction != 0.05 {
-		t.Fatalf("surviving rows = %+v", rows)
-	}
-	if LiveTable(rows) == "" {
-		t.Fatal("empty live table")
 	}
 }
 

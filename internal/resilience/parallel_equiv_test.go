@@ -30,30 +30,3 @@ func TestStudyParallelEqualsSerial(t *testing.T) {
 		t.Fatalf("Study: workers=8 differs from workers=1\nserial: %+v\npar:    %+v", serial, par)
 	}
 }
-
-func TestLiveSweepParallelEqualsSerial(t *testing.T) {
-	g := ringFabric(t)
-	cfg := liveTestConfig()
-	cfg.Flows = 120
-	// Fraction 1.0 fails (cannot preserve connectivity): the parallel sweep
-	// must keep the failed-fraction semantics — error aggregated, row
-	// omitted — in the same order as the serial sweep.
-	fractions := []float64{0.05, 1.0}
-
-	cfg.Workers = 1
-	serialRows, serialErr := LiveSweep(g, cfg, fractions)
-	if serialErr == nil {
-		t.Fatal("impossible fraction did not surface an error")
-	}
-	cfg.Workers = 8
-	parRows, parErr := LiveSweep(g, cfg, fractions)
-	if parErr == nil {
-		t.Fatal("impossible fraction did not surface an error in parallel")
-	}
-	if !reflect.DeepEqual(serialRows, parRows) {
-		t.Fatalf("LiveSweep rows: workers=8 differs from workers=1\nserial: %+v\npar:    %+v", serialRows, parRows)
-	}
-	if serialErr.Error() != parErr.Error() {
-		t.Fatalf("LiveSweep errors differ:\nserial: %v\npar:    %v", serialErr, parErr)
-	}
-}

@@ -29,7 +29,7 @@ func TestAdaptiveDelegation(t *testing.T) {
 	}
 	// Path() delegates consistently with PathSet().
 	for f := uint64(0); f < 20; f++ {
-		if err := CheckPath(ad.Path(0, 3, f), 0, 3); err != nil {
+		if err := checkPath(ad.Path(0, 3, f), 0, 3); err != nil {
 			t.Fatal(err)
 		}
 		p := ad.Path(3, 6, f)

@@ -51,14 +51,6 @@ func NewDeBruijn(g *topology.Graph) (*DeBruijn, error) {
 // Name implements Scheme.
 func (s *DeBruijn) Name() string { return "selfroute" }
 
-// Steps returns the number of directed shift steps self-routing takes from
-// src to dst before loop splicing: Digits minus the longest overlap between
-// src's suffix and dst's prefix. This equals the directed De Bruijn graph
-// distance (the test suite pins that against BFS).
-func (s *DeBruijn) Steps(src, dst int) int {
-	return s.digits - s.overlap(src, dst)
-}
-
 // overlap returns the largest j such that the last j digits of src equal
 // the first j digits of dst.
 func (s *DeBruijn) overlap(src, dst int) int {

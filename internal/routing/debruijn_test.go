@@ -60,11 +60,13 @@ func TestDeBruijnStepsMatchBFS(t *testing.T) {
 			dist := directedShiftBFS(n, spec.Symbols, src)
 			undirected := topology.BFS(g, src)
 			for dst := 0; dst < n; dst++ {
-				if steps := s.Steps(src, dst); steps != dist[dst] {
+				// The walk takes Digits minus the longest overlap of src's
+				// suffix and dst's prefix shift steps.
+				if steps := spec.Digits - s.overlap(src, dst); steps != dist[dst] {
 					t.Fatalf("%s: Steps(%d,%d) = %d, directed BFS says %d", g.Name, src, dst, steps, dist[dst])
 				}
 				p := s.Path(src, dst, 0)
-				if err := CheckPath(p, src, dst); err != nil {
+				if err := checkPath(p, src, dst); err != nil {
 					t.Fatalf("%s: %v", g.Name, err)
 				}
 				if l := PathLen(p); l > dist[dst] || l < undirected[dst] {
@@ -94,7 +96,7 @@ func TestDeBruijnPathsUseRealLinks(t *testing.T) {
 				t.Fatalf("path %d→%d depends on flowID", src, dst)
 			}
 			for _, q := range s.PathSet(src, dst, 4) {
-				if err := CheckPath(q, src, dst); err != nil {
+				if err := checkPath(q, src, dst); err != nil {
 					t.Fatal(err)
 				}
 				for i := 1; i < len(q); i++ {
@@ -134,7 +136,7 @@ func TestSPVLBContract(t *testing.T) {
 		for dst := 0; dst < g.N(); dst++ {
 			for _, flow := range []uint64{1, 99} {
 				p := s.Path(src, dst, flow)
-				if err := CheckPath(p, src, dst); err != nil {
+				if err := checkPath(p, src, dst); err != nil {
 					t.Fatal(err)
 				}
 				for i := 1; i < len(p); i++ {

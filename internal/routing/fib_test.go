@@ -15,6 +15,15 @@ import (
 
 func testRNG() *rand.Rand { return rand.New(rand.NewSource(7)) }
 
+// regular returns the degree sequence of a d-regular graph on n switches.
+func regular(n, d int) []int {
+	degrees := make([]int, n)
+	for i := range degrees {
+		degrees[i] = d
+	}
+	return degrees
+}
+
 func smallDRing(t *testing.T) (*topology.Graph, topology.DRingSpec) {
 	t.Helper()
 	spec := topology.Uniform(6, 3, 20)
@@ -43,7 +52,7 @@ func TestECMPLeafSpinePaths(t *testing.T) {
 		t.Fatalf("ECMP paths(0,1) = %d, want 2", len(paths))
 	}
 	for _, p := range paths {
-		if err := CheckPath(p, 0, 1); err != nil {
+		if err := checkPath(p, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 		if PathLen(p) != 2 {
@@ -69,7 +78,7 @@ func TestECMPPathDeterministic(t *testing.T) {
 				t.Fatalf("nondeterministic path for flow %d: %v vs %v", flow, p1, p2)
 			}
 		}
-		if err := CheckPath(p1, 0, 9); err != nil {
+		if err := checkPath(p1, 0, 9); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +129,7 @@ func TestTheorem1(t *testing.T) {
 	g, _ := smallDRing(t)
 	topos["dring"] = g
 	topos["leafspine"] = smallLeafSpine(t)
-	rrg, err := topology.RegularRRG("rrg", 16, 4, testRNG())
+	rrg, err := topology.RRG("rrg", regular(16, 4), testRNG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +183,7 @@ func TestShortestUnionPathSet(t *testing.T) {
 				wantSet[pathKey(p)] = true
 			}
 			for _, p := range got {
-				if err := CheckPath(p, src, dst); err != nil {
+				if err := checkPath(p, src, dst); err != nil {
 					t.Fatal(err)
 				}
 				if !wantSet[pathKey(p)] {
@@ -277,7 +286,7 @@ func TestShortestUnionPathValid(t *testing.T) {
 			continue
 		}
 		p := f.Path(src, dst, flow)
-		if err := CheckPath(p, src, dst); err != nil {
+		if err := checkPath(p, src, dst); err != nil {
 			t.Fatalf("flow %d: %v", flow, err)
 		}
 		if PathLen(p) > 2 && PathLen(p) > f.Distance(src, dst) {
@@ -291,7 +300,7 @@ func TestShortestUnionQuickTheorem1(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		K := 2 + int(kRaw%3)
 		rng := rand.New(rand.NewSource(seed))
-		g, err := topology.RegularRRG("q", 12, 3, rng)
+		g, err := topology.RRG("q", regular(12, 3), rng)
 		if err != nil || !g.Connected() {
 			return true // skip rare disconnected instances
 		}
@@ -391,7 +400,7 @@ func TestFibBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
 	}
-	g, err := topology.DRing(topology.PaperDRing())
+	g, err := topology.DRing(topology.BalancedDRing(topology.PaperLeafSpine.Switches(), 12, topology.PaperLeafSpine.Radix()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +599,7 @@ func TestFibMatchesReference(t *testing.T) {
 	}
 	fabrics := []*topology.Graph{
 		must(topology.DRing(topology.Uniform(5+rng.Intn(3), 2+rng.Intn(2), 24))),
-		must(topology.RegularRRG("rrg", 14+2*rng.Intn(4), 3+rng.Intn(3), rng)),
+		must(topology.RRG("rrg", regular(14+2*rng.Intn(4), 3+rng.Intn(3)), rng)),
 		must(topology.Xpander(12+rng.Intn(8), 3+rng.Intn(2), rng)),
 		must(topology.DeBruijn(topology.DeBruijnSpec{Symbols: 2 + rng.Intn(2), Digits: 3, Ports: 12})),
 		must(topology.RNG(topology.RNGSpec{Switches: 12 + 2*rng.Intn(5), Degree: 3 + rng.Intn(3), Ports: 12}, rng)),

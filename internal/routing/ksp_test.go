@@ -21,7 +21,7 @@ func TestYenKSPLeafSpine(t *testing.T) {
 		t.Fatalf("paths 3,4 not 4-hop: %v", paths[2:])
 	}
 	for _, p := range paths {
-		if err := CheckPath(p, 0, 1); err != nil {
+		if err := checkPath(p, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestYenKSPOrderingAndUniqueness(t *testing.T) {
 	seen := map[string]bool{}
 	prev := 0
 	for _, p := range paths {
-		if err := CheckPath(p, 0, 9); err != nil {
+		if err := checkPath(p, 0, 9); err != nil {
 			t.Fatal(err)
 		}
 		if PathLen(p) < prev {
@@ -81,7 +81,7 @@ func TestKSPScheme(t *testing.T) {
 	used := map[string]bool{}
 	for flow := uint64(0); flow < 64; flow++ {
 		p := s.Path(0, 9, flow)
-		if err := CheckPath(p, 0, 9); err != nil {
+		if err := checkPath(p, 0, 9); err != nil {
 			t.Fatal(err)
 		}
 		used[pathKey(p)] = true
@@ -113,7 +113,7 @@ func TestVLBScheme(t *testing.T) {
 			continue
 		}
 		p := s.Path(src, dst, flow)
-		if err := CheckPath(p, src, dst); err != nil {
+		if err := checkPath(p, src, dst); err != nil {
 			t.Fatalf("flow %d: %v", flow, err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestVLBScheme(t *testing.T) {
 		t.Fatalf("capped VLB path set = %d, want 5", len(set))
 	}
 	for _, p := range set {
-		if err := CheckPath(p, 0, 9); err != nil {
+		if err := checkPath(p, 0, 9); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,16 +178,16 @@ func TestGreedyDisjoint(t *testing.T) {
 }
 
 func TestCheckPath(t *testing.T) {
-	if err := CheckPath(nil, 0, 1); err == nil {
+	if err := checkPath(nil, 0, 1); err == nil {
 		t.Fatal("empty path accepted")
 	}
-	if err := CheckPath([]int{0, 2}, 0, 1); err == nil {
+	if err := checkPath([]int{0, 2}, 0, 1); err == nil {
 		t.Fatal("wrong endpoint accepted")
 	}
-	if err := CheckPath([]int{0, 2, 0, 1}, 0, 1); err == nil {
+	if err := checkPath([]int{0, 2, 0, 1}, 0, 1); err == nil {
 		t.Fatal("loop accepted")
 	}
-	if err := CheckPath([]int{0, 2, 1}, 0, 1); err != nil {
+	if err := checkPath([]int{0, 2, 1}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 }

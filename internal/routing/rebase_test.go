@@ -40,7 +40,7 @@ func TestRebaseMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	fabrics["dring"] = dring
-	rrg, err := topology.RegularRRG("rrg", 16, 4, rand.New(rand.NewSource(2)))
+	rrg, err := topology.RRG("rrg", regular(16, 4), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

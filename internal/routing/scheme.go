@@ -11,8 +11,6 @@
 // flow id at every hop, mirroring hop-by-hop ECMP hashing in real switches.
 package routing
 
-import "fmt"
-
 // Scheme selects switch-level paths between racks.
 //
 // Concurrency contract: once constructed, a Scheme must be safe for
@@ -87,22 +85,3 @@ func hashChoice(flowID uint64, hop, node, n int) int {
 
 // PathLen returns the hop count of a switch path (#switches - 1).
 func PathLen(p []int) int { return len(p) - 1 }
-
-// CheckPath validates that a path is simple at the switch level and starts
-// and ends at the given endpoints.
-func CheckPath(p []int, src, dst int) error {
-	if len(p) == 0 {
-		return fmt.Errorf("routing: empty path")
-	}
-	if p[0] != src || p[len(p)-1] != dst {
-		return fmt.Errorf("routing: path %v does not connect %d to %d", p, src, dst)
-	}
-	seen := make(map[int]bool, len(p))
-	for _, v := range p {
-		if seen[v] {
-			return fmt.Errorf("routing: path %v revisits switch %d", p, v)
-		}
-		seen[v] = true
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -88,4 +89,23 @@ func TestAppendPathMatchesPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkPath validates that a path is simple at the switch level and starts
+// and ends at the given endpoints.
+func checkPath(p []int, src, dst int) error {
+	if len(p) == 0 {
+		return fmt.Errorf("routing: empty path")
+	}
+	if p[0] != src || p[len(p)-1] != dst {
+		return fmt.Errorf("routing: path %v does not connect %d to %d", p, src, dst)
+	}
+	seen := make(map[int]bool, len(p))
+	for _, v := range p {
+		if seen[v] {
+			return fmt.Errorf("routing: path %v revisits switch %d", p, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }

@@ -101,28 +101,3 @@ func TestKSPContainsAllShortest(t *testing.T) {
 		}
 	}
 }
-
-// TestFibOnFatTree: the generic machinery handles 3-tier trees: leaf pairs
-// in different pods have (k/2)² shortest paths.
-func TestFibOnFatTree(t *testing.T) {
-	g, err := topology.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewECMP(g)
-	// Edge 0 (pod 0) to edge 2 (pod 1): 4 core paths.
-	paths := f.PathSet(0, 2, 0)
-	if len(paths) != 4 {
-		t.Fatalf("cross-pod paths = %d, want 4", len(paths))
-	}
-	for _, p := range paths {
-		if PathLen(p) != 4 {
-			t.Fatalf("cross-pod path %v not 4 hops", p)
-		}
-	}
-	// Same pod: 2 aggregation paths of 2 hops.
-	paths = f.PathSet(0, 1, 0)
-	if len(paths) != 2 || PathLen(paths[0]) != 2 {
-		t.Fatalf("intra-pod paths = %v", paths)
-	}
-}

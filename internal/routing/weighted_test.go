@@ -25,7 +25,7 @@ func TestWeightedPathValid(t *testing.T) {
 			continue
 		}
 		p := w.Path(src, dst, flow)
-		if err := CheckPath(p, src, dst); err != nil {
+		if err := checkPath(p, src, dst); err != nil {
 			t.Fatalf("flow %d: %v", flow, err)
 		}
 		if PathLen(p) > fib.Distance(src, dst) {

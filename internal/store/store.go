@@ -108,9 +108,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // loadIndex restores entry metadata from the index file; any problem —
 // missing file, torn write, schema drift — reports false so Open falls back
 // to a directory scan.
@@ -458,19 +455,6 @@ func (s *Store) Snapshot() Counters {
 	c.Entries = len(s.entries)
 	c.Bytes = s.total
 	return c
-}
-
-// Hashes returns the committed keys in sorted order (diagnostics, audit
-// sampling).
-func (s *Store) Hashes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for h := range s.entries {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close flushes the index. The store is unusable afterwards only by

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -384,7 +385,7 @@ func TestMemoize(t *testing.T) {
 	}
 
 	// The same spec under another tool tag is a different cell.
-	other, err := OpenCache(c.st.Dir(), "other", nil)
+	other, err := OpenCache(c.st.dir, "other", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,10 +432,22 @@ func TestMemoizeGoldenKeys(t *testing.T) {
 		if _, _, err := Memoize(c, tc.tool, json.RawMessage(tc.spec), func() (int, error) { return 1, nil }); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.st.Hashes(); len(got) != 1 || got[0] != tc.want {
+		if got := hashes(c.st); len(got) != 1 || got[0] != tc.want {
 			t.Errorf("%s cell filed under %v, want %s", tc.tool, got, tc.want)
 		}
 	}
+}
+
+// hashes returns the store's committed keys in sorted order.
+func hashes(s *Store) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.entries))
+	for h := range s.entries {
+		out = append(out, h)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // nanValue builds a NaN without a float-literal division the floateq

@@ -16,9 +16,8 @@ import (
 type Recorder struct {
 	cfg Config
 
-	mu      sync.Mutex
-	sinks   []*Sink
-	classOf func(flow int) uint8
+	mu    sync.Mutex
+	sinks []*Sink
 }
 
 // NewRecorder builds a recorder; cfg zero values take the package
@@ -27,40 +26,17 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{cfg: cfg.withDefaults()}
 }
 
-// Config returns the recorder's resolved configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
-// SetClassOf installs the flow→class attribution used by subsequently
-// attached sinks: classOf is called once per flow index at attach time.
-// Call it before the run starts; nil reverts to single-class attribution.
-func (r *Recorder) SetClassOf(classOf func(flow int) uint8) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.classOf = classOf
-}
-
 // Attach builds a sink shaped to sim's fabric and a run of flows flows,
 // installs it as sim's tracer, and registers it for Snapshot merging.
-// Parallel trials may attach concurrently; each gets its own sink. Class
-// attribution comes from SetClassOf (nil = single class).
+// Parallel trials may attach concurrently; each gets its own sink. Every
+// flow is attributed to class 0.
 func (r *Recorder) Attach(sim *netsim.Simulator, flows int) (*Sink, error) {
-	r.mu.Lock()
-	classFn := r.classOf
-	r.mu.Unlock()
-	var classOf []uint8
-	if classFn != nil {
-		classOf = make([]uint8, flows)
-		for i := range classOf {
-			classOf[i] = classFn(i)
-		}
-	}
-	return r.attach(sim, flows, classOf)
+	return r.attach(sim, flows, nil)
 }
 
 // AttachClassed is Attach with an explicit per-run flow→class slice — the
 // form used by job-class trials, whose class assignments differ per trial
-// window (a recorder-global SetClassOf cannot express that without racing
-// parallel trials).
+// window.
 func (r *Recorder) AttachClassed(sim *netsim.Simulator, classOf []uint8) (*Sink, error) {
 	return r.attach(sim, len(classOf), classOf)
 }

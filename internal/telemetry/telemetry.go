@@ -88,7 +88,6 @@ type Sink struct {
 	cwndUpdates uint64
 	linkEvents  uint64
 	linksDown   int
-	late        uint64 // events behind the retention window, ignored
 }
 
 var _ netsim.Tracer = (*Sink)(nil)
@@ -131,15 +130,13 @@ func NewSink(cfg Config, links int, rateBps []float64, flows int, classOf []uint
 
 // bucket maps nowNS to its ring slot, advancing (and clearing) the ring
 // when nowNS opens a new bucket. The second return is false for events
-// behind the retention window, which are counted and dropped. Callers hold
-// s.mu.
+// behind the retention window, which are dropped. Callers hold s.mu.
 func (s *Sink) bucket(nowNS int64) (int64, bool) {
 	b := nowNS / s.cfg.BucketNS
 	if b > s.head {
 		s.advance(b)
 	}
 	if b <= s.head-int64(s.cfg.Buckets) {
-		s.late++
 		return 0, false
 	}
 	return b % int64(s.cfg.Buckets), true
@@ -248,12 +245,4 @@ func (s *Sink) OnStateChange(nowNS int64, link int32, down bool, lossProb, rateF
 		}
 	}
 	s.mu.Unlock()
-}
-
-// LateEvents returns how many events arrived behind the retention window
-// and were dropped from the series (they still count in lifetime totals).
-func (s *Sink) LateEvents() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.late
 }

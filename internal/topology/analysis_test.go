@@ -127,7 +127,7 @@ func TestBisectionDRingIndependentOfRingLength(t *testing.T) {
 	}
 	// An RRG with the same per-switch degree keeps Θ(N) bisection, so at
 	// m=12 the expander should beat the DRing's ring cut.
-	rrg, err := RegularRRG("rrg", big.N(), 8, testRNG())
+	rrg, err := RRG("rrg", regular(big.N(), 8), testRNG())
 	if err != nil {
 		t.Fatal(err)
 	}

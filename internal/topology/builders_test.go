@@ -81,7 +81,7 @@ func TestLeafSpineRejectsBadSpec(t *testing.T) {
 }
 
 func TestRRGRegular(t *testing.T) {
-	g, err := RegularRRG("rrg", 20, 5, testRNG())
+	g, err := RRG("rrg", regular(20, 5), testRNG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,21 +124,18 @@ func TestRRGRejectsOddSum(t *testing.T) {
 	if _, err := RRG("bad", []int{-1, 1}, testRNG()); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("negative degree: err = %v, want ErrInfeasible", err)
 	}
-	if _, err := RegularRRG("bad", 4, 4, testRNG()); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("d >= n: err = %v, want ErrInfeasible", err)
-	}
 }
 
 func TestRRGQuickSimpleAndExactDegrees(t *testing.T) {
 	f := func(seed int64, nRaw, dRaw uint8) bool {
 		n := 6 + int(nRaw%40)
-		d := 2 + int(dRaw)%(n-3)
+		d := 2 + int(dRaw)%((n-1)/2-1) // sparse: at most (n-1)/2
 		if n*d%2 != 0 {
 			n++ // make the sum even
 		}
 		rng := testRNG()
 		rng.Seed(seed)
-		g, err := RegularRRG("q", n, d, rng)
+		g, err := RRG("q", regular(n, d), rng)
 		if err != nil {
 			return false
 		}
@@ -266,7 +263,7 @@ func TestDRingStructure(t *testing.T) {
 	m := spec.Supernodes()
 	for a := 0; a < g.N(); a++ {
 		for b := a + 1; b < g.N(); b++ {
-			sa, sb := spec.SupernodeOf(a), spec.SupernodeOf(b)
+			sa, sb := supernodeOf(spec, a), supernodeOf(spec, b)
 			d := ringDist(sa, sb, m)
 			want := d == 1 || d == 2
 			if got := g.HasLink(a, b); got != want {
@@ -281,6 +278,17 @@ func TestDRingStructure(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("DRing disconnected")
 	}
+}
+
+// supernodeOf returns the supernode index of ToR v under spec.
+func supernodeOf(spec DRingSpec, v int) int {
+	for i, n := range spec.Sizes {
+		if v < n {
+			return i
+		}
+		v -= n
+	}
+	return -1
 }
 
 func ringDist(a, b, m int) int {
@@ -306,8 +314,11 @@ func TestDRingRejectsSmallRing(t *testing.T) {
 	}
 }
 
+// TestPaperDRingMatchesSection51 checks the §5.1 DRing that
+// core.PaperFabrics builds: 12 balanced supernodes over the 80 radix-64
+// switches of leaf-spine(48,16).
 func TestPaperDRingMatchesSection51(t *testing.T) {
-	g, err := DRing(PaperDRing())
+	g, err := DRing(BalancedDRing(PaperLeafSpine.Switches(), 12, PaperLeafSpine.Radix()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +335,10 @@ func TestPaperDRingMatchesSection51(t *testing.T) {
 	}
 }
 
+// TestFig6DRingGeometry checks the §6.3 scale-sweep DRing that
+// core.DefaultScaleConfig builds: supernodes of 6 ToRs on 60-port switches.
 func TestFig6DRingGeometry(t *testing.T) {
-	g, err := DRing(Fig6DRing(10))
+	g, err := DRing(Uniform(10, 6, 60))
 	if err != nil {
 		t.Fatal(err)
 	}

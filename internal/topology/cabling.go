@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // The paper motivates the DRing partly by deployment concerns: wiring and
@@ -198,25 +197,4 @@ func GroupedBundles(g *Graph, p Placement, groupSize int) (bundles, maxBundle in
 		}
 	}
 	return len(trunk), maxBundle, nil
-}
-
-// SortedBundleSizes returns the bundle-size distribution under a placement,
-// largest first (diagnostic for cable-tray planning).
-func SortedBundleSizes(g *Graph, p Placement) []int {
-	bundle := map[[2]int]int{}
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if v > w {
-				continue
-			}
-			key := [2]int{min(p.Pos[v], p.Pos[w]), max(p.Pos[v], p.Pos[w])}
-			bundle[key]++
-		}
-	}
-	out := make([]int, 0, len(bundle))
-	for _, c := range bundle {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

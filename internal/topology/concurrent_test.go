@@ -15,7 +15,7 @@ func serverIndexSummary(g *Graph) string {
 	fmt.Fprintf(&b, "%s servers=%d\n", g, g.Servers())
 	for v := 0; v < g.N(); v++ {
 		lo, hi := g.ServersOf(v)
-		fmt.Fprintf(&b, "%d:%d[%d,%d)\n", v, g.ServerBase(v), lo, hi)
+		fmt.Fprintf(&b, "%d:[%d,%d)\n", v, lo, hi)
 	}
 	for s := 0; s < g.Servers(); s++ {
 		fmt.Fprintf(&b, "%d@%d ", s, g.RackOf(s))
@@ -33,7 +33,7 @@ func serverIndexNaive(g *Graph) string {
 	var racks []int
 	base := 0
 	for v := 0; v < g.N(); v++ {
-		fmt.Fprintf(&b, "%d:%d[%d,%d)\n", v, base, base, base+g.ServerCount(v))
+		fmt.Fprintf(&b, "%d:[%d,%d)\n", v, base, base+g.ServerCount(v))
 		for range g.ServerCount(v) {
 			racks = append(racks, v)
 		}
@@ -58,9 +58,8 @@ func freshBuilds() map[string]func() (*Graph, error) {
 			}
 			return Flatten(ls, rng())
 		},
-		"rrg":     func() (*Graph, error) { return RRG("rrg", []int{3, 3, 3, 3, 2, 2}, rng()) },
-		"dring":   func() (*Graph, error) { return DRing(BalancedDRing(spec.Switches(), 13, spec.Radix())) },
-		"fattree": func() (*Graph, error) { return FatTree(4) },
+		"rrg":   func() (*Graph, error) { return RRG("rrg", []int{3, 3, 3, 3, 2, 2}, rng()) },
+		"dring": func() (*Graph, error) { return DRing(BalancedDRing(spec.Switches(), 13, spec.Radix())) },
 		"debruijn": func() (*Graph, error) {
 			s, err := FitDeBruijn(spec.Switches(), spec.Radix(), 6)
 			if err != nil {
@@ -71,7 +70,6 @@ func freshBuilds() map[string]func() (*Graph, error) {
 		"rng": func() (*Graph, error) {
 			return RNG(RNGSpec{Switches: spec.Switches(), Degree: 6, Ports: spec.Radix()}, rng())
 		},
-		"dragonfly": func() (*Graph, error) { return Dragonfly(DragonflySpec{A: 4, H: 2, Groups: 5, Ports: 16}) },
 		"xpander": func() (*Graph, error) {
 			g, err := Xpander(20, 4, rng())
 			if err != nil {
@@ -82,17 +80,6 @@ func freshBuilds() map[string]func() (*Graph, error) {
 		"expand-dring": func() (*Graph, error) {
 			g, _, _, err := ExpandDRing(Uniform(6, 2, 24), []int{2})
 			return g, err
-		},
-		"expand-rrg": func() (*Graph, error) {
-			g, err := RegularRRG("rrg", 20, 5, rng())
-			if err != nil {
-				return nil, err
-			}
-			for v := 0; v < g.N(); v++ {
-				g.SetServers(v, v%3)
-			}
-			out, _, err := ExpandRRG(g, 2, 6, rng())
-			return out, err
 		},
 	}
 }
@@ -160,7 +147,9 @@ func TestServerIndexTracksMutations(t *testing.T) {
 	c.SetServers(1, 7)
 	check(c)
 	check(g)
-	if g.ServerBase(2) == c.ServerBase(2) {
+	glo, _ := g.ServersOf(2)
+	clo, _ := c.ServersOf(2)
+	if glo == clo {
 		t.Fatal("SetServers on a clone moved the original's index")
 	}
 }

@@ -111,7 +111,7 @@ func TestFitDeBruijn(t *testing.T) {
 // TestInferDeBruijnRejectsOtherFabrics: spec recovery must not hallucinate
 // shift structure on fabrics that merely have the right switch count.
 func TestInferDeBruijnRejectsOtherFabrics(t *testing.T) {
-	g, err := RegularRRG("rrg", 16, 6, rand.New(rand.NewSource(3)))
+	g, err := RRG("rrg", regular(16, 6), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

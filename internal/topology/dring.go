@@ -109,29 +109,3 @@ func DRing(spec DRingSpec) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// SupernodeOf returns the supernode index of ToR v under spec.
-func (s DRingSpec) SupernodeOf(v int) int {
-	for i, n := range s.Sizes {
-		if v < n {
-			return i
-		}
-		v -= n
-	}
-	return -1
-}
-
-// PaperDRing is the §5.1 configuration: a 12-supernode DRing built from the
-// same 80 switches (radix 64) as leaf-spine(48,16). Supernode sizes differ
-// by at most one (80 = 8×7 + 4×6); the paper reports 80 racks and 2988
-// servers, which this construction reproduces to within a handful of server
-// ports (the exact count depends on the unpublished ring arrangement).
-func PaperDRing() DRingSpec {
-	return BalancedDRing(PaperLeafSpine.Switches(), 12, PaperLeafSpine.Radix())
-}
-
-// Fig6DRing is the §6.3 scale-sweep configuration: supernodes of 6 ToRs,
-// 60-port switches, 36 server links per ToR (network degree 24 = 4×6).
-func Fig6DRing(supernodes int) DRingSpec {
-	return Uniform(supernodes, 6, 60)
-}

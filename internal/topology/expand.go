@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // ExpandReport quantifies the rewiring cost of growing a fabric — the
 // §3.2 claim that the DRing "is easily incrementally expandable, by adding
@@ -95,67 +92,4 @@ func edgeSet(g *Graph) map[[2]int]bool {
 		}
 	}
 	return out
-}
-
-// ExpandRRG grows a random regular graph the Jellyfish way: each new switch
-// with degree d is attached by removing ⌊d/2⌋ random existing links and
-// connecting both freed endpoints to the newcomer. Servers are not
-// reassigned. It returns the expanded fabric and the rewiring cost.
-func ExpandRRG(g *Graph, newSwitches, degree int, rng *rand.Rand) (*Graph, ExpandReport, error) {
-	if newSwitches <= 0 || degree < 2 {
-		return nil, ExpandReport{}, fmt.Errorf("rrg: bad expansion (%d switches, degree %d): %w",
-			newSwitches, degree, ErrInfeasible)
-	}
-	out := g.Clone()
-	var rep ExpandReport
-	touched := map[int]bool{}
-	for k := 0; k < newSwitches; k++ {
-		v := out.AddSwitches(1)
-		need := degree / 2
-		for i := 0; i < need; i++ {
-			a, b, ok := randomEdgeAvoiding(out, v, rng)
-			if !ok {
-				return nil, ExpandReport{}, fmt.Errorf("rrg: no removable links left: %w", ErrInfeasible)
-			}
-			out.RemoveLink(a, b)
-			rep.LinksRemoved++
-			if err := out.AddLink(a, v); err != nil {
-				return nil, ExpandReport{}, err
-			}
-			if err := out.AddLink(b, v); err != nil {
-				return nil, ExpandReport{}, err
-			}
-			rep.LinksAdded += 2
-			if a < g.N() {
-				touched[a] = true
-			}
-			if b < g.N() {
-				touched[b] = true
-			}
-		}
-	}
-	rep.TouchedSwitches = len(touched)
-	return out, rep, nil
-}
-
-// randomEdgeAvoiding picks a uniform random link not incident to v and not
-// already duplicating a v-adjacency (keeps the graph simple).
-func randomEdgeAvoiding(g *Graph, v int, rng *rand.Rand) (int, int, bool) {
-	type edge struct{ a, b int }
-	var candidates []edge
-	for a := 0; a < g.N(); a++ {
-		if a == v {
-			continue
-		}
-		for _, b := range g.Neighbors(a) {
-			if a < b && b != v && !g.HasLink(a, v) && !g.HasLink(b, v) {
-				candidates = append(candidates, edge{a, b})
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return 0, 0, false
-	}
-	e := candidates[rng.Intn(len(candidates))]
-	return e.a, e.b, true
 }

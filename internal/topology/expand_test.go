@@ -73,125 +73,3 @@ func TestExpandDRingRejectsBadInput(t *testing.T) {
 		t.Fatal("zero-size supernode accepted")
 	}
 }
-
-func TestExpandRRG(t *testing.T) {
-	g, err := RegularRRG("rrg", 16, 6, testRNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, rep, err := ExpandRRG(g, 2, 6, testRNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.N() != 18 {
-		t.Fatalf("switches = %d", g2.N())
-	}
-	if err := g2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Each new switch: remove 3 links, add 6 (degree 6).
-	if rep.LinksRemoved != 6 || rep.LinksAdded != 12 {
-		t.Fatalf("rewiring = %+v, want 6 removed / 12 added", rep)
-	}
-	for v := 16; v < 18; v++ {
-		if g2.NetworkDegree(v) != 6 {
-			t.Fatalf("new switch %d degree %d", v, g2.NetworkDegree(v))
-		}
-	}
-	// Old switches keep their degree (each removal strips one port from two
-	// switches, each gets one new link to the newcomer).
-	for v := 0; v < 16; v++ {
-		if g2.NetworkDegree(v) != 6 {
-			t.Fatalf("old switch %d degree changed to %d", v, g2.NetworkDegree(v))
-		}
-	}
-	if _, _, err := ExpandRRG(g, 0, 6, testRNG()); !errors.Is(err, ErrInfeasible) {
-		t.Fatal("zero expansion accepted")
-	}
-}
-
-func TestDragonflyCanonical(t *testing.T) {
-	spec := DragonflySpec{A: 4, H: 2, Groups: 9, Ports: 16} // full: 4*2+1 = 9 groups
-	g, err := Dragonfly(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 36 {
-		t.Fatalf("switches = %d, want 36", g.N())
-	}
-	if !g.Connected() {
-		t.Fatal("dragonfly disconnected")
-	}
-	// Full canonical wiring: every router has degree (A-1) + H = 5, and
-	// every group pair shares exactly one global link.
-	for v := 0; v < g.N(); v++ {
-		if g.NetworkDegree(v) != 5 {
-			t.Fatalf("router %d degree %d, want 5", v, g.NetworkDegree(v))
-		}
-		if g.ServerCount(v) != 16-5 {
-			t.Fatalf("router %d servers %d", v, g.ServerCount(v))
-		}
-	}
-	globals := map[[2]int]int{}
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
-			gv, gw := v/spec.A, w/spec.A
-			if gv < gw {
-				globals[[2]int{gv, gw}]++
-			}
-		}
-	}
-	if len(globals) != 9*8/2 {
-		t.Fatalf("group pairs with links = %d, want 36", len(globals))
-	}
-	for pair, c := range globals {
-		if c != 1 {
-			t.Fatalf("group pair %v has %d global links, want 1", pair, c)
-		}
-	}
-	// Dragonfly diameter is at most 3 (local, global, local).
-	st, err := RackPathStats(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Diameter > 3 {
-		t.Fatalf("diameter = %d, want <= 3", st.Diameter)
-	}
-}
-
-func TestDragonflyTruncated(t *testing.T) {
-	g, err := Dragonfly(DragonflySpec{A: 4, H: 2, Groups: 5, Ports: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Connected() {
-		t.Fatal("truncated dragonfly disconnected")
-	}
-	// Ports to missing groups become server ports: server counts vary but
-	// are always >= radix - (A-1) - H.
-	for v := 0; v < g.N(); v++ {
-		if g.ServerCount(v) < 16-5 {
-			t.Fatalf("router %d servers %d < 11", v, g.ServerCount(v))
-		}
-	}
-}
-
-func TestDragonflyRejectsBadSpec(t *testing.T) {
-	bad := []DragonflySpec{
-		{A: 1, H: 1, Groups: 2, Ports: 8},
-		{A: 4, H: 2, Groups: 1, Ports: 16},
-		{A: 4, H: 2, Groups: 10, Ports: 16}, // > a*h+1
-		{A: 4, H: 2, Groups: 5, Ports: 5},   // no server ports
-	}
-	for _, spec := range bad {
-		if _, err := Dragonfly(spec); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("spec %+v accepted", spec)
-		}
-	}
-}

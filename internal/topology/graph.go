@@ -137,9 +137,6 @@ func (g *Graph) RackOf(server int) int {
 	return sort.SearchInts(g.serverPre, server+1) - 1
 }
 
-// ServerBase returns the global id of the first server on switch v.
-func (g *Graph) ServerBase(v int) int { return g.serverPre[v] }
-
 // ServersOf returns the global id range [lo, hi) of servers on switch v.
 func (g *Graph) ServersOf(v int) (lo, hi int) {
 	return g.serverPre[v], g.serverPre[v] + g.servers[v]

@@ -75,8 +75,8 @@ func TestServerIndexing(t *testing.T) {
 	if lo != 2 || hi != 5 {
 		t.Fatalf("ServersOf(2) = [%d,%d), want [2,5)", lo, hi)
 	}
-	if g.ServerBase(1) != 2 {
-		t.Fatalf("ServerBase(1) = %d, want 2", g.ServerBase(1))
+	if lo, _ := g.ServersOf(1); lo != 2 {
+		t.Fatalf("ServersOf(1) starts at %d, want 2", lo)
 	}
 	// Mutate and re-query: the lazy index must refresh.
 	g.SetServers(1, 4)
@@ -138,7 +138,7 @@ func TestRacks(t *testing.T) {
 // TestRacksAllocs: Racks counts before it fills, so it makes exactly one
 // allocation, of exactly the rack count, on the paper-scale DRing.
 func TestRacksAllocs(t *testing.T) {
-	g, err := DRing(PaperDRing())
+	g, err := DRing(BalancedDRing(PaperLeafSpine.Switches(), 12, PaperLeafSpine.Radix()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,3 +187,12 @@ func mustLink(t *testing.T, g *Graph, a, b int) {
 }
 
 func testRNG() *rand.Rand { return rand.New(rand.NewSource(42)) }
+
+// regular returns the degree sequence of a d-regular graph on n switches.
+func regular(n, d int) []int {
+	degrees := make([]int, n)
+	for i := range degrees {
+		degrees[i] = d
+	}
+	return degrees
+}

@@ -97,53 +97,3 @@ func rrgAttempt(name string, degrees []int, rng *rand.Rand) (*Graph, bool) {
 	}
 	return g, true
 }
-
-// RegularRRG builds a d-regular random graph on n switches. Very dense
-// requests (d > (n-1)/2) are built as the complement of a sparse random
-// regular graph, where stub matching is reliable.
-func RegularRRG(name string, n, d int, rng *rand.Rand) (*Graph, error) {
-	if d >= n {
-		return nil, fmt.Errorf("rrg: degree %d >= switches %d: %w", d, n, ErrInfeasible)
-	}
-	if d < 0 || n*d%2 != 0 {
-		return nil, fmt.Errorf("rrg: no %d-regular graph on %d switches: %w", d, n, ErrInfeasible)
-	}
-	if d > (n-1)/2 && (n-1-d == 0 || n*(n-1-d)%2 == 0) {
-		sparse, err := RegularRRG(name, n, n-1-d, rng)
-		if err != nil {
-			return nil, err
-		}
-		return complement(name, sparse)
-	}
-	degrees := make([]int, n)
-	for i := range degrees {
-		degrees[i] = d
-	}
-	return RRG(name, degrees, rng)
-}
-
-// complement returns the simple-graph complement (no servers, no radix).
-// AddLink can only fail if g is not simple, which the RRG construction
-// guarantees against; the error is propagated rather than panicking so a
-// violated invariant surfaces as a diagnosable construction failure.
-func complement(name string, g *Graph) (*Graph, error) {
-	n := g.N()
-	out := New(name, n, 0)
-	adj := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[int]bool, g.NetworkDegree(v))
-		for _, w := range g.Neighbors(v) {
-			adj[v][w] = true
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if !adj[a][b] {
-				if err := out.AddLink(a, b); err != nil {
-					return nil, fmt.Errorf("rrg: complement of non-simple graph %q: %w", name, err)
-				}
-			}
-		}
-	}
-	return out, nil
-}

@@ -1,8 +1,7 @@
-// Package trace imports and exports the experiment artifacts as CSV:
+// Package trace moves experiment artifacts in and out as CSV: it reads
 // rack-level traffic matrices (so operators can replay their own telemetry
-// instead of the synthetic FB-like stand-ins), generated flow sets, and
-// per-flow completion times. All formats are plain CSV with a header row,
-// written deterministically.
+// instead of the synthetic FB-like stand-ins) and writes per-flow
+// completion times. Both formats are plain CSV with a header row.
 package trace
 
 import (
@@ -14,38 +13,9 @@ import (
 	"spineless/internal/workload"
 )
 
-// WriteMatrix emits a rack-level matrix as CSV: header "src\dst,0,1,..."
-// then one row per source rack.
-func WriteMatrix(w io.Writer, m *workload.Matrix) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	n := m.N()
-	head := make([]string, n+1)
-	head[0] = `src\dst`
-	for j := 0; j < n; j++ {
-		head[j+1] = strconv.Itoa(j)
-	}
-	if err := cw.Write(head); err != nil {
-		return err
-	}
-	row := make([]string, n+1)
-	for i := 0; i < n; i++ {
-		row[0] = strconv.Itoa(i)
-		for j := 0; j < n; j++ {
-			row[j+1] = strconv.FormatFloat(m.W[i][j], 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadMatrix parses a matrix written by WriteMatrix (or any CSV with the
-// same shape: a header row plus n rows of n+1 cells).
+// ReadMatrix parses a rack-level matrix from CSV: a header row
+// ("src\dst,0,1,...") plus one row per source rack, each of n+1 cells (the
+// rack id, then its n demands).
 func ReadMatrix(r io.Reader, name string) (*workload.Matrix, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -76,57 +46,6 @@ func ReadMatrix(r io.Reader, name string) (*workload.Matrix, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// WriteFlows emits a flow set: id,src,dst,bytes,start_ns.
-func WriteFlows(w io.Writer, flows []workload.Flow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "src", "dst", "bytes", "start_ns"}); err != nil {
-		return err
-	}
-	for _, f := range flows {
-		if err := cw.Write([]string{
-			strconv.FormatUint(f.ID, 10),
-			strconv.Itoa(f.Src),
-			strconv.Itoa(f.Dst),
-			strconv.FormatInt(f.SizeBytes, 10),
-			strconv.FormatInt(f.StartNS, 10),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadFlows parses a flow set written by WriteFlows.
-func ReadFlows(r io.Reader) ([]workload.Flow, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if len(records) == 0 || len(records[0]) != 5 {
-		return nil, fmt.Errorf("trace: flow CSV needs the 5-column header")
-	}
-	flows := make([]workload.Flow, 0, len(records)-1)
-	for i, rec := range records[1:] {
-		if len(rec) != 5 {
-			return nil, fmt.Errorf("trace: flow row %d has %d cells", i, len(rec))
-		}
-		id, err1 := strconv.ParseUint(rec[0], 10, 64)
-		src, err2 := strconv.Atoi(rec[1])
-		dst, err3 := strconv.Atoi(rec[2])
-		size, err4 := strconv.ParseInt(rec[3], 10, 64)
-		start, err5 := strconv.ParseInt(rec[4], 10, 64)
-		for _, e := range []error{err1, err2, err3, err4, err5} {
-			if e != nil {
-				return nil, fmt.Errorf("trace: flow row %d: %w", i, e)
-			}
-		}
-		flows = append(flows, workload.Flow{ID: id, Src: src, Dst: dst, SizeBytes: size, StartNS: start})
-	}
-	return flows, nil
 }
 
 // WriteFCTs emits per-flow completion times next to their flows:

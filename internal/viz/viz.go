@@ -7,7 +7,6 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -288,14 +287,4 @@ func trimFloat(v float64) string {
 		return "0"
 	}
 	return s
-}
-
-// SortedKeys is a small helper for deterministic map iteration in callers.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

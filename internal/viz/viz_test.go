@@ -131,10 +131,3 @@ func TestEscape(t *testing.T) {
 		t.Fatal("unescaped markup in output")
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("keys = %v", got)
-	}
-}

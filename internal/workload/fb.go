@@ -69,35 +69,3 @@ func lognormalIntensities(n int, sigma float64, rng *rand.Rand) []float64 {
 	}
 	return w
 }
-
-// Skew reports the fraction of total demand carried by the busiest 10% of
-// source racks. Uniform matrices score ≈0.1; heavily skewed ones score much
-// higher. Used by tests to pin the qualitative difference between the two
-// synthetic FB workloads.
-func (m *Matrix) Skew() float64 {
-	n := m.N()
-	rows := make([]float64, n)
-	total := 0.0
-	for i := range m.W {
-		for _, v := range m.W[i] {
-			rows[i] += v
-			total += v
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	ordered := append([]float64(nil), rows...)
-	// Descending sort.
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j] > ordered[j-1]; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	top := (n + 9) / 10
-	sum := 0.0
-	for i := 0; i < top; i++ {
-		sum += ordered[i]
-	}
-	return sum / total
-}
