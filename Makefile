@@ -31,13 +31,16 @@ bakeoff-smoke:
 
 # Audited driver runs: every packet simulation under the runtime invariant
 # auditor (internal/audit), plus fig5's netsim/flowsim/fluid differential
-# cross-validation — small scales keep the gate fast. See DESIGN.md §9.
+# cross-validation — small scales keep the gate fast. The last two runs put
+# a flat fabric through core.OnDRing in failures and fig6. See DESIGN.md §9.
 audit:
 	$(GO) run ./cmd/fig4 -audit -scale 4 -window 0.002 -maxflows 120 >/dev/null
 	$(GO) run ./cmd/fig5 -audit -scale 4 >/dev/null
 	$(GO) run ./cmd/fig6 -audit -supernodes 5,6 -tors 3 -ports 20 >/dev/null
 	$(GO) run ./cmd/failures -audit -live -flows 120 -fractions 0.05 >/dev/null
 	$(GO) run ./cmd/failures -audit -flows 120 -fractions 0.05 >/dev/null
+	$(GO) run ./cmd/failures -audit -topo rng -flows 120 -fractions 0.05 >/dev/null
+	$(GO) run ./cmd/fig6 -audit -topo debruijn -supernodes 5,6 -tors 3 -ports 20 >/dev/null
 
 build:
 	$(GO) build ./...

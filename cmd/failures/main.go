@@ -70,29 +70,14 @@ func main() {
 	}
 	defer run.Close()
 
-	var g *topology.Graph
-	switch *topoKind {
-	case "dring":
-		g, err = topology.DRing(topology.Uniform(*m, *n, *ports))
-	case "rrg":
-		dr, derr := topology.DRing(topology.Uniform(*m, *n, *ports))
-		if derr != nil {
-			log.Fatal(derr)
-		}
-		g, err = core.MatchedRRG(dr, rand.New(rand.NewSource(shared.Seed)))
-	case "xpander", "debruijn", "rng":
-		// Bake-off fabrics on the dring's equipment budget: same switch
-		// count, radix, server total and network-degree budget (uniform
-		// dring degree is 4·tors). Resilience replay routes with SU(K) on
-		// every fabric — selfroute has no reroute story by design.
-		dr, derr := topology.DRing(topology.Uniform(*m, *n, *ports))
-		if derr != nil {
-			log.Fatal(derr)
-		}
-		g, err = core.FlatFabric(*topoKind, dr.N(), 4**n, *ports, dr.Servers(), rand.New(rand.NewSource(shared.Seed)))
-	default:
-		log.Fatalf("unknown topology %q (want dring, rrg, xpander, debruijn or rng)", *topoKind)
+	// Non-dring fabrics are built on the dring's equipment budget.
+	// Resilience replay routes with SU(K) on every fabric — selfroute has
+	// no reroute story by design.
+	dr, err := topology.DRing(topology.Uniform(*m, *n, *ports))
+	if err != nil {
+		log.Fatal(err)
 	}
+	g, err := core.OnDRing(*topoKind, dr, rand.New(rand.NewSource(shared.Seed)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,13 +52,7 @@ func main() {
 	}
 	defer run.Close()
 
-	rng := rand.New(rand.NewSource(shared.Seed))
-	var fs *core.FabricSet
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(shared.Seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,11 +66,11 @@ func main() {
 	if *extra != "" {
 		for _, name := range strings.Split(*extra, ",") {
 			name = strings.TrimSpace(name)
-			g, err := core.ExtraFabric(fs, name, shared.Seed)
+			g, err := fs.Fabric(name, shared.Seed)
 			if err != nil {
 				log.Fatal(err)
 			}
-			scheme := map[string]string{"xpander": "su2", "debruijn": "selfroute", "rng": "spvlb"}[name]
+			scheme := core.NativeScheme(name)
 			c, err := core.NewCombo(fmt.Sprintf("%s (%s)", name, scheme), g, scheme)
 			if err != nil {
 				log.Fatal(err)

@@ -48,13 +48,7 @@ func main() {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(shared.Seed))
-	var fs *core.FabricSet
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(shared.Seed)))
 	if err != nil {
 		log.Fatal(err)
 	}

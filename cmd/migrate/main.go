@@ -20,31 +20,19 @@ func main() {
 	var (
 		paper  = flag.Bool("paper", false, "full-scale §5.1 fabrics")
 		scale  = flag.Int("scale", 4, "scale-down factor")
-		target = flag.String("to", "rrg", "target fabric: rrg or dring")
-		seed   = flag.Int64("seed", 1, "random seed (rrg wiring)")
+		target = flag.String("to", "rrg", "target fabric: rrg, dring, or another trio-budget fabric with the leaf-spine's switch count")
+		seed   = flag.Int64("seed", 1, "random seed (rrg and flat-fabric wiring)")
 		show   = flag.Int("show", 12, "print at most this many steps (0 = all)")
 	)
 	flag.Parse()
 
-	rng := rand.New(rand.NewSource(*seed))
-	var fs *core.FabricSet
-	var err error
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	var to *topology.Graph
-	switch *target {
-	case "rrg":
-		to = fs.RRG
-	case "dring":
-		to = fs.DRing
-	default:
-		log.Fatalf("unknown target %q", *target)
+	to, err := fs.Fabric(*target, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	plan, err := topology.PlanMigration(fs.LeafSpine, to)

@@ -69,7 +69,7 @@ func usage() {
 // percentiles, SLA attainment, and the twin's per-class goodput totals.
 func cmdJobClass(args []string) {
 	fl := flag.NewFlagSet("jobclass", flag.ExitOnError)
-	fabric := fl.String("fabric", "dring", "fabric: dring, rrg, or leafspine (from the scaled trio)")
+	fabric := fl.String("fabric", "dring", "fabric on the trio's equipment budget: leafspine, dring, rrg, xpander, debruijn or rng")
 	scheme := fl.String("scheme", "su2", "routing: ecmp, suK, kspK, vlb")
 	scale := fl.Int("scale", 4, "scale-down factor")
 	paper := fl.Bool("paper", false, "full-scale §5.1 fabrics")
@@ -81,27 +81,13 @@ func cmdJobClass(args []string) {
 	workers := fl.Int("workers", 0, "parallel trial workers (0 = one per CPU); results are identical at any value")
 	_ = fl.Parse(args)
 
-	rng := rand.New(rand.NewSource(*seed))
-	var fs *core.FabricSet
-	var err error
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	var g *topology.Graph
-	switch *fabric {
-	case "dring":
-		g = fs.DRing
-	case "rrg":
-		g = fs.RRG
-	case "leafspine":
-		g = fs.LeafSpine
-	default:
-		log.Fatalf("unknown fabric %q", *fabric)
+	g, err := fs.Fabric(*fabric, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 	combo, err := core.NewCombo(*fabric+" "+*scheme, g, *scheme)
 	if err != nil {
@@ -136,7 +122,7 @@ func cmdJobClass(args []string) {
 // fabric × scheme combo.
 func cmdFCT(args []string) {
 	fl := flag.NewFlagSet("fct", flag.ExitOnError)
-	fabric := fl.String("fabric", "dring", "fabric: dring, rrg, or leafspine (from the scaled trio)")
+	fabric := fl.String("fabric", "dring", "fabric on the trio's equipment budget: leafspine, dring, rrg, xpander, debruijn or rng")
 	scheme := fl.String("scheme", "su2", "routing: ecmp, suK, kspK, vlb")
 	tmKind := fl.String("tm", "A2A", "workload kind (A2A, R2R, CS-skewed, FB-skewed, ...) or @file.csv for a matrix")
 	scale := fl.Int("scale", 4, "scale-down factor")
@@ -150,27 +136,13 @@ func cmdFCT(args []string) {
 	dctcp := fl.Bool("dctcp", false, "use DCTCP-style ECN transport instead of plain TCP")
 	_ = fl.Parse(args)
 
-	rng := rand.New(rand.NewSource(*seed))
-	var fs *core.FabricSet
-	var err error
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	var g *topology.Graph
-	switch *fabric {
-	case "dring":
-		g = fs.DRing
-	case "rrg":
-		g = fs.RRG
-	case "leafspine":
-		g = fs.LeafSpine
-	default:
-		log.Fatalf("unknown fabric %q", *fabric)
+	g, err := fs.Fabric(*fabric, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 	combo, err := core.NewCombo(*fabric+" "+*scheme, g, *scheme)
 	if err != nil {
@@ -226,14 +198,7 @@ func cmdBurst(args []string) {
 	seed := fl.Int64("seed", 1, "random seed")
 	_ = fl.Parse(args)
 
-	rng := rand.New(rand.NewSource(*seed))
-	var fs *core.FabricSet
-	var err error
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -249,21 +214,16 @@ func cmdBurst(args []string) {
 	fmt.Printf("microburst: %d MiB from one rack to %d racks (§3)\n\n", *mb, *fanout)
 	var t metrics.Table
 	t.AddRow("combo", "drain (ms)", "burst p99 (ms)", "drops")
-	for _, c := range []struct{ label, fabric, scheme string }{
-		{"leaf-spine (ecmp)", "ls", "ecmp"},
-		{"RRG (su2)", "rrg", "su2"},
-		{"DRing (su2)", "dr", "su2"},
+	for _, c := range []struct {
+		label  string
+		g      *topology.Graph
+		scheme string
+	}{
+		{"leaf-spine (ecmp)", fs.LeafSpine, "ecmp"},
+		{"RRG (su2)", fs.RRG, "su2"},
+		{"DRing (su2)", fs.DRing, "su2"},
 	} {
-		var g *topology.Graph
-		switch c.fabric {
-		case "ls":
-			g = fs.LeafSpine
-		case "rrg":
-			g = fs.RRG
-		case "dr":
-			g = fs.DRing
-		}
-		combo, err := core.NewCombo(c.label, g, c.scheme)
+		combo, err := core.NewCombo(c.label, c.g, c.scheme)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -290,14 +250,7 @@ func cmdCabling(args []string) {
 	seed := fl.Int64("seed", 1, "random seed")
 	_ = fl.Parse(args)
 
-	rng := rand.New(rand.NewSource(*seed))
-	var fs *core.FabricSet
-	var err error
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -350,13 +303,7 @@ func cmdTopo(args []string) {
 	_ = fl.Parse(args)
 
 	rng := rand.New(rand.NewSource(*seed))
-	var fs *core.FabricSet
-	var err error
-	if *paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(*scale, rng)
-	}
+	fs, err := core.TrioFabrics(*paper, *scale, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

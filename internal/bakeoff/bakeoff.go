@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"spineless/internal/core"
 	"spineless/internal/flowsim"
@@ -45,21 +47,6 @@ const specVersion = 1
 // AllTopologies is the canonical bake-off field, in scorecard order.
 var AllTopologies = []string{"dring", "rrg", "xpander", "debruijn", "rng"}
 
-// DefaultSchemes returns the routing schemes a topology competes with:
-// every fabric runs the paper's SU(2), and the two new fabrics also run
-// their native scheme (De Bruijn shift-register self-routing, RNG
-// shortest-path with VLB fallback).
-func DefaultSchemes(topo string) []string {
-	switch topo {
-	case "debruijn":
-		return []string{"selfroute", "su2"}
-	case "rng":
-		return []string{"spvlb", "su2"}
-	default:
-		return []string{"su2"}
-	}
-}
-
 // Config parameterizes one bake-off. The equipment budget is a DRing
 // geometry (Switches ToRs of Ports ports in Supernodes supernodes); every
 // other fabric is built on the same switch count, radix and server total,
@@ -74,9 +61,10 @@ type Config struct {
 	// Topos is the fabric subset to race (nil = AllTopologies). Order is
 	// ignored: cells always appear in canonical AllTopologies order.
 	Topos []string
-	// Schemes overrides the per-topology scheme list (nil = DefaultSchemes
-	// per topology). A scheme a fabric cannot support — e.g. selfroute on
-	// a non-De-Bruijn graph — fails the run with the routing layer's error.
+	// Schemes overrides the per-topology scheme list (nil = the fabric's
+	// core.NativeScheme, then "su2" if that differs). A scheme a fabric
+	// cannot support — e.g. selfroute on a non-De-Bruijn graph — fails the
+	// run with the routing layer's error.
 	Schemes []string
 
 	// Util, WindowSec, MaxFlows and Trials parameterize the classed FCT
@@ -135,23 +123,14 @@ func (c Config) Validate() error {
 			c.Switches, c.Supernodes, c.Ports)
 	}
 	for _, topo := range c.Topos {
-		if !knownTopo(topo) {
-			return fmt.Errorf("bakeoff: unknown topology %q (want dring, rrg, xpander, debruijn or rng)", topo)
+		if !slices.Contains(AllTopologies, topo) {
+			return fmt.Errorf("bakeoff: unknown topology %q (want %s)", topo, strings.Join(AllTopologies, ", "))
 		}
 	}
 	if c.Util <= 0 || c.WindowSec <= 0 {
 		return fmt.Errorf("bakeoff: need positive util and window, have %g/%g", c.Util, c.WindowSec)
 	}
 	return nil
-}
-
-func knownTopo(name string) bool {
-	for _, t := range AllTopologies {
-		if t == name {
-			return true
-		}
-	}
-	return false
 }
 
 // topos resolves the requested subset into canonical order, deduplicated.
@@ -175,7 +154,12 @@ func (c Config) schemesFor(topo string) []string {
 	if len(c.Schemes) > 0 {
 		return c.Schemes
 	}
-	return DefaultSchemes(topo)
+	// Every fabric runs the paper's SU(2); De Bruijn and RNG also run their
+	// native scheme, listed first.
+	if native := core.NativeScheme(topo); native != "su2" {
+		return []string{native, "su2"}
+	}
+	return []string{"su2"}
 }
 
 // Cell is one scored (topology, scheme) row of the scorecard.
@@ -252,10 +236,8 @@ func (c Config) SpecHash() (string, error) {
 }
 
 // buildFabric constructs one bake-off fabric on the config's equipment
-// budget. Every topology starts from the same DRing geometry: the DRing
-// itself is the reference, the RRG is its §5.1 equipment match, and the
-// flat extras get the same switch count and radix with the network degree
-// chosen so the server total matches.
+// budget: the DRing geometry is the reference, and core.OnDRing matches
+// every other topology to it.
 func buildFabric(cfg Config, topo string) (*topology.Graph, error) {
 	dspec := topology.BalancedDRing(cfg.Switches, cfg.Supernodes, cfg.Ports)
 	if err := dspec.Validate(); err != nil {
@@ -265,27 +247,11 @@ func buildFabric(cfg Config, topo string) (*topology.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bakeoff: dring: %w", err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	switch topo {
-	case "dring":
-		return dr, nil
-	case "rrg":
-		g, err := core.MatchedRRG(dr, rng)
-		if err != nil {
-			return nil, fmt.Errorf("bakeoff: rrg: %w", err)
-		}
-		return g, nil
-	case "xpander", "debruijn", "rng":
-		n := dr.N()
-		perSwitch := (dr.Servers() + n - 1) / n
-		g, err := core.FlatFabric(topo, n, cfg.Ports-perSwitch, cfg.Ports, dr.Servers(), rng)
-		if err != nil {
-			return nil, fmt.Errorf("bakeoff: %s: %w", topo, err)
-		}
-		return g, nil
-	default:
-		return nil, fmt.Errorf("bakeoff: unknown topology %q (want dring, rrg, xpander, debruijn or rng)", topo)
+	g, err := core.OnDRing(topo, dr, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, fmt.Errorf("bakeoff: %s: %w", topo, err)
 	}
+	return g, nil
 }
 
 // udfOf scores the fabric's mean NSR against the paper's leaf-spine(48,16)
@@ -351,8 +317,7 @@ func measureCell(cfg Config, topo, scheme string, g *topology.Graph) (Cell, erro
 	fct.Audit = cfg.Audit
 	fct.JobClasses = workload.ThreeTier()
 	fct.CapacityBps = float64(g.Servers()) * fct.Net.LinkRateBps / 2
-	fs := &core.FabricSet{LeafSpineSpec: topology.LeafSpineSpec{X: 1, Y: 1}} // unused with CapacityBps set
-	res, err := core.RunFCT(fs, combo, core.TMA2A, fct)
+	res, err := core.RunFCT(nil, combo, core.TMA2A, fct)
 	if err != nil {
 		return Cell{}, fmt.Errorf("bakeoff: %s/%s fct: %w", topo, scheme, err)
 	}

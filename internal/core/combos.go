@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"spineless/internal/routing"
 	"spineless/internal/topology"
@@ -18,38 +19,57 @@ type Combo struct {
 // "shortest-union(K)" / "suK", "kspK", "vlb", the path-count-weighted
 // variants "wcmp" (weighted ECMP) and "wsuK", or the flat-fabric natives
 // "selfroute" (De Bruijn shift-register routing; the fabric must be a De
-// Bruijn graph) and "spvlb" (shortest-path ECMP with VLB fallback).
+// Bruijn graph) and "spvlb" (shortest-path ECMP with VLB fallback). K is a
+// single digit.
 func NewCombo(label string, g *topology.Graph, scheme string) (Combo, error) {
+	family, k, err := parseScheme(scheme)
+	if err != nil {
+		return Combo{}, err
+	}
 	var s routing.Scheme
-	var err error
-	switch {
-	case scheme == "ecmp":
+	switch family {
+	case "ecmp":
 		s = routing.NewECMP(g)
-	case scheme == "wcmp":
+	case "wcmp":
 		s = routing.NewWeighted(routing.NewECMP(g))
-	case scheme == "vlb":
+	case "vlb":
 		s = routing.NewVLB(g)
-	case scheme == "selfroute":
+	case "selfroute":
 		s, err = routing.NewDeBruijn(g)
-	case scheme == "spvlb":
+	case "spvlb":
 		s = routing.NewSPVLB(g)
-	case len(scheme) == 3 && scheme[:2] == "su":
-		s, err = routing.NewShortestUnion(g, int(scheme[2]-'0'))
-	case len(scheme) == 4 && scheme[:3] == "wsu":
+	case "su":
+		s, err = routing.NewShortestUnion(g, k)
+	case "wsu":
 		var fib *routing.Fib
-		fib, err = routing.NewShortestUnion(g, int(scheme[3]-'0'))
+		fib, err = routing.NewShortestUnion(g, k)
 		if err == nil {
 			s = routing.NewWeighted(fib)
 		}
-	case len(scheme) == 4 && scheme[:3] == "ksp":
-		s, err = routing.NewKSP(g, int(scheme[3]-'0'))
-	default:
-		err = fmt.Errorf("core: unknown scheme %q", scheme)
+	case "ksp":
+		s, err = routing.NewKSP(g, k)
 	}
 	if err != nil {
 		return Combo{}, err
 	}
 	return Combo{Label: label, Fabric: g, Scheme: s}, nil
+}
+
+// parseScheme splits a NewCombo scheme name into its family and K without
+// a graph: a fixed name, or "su", "wsu" or "ksp" followed by one decimal
+// digit.
+func parseScheme(scheme string) (family string, k int, err error) {
+	switch scheme {
+	case "ecmp", "wcmp", "vlb", "selfroute", "spvlb":
+		return scheme, 0, nil
+	}
+	for _, family := range []string{"su", "wsu", "ksp"} {
+		rest, ok := strings.CutPrefix(scheme, family)
+		if ok && len(rest) == 1 && '0' <= rest[0] && rest[0] <= '9' {
+			return family, int(rest[0] - '0'), nil
+		}
+	}
+	return "", 0, fmt.Errorf("core: unknown scheme %q", scheme)
 }
 
 // PaperCombos returns the five Figure 4 combinations: leaf-spine(ecmp),

@@ -121,8 +121,10 @@ func TestNewComboSchemes(t *testing.T) {
 			t.Fatalf("scheme %s: %v", s, err)
 		}
 	}
-	if _, err := NewCombo("x", fs.DRing, "magic"); err == nil {
-		t.Fatal("unknown scheme accepted")
+	for _, s := range append([]string{"magic"}, malformedSchemes...) {
+		if _, err := NewCombo("x", fs.DRing, s); err == nil {
+			t.Fatalf("unknown scheme %q accepted", s)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"spineless/internal/topology"
 )
@@ -89,6 +91,15 @@ func AutoSupernodes(spec topology.LeafSpineSpec) int {
 	return m
 }
 
+// TrioFabrics builds the §5.1 trio the drivers and the job runner share:
+// PaperFabrics when paper is set, else ScaledFabrics(factor).
+func TrioFabrics(paper bool, factor int, rng *rand.Rand) (*FabricSet, error) {
+	if paper {
+		return PaperFabrics(rng)
+	}
+	return ScaledFabrics(factor, rng)
+}
+
 // ScaledFabrics builds a proportionally scaled-down trio that preserves the
 // 3:1 oversubscription and the DRing geometry, for fast tests and benches.
 // factor 4 yields leaf-spine(12,4): 16 racks, 192 servers, 20 switches.
@@ -104,9 +115,81 @@ func ScaledFabrics(factor int, rng *rand.Rand) (*FabricSet, error) {
 // §5.1 trio, in the order the bake-off reports them.
 var FlatFabricNames = []string{"xpander", "debruijn", "rng"}
 
+// fabricNames is every name (*FabricSet).Fabric builds; OnDRing builds all
+// of them but "leafspine".
+var fabricNames = append([]string{"leafspine", "dring", "rrg"}, FlatFabricNames...)
+
+// Fabric returns the named fabric on the set's equipment budget: the trio's
+// own "leafspine", "dring" or "rrg", or a FlatFabricNames fabric built by
+// ExtraFabric from a fresh rand.NewSource(seed), so its wiring is fixed by
+// the seed alone.
+func (fs *FabricSet) Fabric(name string, seed int64) (*topology.Graph, error) {
+	switch name {
+	case "leafspine":
+		return fs.LeafSpine, nil
+	case "dring":
+		return fs.DRing, nil
+	case "rrg":
+		return fs.RRG, nil
+	}
+	return ExtraFabric(fs, name, seed)
+}
+
+// OnDRing returns the named fabric on a DRing's equipment budget: "dring"
+// is dr itself, "rrg" its MatchedRRG, and a FlatFabricNames fabric gets
+// dr's switch count, radix and server total. Only "dring" draws nothing
+// from rng.
+func OnDRing(name string, dr *topology.Graph, rng *rand.Rand) (*topology.Graph, error) {
+	switch {
+	case name == "dring":
+		return dr, nil
+	case name == "rrg":
+		return MatchedRRG(dr, rng)
+	case slices.Contains(FlatFabricNames, name):
+		return FlatFabric(name, dr.N(), dr.Ports, dr.Servers(), rng)
+	}
+	return nil, fmt.Errorf("core: unknown fabric %q on a DRing budget (want dring, rrg, %s)", name, strings.Join(FlatFabricNames, ", "))
+}
+
+// NativeScheme names the routing scheme a fabric is designed for: De Bruijn
+// shift-register "selfroute", RNG's shortest-path-with-VLB-fallback
+// "spvlb", and the paper's "su2" for every other fabric.
+func NativeScheme(name string) string {
+	switch name {
+	case "debruijn":
+		return "selfroute"
+	case "rng":
+		return "spvlb"
+	}
+	return "su2"
+}
+
+// CheckCombo vets a fabric and scheme by name alone, before anything is
+// built: the fabric must be one Fabric builds, the scheme must follow
+// NewCombo's grammar, and "selfroute" runs only on "debruijn" — no other
+// fabric is a De Bruijn graph.
+func CheckCombo(fabric, scheme string) error {
+	if !slices.Contains(fabricNames, fabric) {
+		return unknownFabric(fabric)
+	}
+	if _, _, err := parseScheme(scheme); err != nil {
+		return err
+	}
+	if scheme == "selfroute" && fabric != "debruijn" {
+		return fmt.Errorf("core: scheme selfroute needs the debruijn fabric, not %q", fabric)
+	}
+	return nil
+}
+
+func unknownFabric(name string) error {
+	return fmt.Errorf("core: unknown fabric %q (want %s)", name, strings.Join(fabricNames, ", "))
+}
+
 // FlatFabric builds one of the competing flat fabrics on a given equipment
-// budget: `switches` radix-`ports` switches spending `degree` ports each on
-// the network, with `servers` total servers as the attachment target.
+// budget: `switches` radix-`ports` switches with `servers` total servers as
+// the attachment target. Each switch spends the ports its server share
+// leaves free on the network: degree = ports − ⌈servers/switches⌉ (4·tors
+// on a uniform DRing).
 //
 //   - "xpander": 2-lift expander; the lift construction rounds the switch
 //     count up to (degree+1)·2^j, and servers scale with it so per-switch
@@ -120,7 +203,8 @@ var FlatFabricNames = []string{"xpander", "debruijn", "rng"}
 // The actual switch and server counts therefore differ slightly from the
 // request — callers compare fabrics per server, and the bake-off scorecard
 // reports the realized equipment so the deltas stay visible.
-func FlatFabric(name string, switches, degree, ports, servers int, rng *rand.Rand) (*topology.Graph, error) {
+func FlatFabric(name string, switches, ports, servers int, rng *rand.Rand) (*topology.Graph, error) {
+	degree := ports - (servers+switches-1)/switches
 	switch name {
 	case "xpander":
 		g, err := topology.Xpander(switches, degree, rng)
@@ -140,21 +224,17 @@ func FlatFabric(name string, switches, degree, ports, servers int, rng *rand.Ran
 	case "rng":
 		return topology.RNG(topology.RNGSpec{Switches: switches, Degree: degree, Ports: ports}, rng)
 	default:
-		return nil, fmt.Errorf("core: unknown flat fabric %q (want xpander, debruijn or rng)", name)
+		return nil, unknownFabric(name)
 	}
 }
 
 // ExtraFabric builds one of the FlatFabricNames fabrics on the same
-// equipment budget as a FabricSet's leaf-spine: its switch count and radix,
-// its server total, and the network degree that equipment implies for a
-// flat fabric (radix minus the per-switch server share). This is how the
-// job service and the figure drivers extend the §5.1 trio to the bake-off
-// five.
+// equipment budget as a FabricSet's leaf-spine — its switch count, radix
+// and server total — from a fresh rand.NewSource(seed). This is how
+// Fabric extends the §5.1 trio to the bake-off five.
 func ExtraFabric(fs *FabricSet, name string, seed int64) (*topology.Graph, error) {
 	spec := fs.LeafSpineSpec
-	n, ports, servers := spec.Switches(), spec.Radix(), spec.TotalServers()
-	perSwitch := (servers + n - 1) / n
-	return FlatFabric(name, n, ports-perSwitch, ports, servers, rand.New(rand.NewSource(seed)))
+	return FlatFabric(name, spec.Switches(), spec.Radix(), spec.TotalServers(), rand.New(rand.NewSource(seed)))
 }
 
 // MatchedRRG builds a random regular graph using the same equipment as an

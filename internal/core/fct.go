@@ -110,7 +110,8 @@ type FCTResult struct {
 //
 // The reference capacity comes from fs.LeafSpineSpec so every fabric in the
 // set sees the identical offered load, exactly as the paper applies one TM
-// across topologies.
+// across topologies. When cfg.CapacityBps is set it is the reference
+// instead, and fs may be nil.
 //
 // With cfg.Trials > 1 the experiment repeats over independently seeded
 // arrival windows — in parallel across cfg.Workers — and the result pools

@@ -28,8 +28,8 @@ type ScaleConfig struct {
 	Ports            int
 	Scheme           string // routing scheme name for both fabrics
 	// Topology picks the fabric measured against the equipment-matched RRG
-	// denominator: "dring" (default, the paper's Figure 6) or a bake-off
-	// fabric "xpander", "debruijn" or "rng" built on the same budget.
+	// denominator, built on the sweep point's DRing budget by OnDRing:
+	// "dring" (default, the paper's Figure 6) or a bake-off flat fabric.
 	Topology string
 	FCT      FCTConfig
 	// Workers bounds sweep-point parallelism (0 = one per CPU). Points are
@@ -66,28 +66,23 @@ func ScaleSweep(supernodeCounts []int, cfg ScaleConfig) ([]ScalePoint, error) {
 }
 
 func scalePoint(m int, cfg ScaleConfig) (ScalePoint, error) {
-	spec := topology.Uniform(m, cfg.TorsPerSupernode, cfg.Ports)
-	num, err := topology.DRing(spec)
+	dr, err := topology.DRing(topology.Uniform(m, cfg.TorsPerSupernode, cfg.Ports))
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.FCT.Seed))
-	switch cfg.Topology {
-	case "", "dring":
-		// The paper's sweep: the DRing itself is the numerator.
-	case "xpander", "debruijn", "rng":
-		// A bake-off fabric on the same equipment budget as the DRing at
-		// this sweep point; the denominator RRG is matched to it, so the
-		// ratio stays "fabric vs its own equipment-matched expander".
-		num, err = FlatFabric(cfg.Topology, num.N(), 4*cfg.TorsPerSupernode, cfg.Ports, num.Servers(), rng)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-	default:
-		return ScalePoint{}, fmt.Errorf("core: unknown scale topology %q (want dring, xpander, debruijn or rng)", cfg.Topology)
+	name := cfg.Topology
+	if name == "" {
+		name = "dring"
 	}
-	dr := num
-	rrg, err := MatchedRRG(dr, rng)
+	// One rng builds the numerator on the DRing's budget and then the
+	// denominator RRG matched to it, so the ratio stays "fabric vs its own
+	// equipment-matched expander".
+	rng := rand.New(rand.NewSource(cfg.FCT.Seed))
+	num, err := OnDRing(name, dr, rng)
+	if err != nil {
+		return ScalePoint{}, err
+	}
+	rrg, err := MatchedRRG(num, rng)
 	if err != nil {
 		return ScalePoint{}, err
 	}
@@ -99,14 +94,9 @@ func scalePoint(m int, cfg ScaleConfig) (ScalePoint, error) {
 	// effect. (A fixed reference, or a flow cap, would skew per-server
 	// load across sweep points and invert the trend.)
 	fctCfg := cfg.FCT
-	fctCfg.CapacityBps = float64(dr.Servers()) * fctCfg.Net.LinkRateBps / 2
-	fs := &FabricSet{LeafSpineSpec: topology.LeafSpineSpec{X: 1, Y: 1}} // unused with CapacityBps set
+	fctCfg.CapacityBps = float64(num.Servers()) * fctCfg.Net.LinkRateBps / 2
 
-	numLabel := cfg.Topology
-	if numLabel == "" {
-		numLabel = "dring"
-	}
-	drCombo, err := NewCombo(numLabel, dr, cfg.Scheme)
+	numCombo, err := NewCombo(name, num, cfg.Scheme)
 	if err != nil {
 		return ScalePoint{}, err
 	}
@@ -114,19 +104,19 @@ func scalePoint(m int, cfg ScaleConfig) (ScalePoint, error) {
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	drRes, err := RunFCT(fs, drCombo, TMA2A, fctCfg)
+	numRes, err := RunFCT(nil, numCombo, TMA2A, fctCfg)
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	rrgRes, err := RunFCT(fs, rrgCombo, TMA2A, fctCfg)
+	rrgRes, err := RunFCT(nil, rrgCombo, TMA2A, fctCfg)
 	if err != nil {
 		return ScalePoint{}, err
 	}
 	return ScalePoint{
 		Supernodes:  m,
-		Racks:       dr.N(),
-		Servers:     dr.Servers(),
-		Ratio:       drRes.Stats.P99MS / rrgRes.Stats.P99MS,
-		MedianRatio: drRes.Stats.MedianMS / rrgRes.Stats.MedianMS,
+		Racks:       num.N(),
+		Servers:     num.Servers(),
+		Ratio:       numRes.Stats.P99MS / rrgRes.Stats.P99MS,
+		MedianRatio: numRes.Stats.MedianMS / rrgRes.Stats.MedianMS,
 	}, nil
 }

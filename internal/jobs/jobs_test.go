@@ -105,6 +105,14 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: "fct", Util: -1},
 		{Kind: "live"}, // no fault schedule
 		{Kind: "live", Fabric: "leafspine", Faults: &FaultSpec{Fraction: 0.05}},
+		// Scheme names are checked at submit, by name alone: a malformed K
+		// and shift-register routing off a De Bruijn graph never run.
+		{Kind: "fct", Scheme: "sux"},
+		{Kind: "fct", Scheme: "ksp/"},
+		{Kind: "fct", Scheme: "wsu~"},
+		{Kind: "fct", Scheme: "magic"},
+		{Kind: "fct", Fabric: "dring", Scheme: "selfroute"},
+		{Kind: "fct", Fabric: "rng", Scheme: "selfroute"},
 	}
 	for i, sp := range bad {
 		if err := sp.Normalized().Validate(); err == nil {
@@ -113,6 +121,10 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := tinySpec().Normalized().Validate(); err != nil {
 		t.Fatalf("tiny spec rejected: %v", err)
+	}
+	native := Spec{Kind: "fct", Fabric: "debruijn", Scheme: "selfroute"}
+	if err := native.Normalized().Validate(); err != nil {
+		t.Fatalf("selfroute on debruijn rejected: %v", err)
 	}
 	live := Spec{Kind: "live", Faults: &FaultSpec{Fraction: 0.05, Flows: 50, WindowNS: 5e6}}
 	if err := live.Normalized().Validate(); err != nil {

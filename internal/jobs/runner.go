@@ -57,30 +57,15 @@ func Execute(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder,
 }
 
 func executeFCT(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int)) (*core.FCTResult, error) {
-	rng := rand.New(rand.NewSource(sp.Seed))
-	var fs *core.FabricSet
-	var err error
-	if sp.Topo.Paper {
-		fs, err = core.PaperFabrics(rng)
-	} else {
-		fs, err = core.ScaledFabrics(sp.Topo.Scale, rng)
-	}
+	fs, err := core.TrioFabrics(sp.Topo.Paper, sp.Topo.Scale, rand.New(rand.NewSource(sp.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	var fabric = fs.DRing
-	switch sp.Fabric {
-	case "leafspine":
-		fabric = fs.LeafSpine
-	case "rrg":
-		fabric = fs.RRG
-	case "xpander", "debruijn", "rng":
-		// A bake-off fabric on the trio's equipment budget, seeded from the
-		// spec so the wiring is part of the cell identity.
-		fabric, err = core.ExtraFabric(fs, sp.Fabric, sp.Seed)
-		if err != nil {
-			return nil, err
-		}
+	// Flat fabrics are seeded from the spec, so the wiring is part of the
+	// cell identity.
+	fabric, err := fs.Fabric(sp.Fabric, sp.Seed)
+	if err != nil {
+		return nil, err
 	}
 	combo, err := core.NewCombo(sp.Fabric+" ("+sp.Scheme+")", fabric, sp.Scheme)
 	if err != nil {
@@ -109,15 +94,13 @@ func executeLive(ctx context.Context, sp Spec, rec *telemetry.Recorder, onTrial 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g, err := topology.DRing(topology.Uniform(sp.Topo.Supernodes, sp.Topo.Tors, sp.Topo.Ports))
+	dr, err := topology.DRing(topology.Uniform(sp.Topo.Supernodes, sp.Topo.Tors, sp.Topo.Ports))
 	if err != nil {
 		return nil, err
 	}
-	if sp.Fabric == "rrg" {
-		g, err = core.MatchedRRG(g, rand.New(rand.NewSource(sp.Seed)))
-		if err != nil {
-			return nil, err
-		}
+	g, err := core.OnDRing(sp.Fabric, dr, rand.New(rand.NewSource(sp.Seed)))
+	if err != nil {
+		return nil, err
 	}
 	f := sp.Faults
 	cfg := resilience.DefaultLiveConfig()

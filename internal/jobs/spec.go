@@ -38,13 +38,15 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Topo shapes the fabric.
 	Topo TopoSpec `json:"topo"`
-	// Fabric picks the substrate: the §5.1 trio "leafspine", "rrg" or
-	// "dring", or a bake-off flat fabric "xpander", "debruijn" or "rng"
-	// built on the same equipment budget (core.ExtraFabric).
+	// Fabric picks the substrate by core.(*FabricSet).Fabric name: the
+	// §5.1 trio "leafspine", "rrg" or "dring", or a bake-off flat fabric
+	// "xpander", "debruijn" or "rng" built on the trio's equipment budget.
+	// Live runs take "dring" or its equipment-matched "rrg" (core.OnDRing).
 	Fabric string `json:"fabric"`
 	// Scheme is the routing scheme name (core.NewCombo syntax: "ecmp",
-	// "su2", "wcmp", "vlb", "ksp3", ...). Live runs use Shortest-Union(K)
-	// from Faults.K instead.
+	// "su2", "wcmp", "vlb", "ksp3", ...; "selfroute" only on "debruijn"),
+	// checked at submit by core.CheckCombo. Live runs use
+	// Shortest-Union(K) from Faults.K instead.
 	Scheme string `json:"scheme,omitempty"`
 	// TM names the traffic matrix for fct runs (core.AllTMKinds).
 	TM string `json:"tm,omitempty"`
@@ -203,10 +205,8 @@ func (s Spec) Validate() error {
 	}
 	switch s.Kind {
 	case "fct":
-		switch s.Fabric {
-		case "leafspine", "rrg", "dring", "xpander", "debruijn", "rng":
-		default:
-			return fmt.Errorf("jobs: unknown fabric %q (want leafspine, rrg, dring, xpander, debruijn or rng)", s.Fabric)
+		if err := core.CheckCombo(s.Fabric, s.Scheme); err != nil {
+			return fmt.Errorf("jobs: %w", err)
 		}
 		if !s.Topo.Paper {
 			f := s.Topo.Scale

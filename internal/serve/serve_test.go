@@ -224,6 +224,15 @@ func TestSubmitErrors(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d", code)
 	}
+	// Scheme names are vetted at submit, before any fabric is built.
+	for _, spec := range []string{
+		`{"kind":"fct","scheme":"sux"}`,
+		`{"kind":"fct","fabric":"dring","scheme":"selfroute"}`,
+	} {
+		if code, _ := postSpec(t, ts, spec); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d", spec, code)
+		}
+	}
 
 	if code, body := get(t, ts.URL+"/v1/jobs/j999999"); code != http.StatusNotFound {
 		t.Errorf("missing job: %d %s", code, body)
