@@ -293,7 +293,7 @@ func benchFlowlets(b *testing.B, flowlets bool) {
 	}
 	cfg := benchFCTConfig()
 	if flowlets {
-		cfg.Net = cfg.Net.WithFlowlets(0)
+		cfg.Net.FlowletTimeout = 100 * time.Microsecond
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -117,7 +117,8 @@ func TestAuditedIncastWithDrops(t *testing.T) {
 
 func TestAuditedFlowletDCTCPRun(t *testing.T) {
 	g := pairFabric(t, 2, 4)
-	cfg := netsim.DefaultConfig().WithDCTCP().WithFlowlets(50 * time.Microsecond)
+	cfg := netsim.DefaultConfig().WithDCTCP()
+	cfg.FlowletTimeout = 50 * time.Microsecond
 	var flows []workload.Flow
 	for i := 0; i < 12; i++ {
 		flows = append(flows, workload.Flow{
@@ -155,7 +156,7 @@ func TestAuditedFaultInjectionRun(t *testing.T) {
 	sched.Cut(1_500_000, 0, 1)
 	sched.Restore(5_500_000, 0, 1)
 	sched.Gray(3_000_000, 1, 2, 0.01, 0.5)
-	sched.ClearGray(5_000_000, 1, 2)
+	sched.Events = append(sched.Events, faults.Event{TimeNS: 5_000_000, Kind: faults.GrayClear, A: 1, B: 2})
 
 	var flows []workload.Flow
 	for i := 0; i < 18; i++ {
@@ -218,8 +219,9 @@ func TestAuditorDetectsConservationBreach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Forge one extra delivery: conservation must catch the imbalance.
-	aud.OnDeliver(res.EndNS, 0, false, 0)
+	// Forge one extra delivery at the last hook's time: conservation must
+	// catch the imbalance.
+	aud.OnDeliver(aud.lastNS, 0, false, 0)
 	finErr := aud.Finish(res)
 	if finErr == nil {
 		t.Fatal("auditor missed a forged extra delivery")

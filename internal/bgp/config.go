@@ -91,12 +91,10 @@ func (n *Network) GenerateConfig(router int) string {
 
 	pairs := n.sessionPairs()
 	type nbr struct {
-		vrf     int
-		peerIP  string
-		peerAS  int
-		policy  int // prepend count, -1 = deny
-		ifName  string
-		localIP string
+		vrf    int
+		peerIP string
+		peerAS int
+		policy int // prepend count, -1 = deny
 	}
 	var nbrs []nbr
 	sub := 0
@@ -117,7 +115,7 @@ func (n *Network) GenerateConfig(router int) string {
 		ifName := fmt.Sprintf("Ethernet0/0.%d", sub)
 		fmt.Fprintf(&b, "interface %s\n encapsulation dot1Q %d\n vrf forwarding vrf%d\n ip address %s 255.255.255.254\n!\n",
 			ifName, sub, local.VRF, localIP)
-		nbrs = append(nbrs, nbr{vrf: local.VRF, peerIP: peerIP, peerAS: AS(peer.Router), policy: policy, ifName: ifName, localIP: localIP})
+		nbrs = append(nbrs, nbr{vrf: local.VRF, peerIP: peerIP, peerAS: AS(peer.Router), policy: policy})
 	}
 
 	fmt.Fprintf(&b, "router bgp %d\n bgp log-neighbor-changes\n", AS(router))

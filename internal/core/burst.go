@@ -11,7 +11,6 @@ import (
 
 // BurstResult reports a microburst drain measurement on one combo.
 type BurstResult struct {
-	Combo string
 	// DrainMS is the time until the last burst flow completes — how long
 	// the bursting rack needs to evacuate its data (§3's microburst
 	// argument: flat ToRs can use all their network links for it).
@@ -37,7 +36,7 @@ func RunBurst(combo Combo, spec workload.BurstSpec, net netsim.Config, seed int6
 	if err != nil {
 		return BurstResult{}, err
 	}
-	out := BurstResult{Combo: combo.Label, Stats: res.Stats}
+	out := BurstResult{Stats: res.Stats}
 	var drain int64
 	for i := 0; i < burstN; i++ {
 		f := res.FCTNS[i]

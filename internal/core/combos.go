@@ -57,17 +57,24 @@ func NewCombo(label string, g *topology.Graph, scheme string) (Combo, error) {
 
 // parseScheme splits a NewCombo scheme name into its family and K without
 // a graph: a fixed name, or "su", "wsu" or "ksp" followed by one decimal
-// digit.
+// digit no smaller than the family's minimum in routing.
 func parseScheme(scheme string) (family string, k int, err error) {
 	switch scheme {
 	case "ecmp", "wcmp", "vlb", "selfroute", "spvlb":
 		return scheme, 0, nil
 	}
-	for _, family := range []string{"su", "wsu", "ksp"} {
-		rest, ok := strings.CutPrefix(scheme, family)
-		if ok && len(rest) == 1 && '0' <= rest[0] && rest[0] <= '9' {
-			return family, int(rest[0] - '0'), nil
+	for _, f := range []struct {
+		name string
+		minK int
+	}{{"su", routing.MinShortestUnionK}, {"wsu", routing.MinShortestUnionK}, {"ksp", routing.MinKSPPaths}} {
+		rest, ok := strings.CutPrefix(scheme, f.name)
+		if !ok || len(rest) != 1 || rest[0] < '0' || rest[0] > '9' {
+			continue
 		}
+		if k := int(rest[0] - '0'); k >= f.minK {
+			return f.name, k, nil
+		}
+		return "", 0, fmt.Errorf("core: scheme %q needs K >= %d", scheme, f.minK)
 	}
 	return "", 0, fmt.Errorf("core: unknown scheme %q", scheme)
 }

@@ -198,7 +198,9 @@ func unknownFabric(name string) error {
 //     regularized degree is set by the alphabet, and every spare port hosts
 //     a server.
 //   - "rng": AWS's union-of-matchings fabric at exactly the requested
-//     degree; every spare port hosts a server.
+//     degree; every spare port hosts a server. Perfect matchings need an
+//     even switch count, so an odd budget is rounded down to the even
+//     count below it and the fabric never exceeds its budget.
 //
 // The actual switch and server counts therefore differ slightly from the
 // request — callers compare fabrics per server, and the bake-off scorecard
@@ -222,7 +224,7 @@ func FlatFabric(name string, switches, ports, servers int, rng *rand.Rand) (*top
 		}
 		return topology.DeBruijn(spec)
 	case "rng":
-		return topology.RNG(topology.RNGSpec{Switches: switches, Degree: degree, Ports: ports}, rng)
+		return topology.RNG(topology.RNGSpec{Switches: switches &^ 1, Degree: degree, Ports: ports}, rng)
 	default:
 		return nil, unknownFabric(name)
 	}

@@ -153,6 +153,24 @@ func TestRegistryRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestFlatFabricRNGRoundsOddBudgetDown: perfect matchings need an even
+// switch count, so the 15 switches of a 5-supernode, 3-ToR DRing build an
+// RNG of 14 at the budget's degree, every spare port hosting a server.
+func TestFlatFabricRNGRoundsOddBudgetDown(t *testing.T) {
+	g, err := FlatFabric("rng", 15, 20, 120, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 14 || !g.Connected() {
+		t.Fatalf("%d switches, connected %v; want a connected fabric of 14", g.N(), g.Connected())
+	}
+	for v := 0; v < g.N(); v++ {
+		if d, s := g.NetworkDegree(v), g.ServerCount(v); d != 12 || s != 8 {
+			t.Fatalf("switch %d: degree %d with %d servers, want 12 with 8", v, d, s)
+		}
+	}
+}
+
 func TestNativeScheme(t *testing.T) {
 	for name, want := range map[string]string{
 		"leafspine": "su2", "dring": "su2", "rrg": "su2",
@@ -169,10 +187,15 @@ func TestNativeScheme(t *testing.T) {
 // Shortest-Union(72), "ksp/" ran KSP(255)).
 var malformedSchemes = []string{"sux", "su:", "ksp/", "kspx", "wsu~", "su", "su22", "SU2", ""}
 
+// belowMinimumSchemes have a K under routing's minimum for their family,
+// which NewCombo rejects only once it has a fabric to build on.
+var belowMinimumSchemes = []string{"su0", "su1", "wsu0", "wsu1", "ksp0"}
+
 // TestCheckCombo pins the name-only check jobs.Validate relies on: the
-// fabric menu, NewCombo's scheme grammar, and selfroute on De Bruijn only.
+// fabric menu, NewCombo's scheme grammar with routing's minimum K, and
+// selfroute on De Bruijn only.
 func TestCheckCombo(t *testing.T) {
-	for _, scheme := range []string{"ecmp", "wcmp", "vlb", "spvlb", "su2", "su9", "wsu3", "ksp4"} {
+	for _, scheme := range []string{"ecmp", "wcmp", "vlb", "spvlb", "su2", "su9", "wsu2", "wsu3", "ksp1", "ksp4"} {
 		if err := CheckCombo("dring", scheme); err != nil {
 			t.Errorf("CheckCombo(dring, %q): %v", scheme, err)
 		}
@@ -180,6 +203,15 @@ func TestCheckCombo(t *testing.T) {
 	for _, scheme := range malformedSchemes {
 		if err := CheckCombo("dring", scheme); err == nil {
 			t.Errorf("CheckCombo(dring, %q) accepted a malformed scheme", scheme)
+		}
+	}
+	fs := tinyFabrics(t)
+	for _, scheme := range belowMinimumSchemes {
+		if err := CheckCombo("dring", scheme); err == nil {
+			t.Errorf("CheckCombo(dring, %q) accepted a K below routing's minimum", scheme)
+		}
+		if _, err := NewCombo("x", fs.DRing, scheme); err == nil {
+			t.Errorf("NewCombo(%q) accepted a K below routing's minimum", scheme)
 		}
 	}
 	for _, tc := range []struct {

@@ -12,13 +12,12 @@ import (
 // analytic NSRs and UDF, and the empirical UDF measured on an actual flat
 // rewiring of the same equipment.
 type UDFRow struct {
-	Spec              topology.LeafSpineSpec
-	NSRBase, NSRFlat  float64
-	UDFAnalytic       float64
-	UDFEmpirical      float64
-	Racks, FlatRacks  int
-	Servers           int
-	FlatServersPerTor float64
+	Spec             topology.LeafSpineSpec
+	NSRBase, NSRFlat float64
+	UDFAnalytic      float64
+	UDFEmpirical     float64
+	Racks            int
+	Servers          int
 }
 
 // UDFStudy computes the §3.1 table for a set of leaf-spine configurations,
@@ -40,15 +39,13 @@ func UDFStudy(specs []topology.LeafSpineSpec, rng *rand.Rand) ([]UDFRow, error) 
 		}
 		nsrB, nsrF, udf := topology.UDFLeafSpineAnalytic(spec)
 		out = append(out, UDFRow{
-			Spec:              spec,
-			NSRBase:           nsrB,
-			NSRFlat:           nsrF,
-			UDFAnalytic:       udf,
-			UDFEmpirical:      emp,
-			Racks:             len(base.Racks()),
-			FlatRacks:         len(flat.Racks()),
-			Servers:           base.Servers(),
-			FlatServersPerTor: float64(flat.Servers()) / float64(flat.N()),
+			Spec:         spec,
+			NSRBase:      nsrB,
+			NSRFlat:      nsrF,
+			UDFAnalytic:  udf,
+			UDFEmpirical: emp,
+			Racks:        len(base.Racks()),
+			Servers:      base.Servers(),
 		})
 	}
 	return out, nil

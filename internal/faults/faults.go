@@ -91,11 +91,6 @@ func (s *Schedule) Gray(t int64, a, b int, lossProb, rateFactor float64) {
 	})
 }
 
-// ClearGray schedules the recovery of a gray link at t.
-func (s *Schedule) ClearGray(t int64, a, b int) {
-	s.Events = append(s.Events, Event{TimeNS: t, Kind: GrayClear, A: a, B: b})
-}
-
 // Flap schedules cycles of down/up on link a-b: the first cut lands at
 // firstDownNS, each outage lasts downForNS, each recovery lasts upForNS,
 // and the last cycle's repair is included (the link ends up).

@@ -130,10 +130,14 @@ func TestMaxMinParallelLinksAggregate(t *testing.T) {
 // TestMaxMinErrors: every malformed input is an error that names the
 // offending flow — never a panic, although arrays index by host and switch id.
 func TestMaxMinErrors(t *testing.T) {
-	pair := twoRackFabric(t) // hosts 0,1 on switch 0; hosts 2,3 on switch 1
-	disc := twoRackFabric(t) // the same plus an unlinked switch 2 with host 4
-	disc.AddSwitches(1)
-	disc.SetServers(2, 1)
+	pair := twoRackFabric(t)           // hosts 0,1 on switch 0; hosts 2,3 on switch 1
+	disc := topology.New("disc", 3, 3) // the same plus an unlinked switch 2 with host 4
+	if err := disc.AddLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for sw, n := range []int{2, 2, 1} {
+		disc.SetServers(sw, n)
+	}
 	ok := PathFlow{Src: 1, Dst: 3, Path: []int{0, 1}}
 	cases := []struct {
 		name string

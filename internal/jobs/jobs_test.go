@@ -111,6 +111,10 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: "fct", Scheme: "ksp/"},
 		{Kind: "fct", Scheme: "wsu~"},
 		{Kind: "fct", Scheme: "magic"},
+		// K below routing's minimum for the family.
+		{Kind: "fct", Scheme: "su1"},
+		{Kind: "fct", Scheme: "wsu1"},
+		{Kind: "fct", Scheme: "ksp0"},
 		{Kind: "fct", Fabric: "dring", Scheme: "selfroute"},
 		{Kind: "fct", Fabric: "rng", Scheme: "selfroute"},
 	}
@@ -651,10 +655,10 @@ func TestTelemetryJobPublishesOnHub(t *testing.T) {
 	// Released on settle: the twin only mirrors running jobs.
 	m.Cancel(j.ID)
 	waitTerminal(t, j)
-	for m.Hub().Active() != 0 && time.Now().Before(deadline) {
+	for len(m.Hub().Snapshot()) != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := m.Hub().Active(); n != 0 {
+	if n := len(m.Hub().Snapshot()); n != 0 {
 		t.Fatalf("%d recorders still on the hub after settle", n)
 	}
 

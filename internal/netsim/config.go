@@ -111,16 +111,6 @@ func (c Config) WithDCTCP() Config {
 	return c
 }
 
-// WithFlowlets returns a copy of c with flowlet switching at the given
-// idle-gap timeout (0 picks 100 µs, a few fabric RTTs).
-func (c Config) WithFlowlets(timeout time.Duration) Config {
-	if timeout <= 0 {
-		timeout = 100 * time.Microsecond
-	}
-	c.FlowletTimeout = timeout
-	return c
-}
-
 func (c Config) hostRate() float64 {
 	if c.HostRateBps > 0 {
 		return c.HostRateBps

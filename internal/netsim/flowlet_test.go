@@ -21,13 +21,15 @@ func TestFlowletSwitchingMovesPaths(t *testing.T) {
 	// windows, and every stall re-hashes the path (the packet-spray limit
 	// of flowlet switching). This exercises the gap detection and re-hash
 	// deterministically.
-	cfg := DefaultConfig().WithFlowlets(2 * time.Microsecond)
+	cfg := DefaultConfig()
+	cfg.FlowletTimeout = 2 * time.Microsecond
 	cfg.InitCwnd = 2
 	cfg.InitSsthresh = 2 // hold the window small so stalls persist
 	sim, err := New(g, routing.NewECMP(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traceTx(t, sim)
 	res, err := sim.Run([]workload.Flow{{ID: 1, Src: 0, Dst: 4, SizeBytes: 600e3}})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +46,7 @@ func TestFlowletSwitchingMovesPaths(t *testing.T) {
 	// The re-hashes must spread traffic over the spines.
 	used := 0
 	for sp := 8; sp < 12; sp++ {
-		if netLinkTx(sim, 0, sp) > 0 {
+		if tr.linkTx(sim, 0, sp) > 0 {
 			used++
 		}
 	}
@@ -65,6 +67,7 @@ func TestNoFlowletSwitchingStaysPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traceTx(t, sim)
 	res, err := sim.Run([]workload.Flow{{ID: 1, Src: 0, Dst: 4, SizeBytes: 600e3}})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +77,7 @@ func TestNoFlowletSwitchingStaysPinned(t *testing.T) {
 	}
 	used := 0
 	for sp := 8; sp < 12; sp++ {
-		if netLinkTx(sim, 0, sp) > 0 {
+		if tr.linkTx(sim, 0, sp) > 0 {
 			used++
 		}
 	}
@@ -86,7 +89,8 @@ func TestNoFlowletSwitchingStaysPinned(t *testing.T) {
 func TestFlowletDeterminism(t *testing.T) {
 	g1, _ := topology.LeafSpine(topology.LeafSpineSpec{X: 4, Y: 2})
 	g2, _ := topology.LeafSpine(topology.LeafSpineSpec{X: 4, Y: 2})
-	cfg := DefaultConfig().WithFlowlets(0)
+	cfg := DefaultConfig()
+	cfg.FlowletTimeout = 100 * time.Microsecond
 	var flows []workload.Flow
 	for i := 0; i < 12; i++ {
 		flows = append(flows, workload.Flow{

@@ -16,12 +16,12 @@ import (
 )
 
 // resultDigest hashes everything a Run reports: every flow's FCT, the
-// completion count, the end time, all Stats counters, the blackhole window
-// and the RTO-victim count.
-func resultDigest(t *testing.T, res Results) string {
+// completion count, all Stats counters, the blackhole window and the
+// RTO-victim count, with sim's clock after the run.
+func resultDigest(t *testing.T, sim *Simulator, res Results) string {
 	t.Helper()
 	h := sha256.New()
-	for _, v := range []any{res.FCTNS, int64(res.Completed), res.EndNS, res.Stats,
+	for _, v := range []any{res.FCTNS, int64(res.Completed), sim.now, res.Stats,
 		res.BlackholeFirstNS, res.BlackholeLastNS, int64(res.FlowsWithRTO)} {
 		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ type wrapScheme func(routing.Scheme) routing.Scheme
 type goldenCase struct {
 	name string
 	want string
-	run  func(t *testing.T, wrap wrapScheme) Results
+	run  func(t *testing.T, wrap wrapScheme) (*Simulator, Results)
 }
 
 // goldenCases are the runs TestRunGoldenDigests pins. Each digest was
@@ -68,38 +68,40 @@ type goldenCase struct {
 // stale RTO timers, fault batches and routing phase boundaries.
 func goldenCases() []goldenCase {
 	return []goldenCase{
-		{"tcp", "2b1fdda7161a79f0a1afa40b74ef3b088cb5102b5508af17b1785e65bf0f2bb7", func(t *testing.T, wrap wrapScheme) Results {
+		{"tcp", "2b1fdda7161a79f0a1afa40b74ef3b088cb5102b5508af17b1785e65bf0f2bb7", func(t *testing.T, wrap wrapScheme) (*Simulator, Results) {
 			g, flows := goldenDRing(t)
-			return runFlows(t, g, wrap(routing.NewECMP(g)), DefaultConfig(), flows)
+			return runSim(t, g, wrap(routing.NewECMP(g)), DefaultConfig(), flows)
 		}},
-		{"dctcp", "bef893e7ea288623d3f12e94346cd693412dd9d452e793bd6e9226884b517586", func(t *testing.T, wrap wrapScheme) Results {
+		{"dctcp", "bef893e7ea288623d3f12e94346cd693412dd9d452e793bd6e9226884b517586", func(t *testing.T, wrap wrapScheme) (*Simulator, Results) {
 			g, flows := goldenDRing(t)
-			res := runFlows(t, g, wrap(routing.NewECMP(g)), DefaultConfig().WithDCTCP(), flows)
+			sim, res := runSim(t, g, wrap(routing.NewECMP(g)), DefaultConfig().WithDCTCP(), flows)
 			if res.Stats.ECNMarks == 0 {
 				t.Fatal("no packet was CE-marked")
 			}
-			return res
+			return sim, res
 		}},
-		{"flowlets", "f7d5a07752236dbb2d0a4f4002abc0a53aaf3b26ec7f53660d988667a71fb491", func(t *testing.T, wrap wrapScheme) Results {
+		{"flowlets", "f7d5a07752236dbb2d0a4f4002abc0a53aaf3b26ec7f53660d988667a71fb491", func(t *testing.T, wrap wrapScheme) (*Simulator, Results) {
 			g, flows := goldenDRing(t)
 			su2, err := routing.NewShortestUnion(g, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := runFlows(t, g, wrap(su2), DefaultConfig().WithFlowlets(5*time.Microsecond), flows)
+			cfg := DefaultConfig()
+			cfg.FlowletTimeout = 5 * time.Microsecond
+			sim, res := runSim(t, g, wrap(su2), cfg, flows)
 			if res.Stats.FlowletSwitches == 0 {
 				t.Fatal("no flowlet switched paths")
 			}
-			return res
+			return sim, res
 		}},
-		{"faults", "de83818b11c39f181df8279b433dd0a67b9577a2f4336488fb96dcb34747037e", func(t *testing.T, wrap wrapScheme) Results {
+		{"faults", "de83818b11c39f181df8279b433dd0a67b9577a2f4336488fb96dcb34747037e", func(t *testing.T, wrap wrapScheme) (*Simulator, Results) {
 			g, flows := goldenDRing(t)
 			sched := &faults.Schedule{Seed: 5}
 			sched.Cut(300_000, 0, g.Neighbors(0)[0])
 			sched.Restore(900_000, 0, g.Neighbors(0)[0])
 			sched.Flap(1, g.Neighbors(1)[0], 200_000, 100_000, 150_000, 3)
 			sched.Gray(100_000, 2, g.Neighbors(2)[0], 0.05, 0.5)
-			sched.ClearGray(1_500_000, 2, g.Neighbors(2)[0])
+			sched.Events = append(sched.Events, faults.Event{TimeNS: 1_500_000, Kind: faults.GrayClear, A: 2, B: g.Neighbors(2)[0]})
 			sim, err := New(g, wrap(routing.NewECMP(g)), DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -114,9 +116,9 @@ func goldenCases() []goldenCase {
 			if res.Stats.Blackholed == 0 || res.Stats.GrayDrops == 0 {
 				t.Fatalf("faults never bit: %+v", res.Stats)
 			}
-			return res
+			return sim, res
 		}},
-		{"reroute", "360bd5b747e847d2e973c21a3aa1cf88ad7cc380f024a2d60c655dba4177ba4d", func(t *testing.T, wrap wrapScheme) Results {
+		{"reroute", "360bd5b747e847d2e973c21a3aa1cf88ad7cc380f024a2d60c655dba4177ba4d", func(t *testing.T, wrap wrapScheme) (*Simulator, Results) {
 			g, flows := goldenDRing(t)
 			v := g.Neighbors(0)[0]
 			degraded := g.Clone()
@@ -144,9 +146,9 @@ func goldenCases() []goldenCase {
 			if res.Stats.Reroutes == 0 {
 				t.Fatal("no flow was re-pathed at the phase boundary")
 			}
-			return res
+			return sim, res
 		}},
-		{"incast", "f3213dc50303766ac2532de3c64a16d34bf98eb1585ef3719b0ea1cb13a390aa", func(t *testing.T, wrap wrapScheme) Results {
+		{"incast", "f3213dc50303766ac2532de3c64a16d34bf98eb1585ef3719b0ea1cb13a390aa", func(t *testing.T, wrap wrapScheme) (*Simulator, Results) {
 			// 16 senders into one host through an 8-packet queue, started
 			// in reverse time order so the start events arrive unsorted.
 			g := topology.New("incast", 5, 32)
@@ -168,11 +170,11 @@ func goldenCases() []goldenCase {
 			}
 			cfg := DefaultConfig()
 			cfg.QueueBytes = 8 * 1500
-			res := runFlows(t, g, wrap(routing.NewECMP(g)), cfg, flows)
+			sim, res := runSim(t, g, wrap(routing.NewECMP(g)), cfg, flows)
 			if res.Stats.Timeouts == 0 {
 				t.Fatalf("no live RTO fired: %+v", res.Stats)
 			}
-			return res
+			return sim, res
 		}},
 	}
 }
@@ -182,11 +184,11 @@ func goldenCases() []goldenCase {
 func checkGolden(t *testing.T, wrap func(*testing.T, routing.Scheme) routing.Scheme) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			res := c.run(t, func(s routing.Scheme) routing.Scheme { return wrap(t, s) })
+			sim, res := c.run(t, func(s routing.Scheme) routing.Scheme { return wrap(t, s) })
 			if res.Completed != len(res.FCTNS) {
 				t.Fatalf("completed %d/%d", res.Completed, len(res.FCTNS))
 			}
-			if got := resultDigest(t, res); got != c.want {
+			if got := resultDigest(t, sim, res); got != c.want {
 				t.Errorf("digest %s, want %s (stats %+v)", got, c.want, res.Stats)
 			}
 		})

@@ -59,8 +59,7 @@ type link struct {
 	busy       bool
 	down       bool
 
-	drops   uint64
-	txBytes uint64
+	drops uint64
 }
 
 func (l *link) txTimeNS(wire int32) int64 {

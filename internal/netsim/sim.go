@@ -16,12 +16,11 @@ import (
 // scheme, config, flow list and fault schedule always produce identical
 // results (gray-failure loss draws come from the schedule's own seed).
 type Simulator struct {
-	g      *topology.Graph
-	scheme routing.Scheme
-	cfg    Config
+	g   *topology.Graph
+	cfg Config
 
 	// activeScheme is the scheme serving new path lookups right now. It
-	// starts as scheme (or a TimeScheme's phase 0) and advances at evReroute
+	// starts as New's scheme (or a TimeScheme's phase 0) and advances at evReroute
 	// boundaries, replaying BGP reconvergence: flows keep their stale paths
 	// until the boundary, then re-resolve onto the repaired FIB.
 	activeScheme routing.Scheme
@@ -114,7 +113,6 @@ type Results struct {
 	// before MaxSimTime.
 	FCTNS     []int64
 	Completed int
-	EndNS     int64
 	Stats     Stats
 
 	// BlackholeFirstNS/BlackholeLastNS bracket the observed blackhole
@@ -169,7 +167,7 @@ func New(g *topology.Graph, scheme routing.Scheme, cfg Config) (*Simulator, erro
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{g: g, scheme: scheme, cfg: cfg,
+	s := &Simulator{g: g, cfg: cfg,
 		blackholeFirst: -1, blackholeLast: -1, freePkt: noPacket}
 	s.activeScheme = scheme
 	if tv, ok := scheme.(routing.TimeScheme); ok {
@@ -269,7 +267,7 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 	// Drops are counted at the drop site (enterLink), so s.stats is already
 	// complete — no per-link summation pass that could disagree with
 	// Simulator.stats or LinkDrops().
-	res := Results{FCTNS: make([]int64, len(flows)), EndNS: s.now, Stats: s.stats,
+	res := Results{FCTNS: make([]int64, len(flows)), Stats: s.stats,
 		BlackholeFirstNS: s.blackholeFirst, BlackholeLastNS: s.blackholeLast}
 	for i := range s.flows {
 		res.FCTNS[i] = s.flows[i].fct
@@ -463,7 +461,6 @@ func (s *Simulator) txDone(linkID, pid int32) {
 		l.busy = false
 		return
 	}
-	l.txBytes += uint64(s.pkt(pid).wireSize)
 	s.push(s.now+l.delayNS, evDeliver, 0, uint32(pid))
 	if l.queued() > 0 {
 		nid := s.dequeue(l)

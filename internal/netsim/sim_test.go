@@ -26,6 +26,13 @@ func pairFabric(t *testing.T, links, hosts int) *topology.Graph {
 
 func runFlows(t *testing.T, g *topology.Graph, scheme routing.Scheme, cfg Config, flows []workload.Flow) Results {
 	t.Helper()
+	_, res := runSim(t, g, scheme, cfg, flows)
+	return res
+}
+
+// runSim is runFlows that also returns the simulator after the run.
+func runSim(t *testing.T, g *topology.Graph, scheme routing.Scheme, cfg Config, flows []workload.Flow) (*Simulator, Results) {
+	t.Helper()
 	sim, err := New(g, scheme, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +41,7 @@ func runFlows(t *testing.T, g *topology.Graph, scheme routing.Scheme, cfg Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return sim, res
 }
 
 func TestSingleFlowNearLineRate(t *testing.T) {
@@ -157,6 +164,7 @@ func TestECMPSpreadsAcrossSpines(t *testing.T) {
 			ID: uint64(i), Src: i % 4, Dst: 4 + i%4, SizeBytes: 50e3,
 		})
 	}
+	tr := traceTx(t, sim)
 	if _, err := sim.Run(flows); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +172,7 @@ func TestECMPSpreadsAcrossSpines(t *testing.T) {
 	// must appear on more than one spine uplink.
 	used := 0
 	for sp := 8; sp < 12; sp++ {
-		if netLinkTx(sim, 0, sp) > 0 {
+		if tr.linkTx(sim, 0, sp) > 0 {
 			used++
 		}
 	}
@@ -293,16 +301,33 @@ func TestParetoWorkloadOnDRing(t *testing.T) {
 
 func testRand() *rand.Rand { return rand.New(rand.NewSource(21)) }
 
-// netLinkTx returns the bytes transmitted on the directed switch link u→v,
-// summed over parallel copies. It reports 0 for non-existent links.
-func netLinkTx(s *Simulator, u, v int) uint64 {
-	if u < 0 || u >= s.g.N() {
-		return 0
+// txTracer sums the wire bytes every link starts to transmit.
+type txTracer struct {
+	countTracer
+	tx map[int32]uint64
+}
+
+func (c *txTracer) OnTxStart(_ int64, link, _ int32, _ bool, wireBytes int32) {
+	c.tx[link] += uint64(wireBytes)
+}
+
+// traceTx installs a txTracer on s before its run.
+func traceTx(t *testing.T, s *Simulator) *txTracer {
+	t.Helper()
+	tr := &txTracer{tx: make(map[int32]uint64)}
+	if err := s.SetTracer(tr); err != nil {
+		t.Fatal(err)
 	}
+	return tr
+}
+
+// linkTx returns the bytes s transmitted on the directed switch link u→v,
+// summed over parallel copies.
+func (c *txTracer) linkTx(s *Simulator, u, v int) uint64 {
 	var t uint64
 	for j, w := range s.g.Neighbors(u) {
 		if w == v {
-			t += s.links[s.portOff[u]+int32(j)].txBytes
+			t += c.tx[s.portOff[u]+int32(j)]
 		}
 	}
 	return t

@@ -159,8 +159,8 @@ func TestStartTimeOffsetsRespected(t *testing.T) {
 	if float64(d) > 0.2*float64(res.FCTNS[0]) {
 		t.Fatalf("staggered equal flows diverged: %v vs %v", res.FCTNS[0], res.FCTNS[1])
 	}
-	if res.EndNS < delay {
-		t.Fatalf("simulation ended at %d before second flow started", res.EndNS)
+	if sim.now < delay {
+		t.Fatalf("simulation ended at %d before second flow started", sim.now)
 	}
 }
 

@@ -114,7 +114,8 @@ func TestSetTracerRefusesSecondTracer(t *testing.T) {
 // (panic: index out of range [-1]).
 func TestFlowletRehashTrunkedPair(t *testing.T) {
 	g := pairFabric(t, 2, 2)
-	cfg := DefaultConfig().WithFlowlets(time.Nanosecond)
+	cfg := DefaultConfig()
+	cfg.FlowletTimeout = time.Nanosecond
 	res := runFlows(t, g, routing.NewECMP(g), cfg, []workload.Flow{
 		{ID: 0, Src: 0, Dst: 2, SizeBytes: 500e3},
 	})

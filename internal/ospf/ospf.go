@@ -17,9 +17,8 @@ import (
 )
 
 // LSA is one router's advertisement: its adjacency list and a sequence
-// number (bumped on every local change).
+// number (bumped on every local change). A database keys it by router.
 type LSA struct {
-	Router    int
 	Seq       int
 	Neighbors []int
 }
@@ -45,7 +44,7 @@ func New(g *topology.Graph) *Domain {
 	for v := 0; v < g.N(); v++ {
 		nb := append([]int(nil), g.Neighbors(v)...)
 		sort.Ints(nb)
-		lsa := LSA{Router: v, Seq: 1, Neighbors: nb}
+		lsa := LSA{Seq: 1, Neighbors: nb}
 		d.Routers[v] = &Router{ID: v, LSA: lsa, DB: map[int]LSA{v: lsa}}
 	}
 	return d

@@ -23,7 +23,6 @@ import (
 //
 // Immutable after construction (Scheme concurrency contract).
 type DeBruijn struct {
-	g      *topology.Graph
 	k      int   // alphabet size
 	digits int   // label length
 	n      int   // switch count, k^digits
@@ -39,7 +38,7 @@ func NewDeBruijn(g *topology.Graph) (*DeBruijn, error) {
 	if !ok {
 		return nil, fmt.Errorf("routing: graph %q is not a De Bruijn fabric; selfroute needs shift edges", g.Name)
 	}
-	s := &DeBruijn{g: g, k: spec.Symbols, digits: spec.Digits, n: g.N()}
+	s := &DeBruijn{k: spec.Symbols, digits: spec.Digits, n: g.N()}
 	s.pow = make([]int, spec.Digits+1)
 	s.pow[0] = 1
 	for i := 1; i <= spec.Digits; i++ {

@@ -80,11 +80,15 @@ func NewECMP(g *topology.Graph) *Fib {
 	return f
 }
 
-// NewShortestUnion builds Shortest-Union(K) forwarding state for g. K must
-// be at least 2 (K=1 is plain ECMP; use NewECMP).
+// MinShortestUnionK is the smallest K NewShortestUnion accepts: K = 1 is
+// plain ECMP (use NewECMP).
+const MinShortestUnionK = 2
+
+// NewShortestUnion builds Shortest-Union(K) forwarding state for g, for K
+// of at least MinShortestUnionK.
 func NewShortestUnion(g *topology.Graph, k int) (*Fib, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("routing: shortest-union requires K >= 2, got %d", k)
+	if k < MinShortestUnionK {
+		return nil, fmt.Errorf("routing: shortest-union requires K >= %d, got %d", MinShortestUnionK, k)
 	}
 	if k > 120 {
 		return nil, fmt.Errorf("routing: K = %d too large", k)
@@ -566,22 +570,6 @@ func physPathKey(p []int) string {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16))
 	}
 	return string(b)
-}
-
-// NextHopRouters returns the distinct physical next-hop switches a packet
-// at src may use toward dst (layer-collapsed), useful for diagnostics.
-func (f *Fib) NextHopRouters(src, dst int) []int {
-	if src == dst {
-		return nil
-	}
-	var out []int
-	for _, nh := range f.cols[dst].hops(f.vnode(f.deliveryLayer(), src)) {
-		// Sets are at most degree·K long, so a scan beats a map.
-		if r := f.router(int(nh)); !slices.Contains(out, r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // diverse reports whether src has at least two distinct next-hop switches

@@ -20,11 +20,14 @@ type KSP struct {
 	cache map[[2]int][][]int
 }
 
-// NewKSP builds a k-shortest-path scheme over g. Path sets are computed
-// lazily per rack pair and memoized.
+// MinKSPPaths is the smallest k NewKSP accepts.
+const MinKSPPaths = 1
+
+// NewKSP builds a k-shortest-path scheme over g, for k of at least
+// MinKSPPaths. Path sets are computed lazily per rack pair and memoized.
 func NewKSP(g *topology.Graph, k int) (*KSP, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("routing: ksp requires k >= 1, got %d", k)
+	if k < MinKSPPaths {
+		return nil, fmt.Errorf("routing: ksp requires k >= %d, got %d", MinKSPPaths, k)
 	}
 	return &KSP{g: g, k: k, cache: make(map[[2]int][][]int)}, nil
 }

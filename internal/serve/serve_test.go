@@ -227,6 +227,7 @@ func TestSubmitErrors(t *testing.T) {
 	// Scheme names are vetted at submit, before any fabric is built.
 	for _, spec := range []string{
 		`{"kind":"fct","scheme":"sux"}`,
+		`{"kind":"fct","scheme":"su1"}`,
 		`{"kind":"fct","fabric":"dring","scheme":"selfroute"}`,
 	} {
 		if code, _ := postSpec(t, ts, spec); code != http.StatusBadRequest {

@@ -36,13 +36,6 @@ func (h *Hub) Register(id string, rec *Recorder) func() {
 	}
 }
 
-// Active returns the number of registered recorders.
-func (h *Hub) Active() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.recs)
-}
-
 // Entry is one job's live telemetry in a hub snapshot.
 type Entry struct {
 	ID   string

@@ -195,7 +195,7 @@ func kernighanLin(g *Graph, side []bool) int {
 			}
 		}
 		locked := make([]bool, n)
-		type swap struct{ a, b, gain int }
+		type swap struct{ a, b int }
 		var seq []swap
 		cum, bestCum, bestK := 0, 0, -1
 		for step := 0; step < n/2; step++ {
@@ -219,7 +219,7 @@ func kernighanLin(g *Graph, side []bool) int {
 				break
 			}
 			locked[ba], locked[bb] = true, true
-			seq = append(seq, swap{ba, bb, bestGain})
+			seq = append(seq, swap{ba, bb})
 			cum += bestGain
 			if cum > bestCum {
 				bestCum, bestK = cum, len(seq)

@@ -67,8 +67,8 @@ func TestLeafSpinePaperConfig(t *testing.T) {
 	if g.N() != 80 {
 		t.Errorf("switches = %d, want 80", g.N())
 	}
-	if r := PaperLeafSpine.Oversubscription(); r != 3 {
-		t.Errorf("oversubscription = %v, want 3", r)
+	if x, y := PaperLeafSpine.X, PaperLeafSpine.Y; x != 3*y {
+		t.Errorf("oversubscription = %d:%d, want 3:1", x, y)
 	}
 }
 

@@ -118,8 +118,6 @@ type LifecycleReport struct {
 	// classes. A flat network has one; a leaf-spine has two. Fewer roles
 	// means uniform configs and interchangeable spares.
 	SwitchRoles int
-	// DegreeSpread is max minus min network degree across switches.
-	DegreeSpread int
 	// ExpansionUnit is the number of pre-existing switches whose cabling a
 	// minimal expansion touches (math.MaxInt means unbounded/global).
 	ExpansionUnit int
@@ -130,15 +128,11 @@ type LifecycleReport struct {
 func Lifecycle(g *Graph) LifecycleReport {
 	type role struct{ deg, servers int }
 	roles := map[role]bool{}
-	minD, maxD := math.MaxInt, 0
 	for v := 0; v < g.N(); v++ {
-		d := g.NetworkDegree(v)
-		roles[role{d, g.ServerCount(v)}] = true
-		minD, maxD = min(minD, d), max(maxD, d)
+		roles[role{g.NetworkDegree(v), g.ServerCount(v)}] = true
 	}
 	return LifecycleReport{
 		SwitchRoles:   len(roles),
-		DegreeSpread:  maxD - minD,
 		ExpansionUnit: math.MaxInt,
 	}
 }

@@ -143,7 +143,7 @@ func TestLifecycleRoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Lifecycle(dr); r.SwitchRoles != 1 || r.DegreeSpread != 0 {
+	if r := Lifecycle(dr); r.SwitchRoles != 1 {
 		t.Fatalf("uniform DRing roles = %+v, want a single role", r)
 	}
 }

@@ -6,14 +6,8 @@ import "fmt"
 // §3.2 claim that the DRing "is easily incrementally expandable, by adding
 // supernodes in the ring supergraph", made measurable.
 type ExpandReport struct {
-	// LinksAdded and LinksRemoved count physical cabling changes among
-	// pre-existing and new switches.
-	LinksAdded, LinksRemoved int
 	// TouchedSwitches counts pre-existing switches whose cabling changed.
 	TouchedSwitches int
-	// ServerDelta is the change in total server ports across pre-existing
-	// switches (ports freed or consumed by the rewiring).
-	ServerDelta int
 }
 
 // ExpandDRing grows a DRing by appending new supernodes at the ring seam
@@ -55,14 +49,12 @@ func diffGraphs(old, new *Graph) ExpandReport {
 	touched := map[int]bool{}
 	for e := range oldEdges {
 		if !newEdges[e] {
-			rep.LinksRemoved++
 			touched[e[0]] = true
 			touched[e[1]] = true
 		}
 	}
 	for e := range newEdges {
 		if !oldEdges[e] {
-			rep.LinksAdded++
 			if e[0] < old.N() {
 				touched[e[0]] = true
 			}
@@ -75,9 +67,6 @@ func diffGraphs(old, new *Graph) ExpandReport {
 		if v < old.N() {
 			rep.TouchedSwitches++
 		}
-	}
-	for v := 0; v < old.N(); v++ {
-		rep.ServerDelta += new.ServerCount(v) - old.ServerCount(v)
 	}
 	return rep
 }

@@ -19,7 +19,7 @@ import (
 // copy in each endpoint's adjacency list. Each switch hosts ServerCount(i)
 // servers on dedicated server ports.
 //
-// The zero value is an empty fabric ready for AddSwitches/AddLink.
+// The zero value is an empty fabric with no switches.
 type Graph struct {
 	Name  string
 	Ports int // switch radix (server + network ports); 0 if unconstrained
@@ -49,20 +49,6 @@ func (g *Graph) N() int { return len(g.adj) }
 
 // Links returns the number of undirected network links.
 func (g *Graph) Links() int { return g.links }
-
-// AddSwitches appends k switches and returns the id of the first one.
-func (g *Graph) AddSwitches(k int) int {
-	first, total := len(g.adj), g.Servers()
-	g.adj = append(g.adj, make([][]int, k)...)
-	g.servers = append(g.servers, make([]int, k)...)
-	if g.serverPre == nil {
-		g.serverPre = []int{0}
-	}
-	for range k {
-		g.serverPre = append(g.serverPre, total)
-	}
-	return first
-}
 
 // AddLink adds an undirected network link between switches a and b.
 // Self-loops are rejected; parallel links are allowed.

@@ -10,9 +10,6 @@ type LeafSpineSpec struct {
 	Y int // number of spines
 }
 
-// Oversubscription returns the ToR oversubscription ratio x/y.
-func (s LeafSpineSpec) Oversubscription() float64 { return float64(s.X) / float64(s.Y) }
-
 // Leaves returns the number of leaf switches, x+y.
 func (s LeafSpineSpec) Leaves() int { return s.X + s.Y }
 

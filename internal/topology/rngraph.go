@@ -39,9 +39,15 @@ func (s RNGSpec) Validate() error {
 // RNG builds the fabric described by spec: Degree rounds of uniform perfect
 // matchings, each repaired locally by partner swaps when a pairing would
 // duplicate an earlier link. Whole constructions are retried when repair
-// gets stuck or the union comes out disconnected, and ErrInfeasible is
-// returned after exhausting attempts (dense degrees on tiny fabrics).
-// Servers fill each switch's remaining ports.
+// gets stuck or the union comes out disconnected. Servers fill each
+// switch's remaining ports.
+//
+// A dense degree can starve the last rounds of fresh pairings. When every
+// attempt fails and Degree is above (Switches−1)/2, the complement is the
+// sparse side: RNG builds it as the union of the Switches−1−Degree
+// matchings it needs and links every pair it leaves out, which is
+// Degree-regular and, at that density, connected. ErrInfeasible is
+// returned when no attempt succeeds.
 //
 // Attempts run on scratch reused across them — a link bitset, the pairs so
 // far and a union-find for connectivity — so a rejected attempt allocates
@@ -60,19 +66,24 @@ func RNG(spec RNGSpec, rng *rand.Rand) (*Graph, error) {
 	}
 	const attempts = 200
 	for try := 0; try < attempts; try++ {
-		if !a.run(spec.Degree, rng) || !a.connected() {
-			continue
+		if a.run(spec.Degree, rng) && a.connected() {
+			return a.graph(spec)
 		}
-		g := New(fmt.Sprintf("rng(n=%d,d=%d)", n, spec.Degree), n, spec.Ports)
-		for i := 0; i < len(a.pairs); i += 2 {
-			if err := g.AddLink(int(a.pairs[i]), int(a.pairs[i+1])); err != nil {
-				return nil, err
+	}
+	if k := n - 1 - spec.Degree; k < spec.Degree {
+		for try := 0; try < attempts; try++ {
+			if a.run(k, rng) {
+				a.pairs = a.pairs[:0]
+				for u := 0; u < n; u++ {
+					for v := u + 1; v < n; v++ {
+						if !a.hasLink(u, v) {
+							a.pairs = append(a.pairs, int32(u), int32(v))
+						}
+					}
+				}
+				return a.graph(spec)
 			}
 		}
-		for v := 0; v < g.N(); v++ {
-			g.SetServers(v, spec.Ports-spec.Degree)
-		}
-		return g, nil
 	}
 	return nil, fmt.Errorf("rng: no connected %d-matching union on %d switches after %d attempts: %w",
 		spec.Degree, spec.Switches, attempts, ErrInfeasible)
@@ -87,6 +98,20 @@ type rngAttempt struct {
 	perm   []int
 	pairs  []int32
 	parent []int32
+}
+
+// graph builds spec's fabric from the links in a.pairs.
+func (a *rngAttempt) graph(spec RNGSpec) (*Graph, error) {
+	g := New(fmt.Sprintf("rng(n=%d,d=%d)", a.n, spec.Degree), a.n, spec.Ports)
+	for i := 0; i < len(a.pairs); i += 2 {
+		if err := g.AddLink(int(a.pairs[i]), int(a.pairs[i+1])); err != nil {
+			return nil, err
+		}
+	}
+	for v := 0; v < g.N(); v++ {
+		g.SetServers(v, spec.Ports-spec.Degree)
+	}
+	return g, nil
 }
 
 func (a *rngAttempt) hasLink(u, v int) bool {

@@ -74,6 +74,32 @@ func TestRNGRejects(t *testing.T) {
 	}
 }
 
+// TestRNGDenseDegree: 12 matchings on 14 switches starve the last rounds of
+// every attempt, so RNG builds the sparse complement instead. The fabric is
+// still simple, connected and exactly Degree-regular, up to the complete
+// graph.
+func TestRNGDenseDegree(t *testing.T) {
+	for _, spec := range []RNGSpec{{Switches: 14, Degree: 12, Ports: 20}, {Switches: 14, Degree: 13, Ports: 20}} {
+		g, err := RNG(spec, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("RNG%+v: %v", spec, err)
+		}
+		if err := g.Validate(); err != nil || !g.Connected() {
+			t.Fatalf("RNG%+v: invalid (%v) or disconnected", spec, err)
+		}
+		for v := 0; v < g.N(); v++ {
+			if g.NetworkDegree(v) != spec.Degree || g.ServerCount(v) != spec.Ports-spec.Degree {
+				t.Fatalf("RNG%+v: switch %d has degree %d and %d servers", spec, v, g.NetworkDegree(v), g.ServerCount(v))
+			}
+			for _, w := range g.Neighbors(v) {
+				if g.LinkMultiplicity(v, w) != 1 {
+					t.Fatalf("RNG%+v: %d-%d is a parallel link", spec, v, w)
+				}
+			}
+		}
+	}
+}
+
 // rngReference is the matching-union builder RNG replaced, kept as its
 // oracle: every attempt builds a whole Graph, answers HasLink from its
 // adjacency lists and checks Connected on it. It also reports how many

@@ -22,11 +22,10 @@ const (
 
 type svgBuilder struct {
 	strings.Builder
-	w, h int
 }
 
 func newSVG(w, h int) *svgBuilder {
-	b := &svgBuilder{w: w, h: h}
+	b := &svgBuilder{}
 	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
 	fmt.Fprintf(b, `<rect width="%d" height="%d" fill="white"/>`+"\n", w, h)
 	return b

@@ -14,9 +14,6 @@ import (
 type CSSets struct {
 	Clients []int
 	Servers []int
-	// ClientRacks and ServerRacks are the switch ids used by each side.
-	ClientRacks []int
-	ServerRacks []int
 }
 
 // CSModel draws a C-S instance on fabric g: nClients hosts packed into the
@@ -34,11 +31,11 @@ func CSModel(g *topology.Graph, nClients, nServers int, rng *rand.Rand) (CSSets,
 	var cs CSSets
 	used := 0 // racks consumed from order
 	var err error
-	cs.Clients, cs.ClientRacks, used, err = packHosts(g, racks, order, 0, nClients)
+	cs.Clients, used, err = packHosts(g, racks, order, 0, nClients)
 	if err != nil {
 		return CSSets{}, fmt.Errorf("workload: packing clients: %w", err)
 	}
-	cs.Servers, cs.ServerRacks, _, err = packHosts(g, racks, order, used, nServers)
+	cs.Servers, _, err = packHosts(g, racks, order, used, nServers)
 	if err != nil {
 		return CSSets{}, fmt.Errorf("workload: packing servers: %w", err)
 	}
@@ -46,13 +43,13 @@ func CSModel(g *topology.Graph, nClients, nServers int, rng *rand.Rand) (CSSets,
 }
 
 // packHosts fills racks (taken in the order given, starting at from) until
-// want hosts are placed. It returns the host ids, racks used, and the next
-// unconsumed position in order.
-func packHosts(g *topology.Graph, racks []int, order []int, from, want int) (hosts, usedRacks []int, next int, err error) {
+// want hosts are placed. It returns the host ids and the next unconsumed
+// position in order.
+func packHosts(g *topology.Graph, racks []int, order []int, from, want int) (hosts []int, next int, err error) {
 	i := from
 	for want > 0 {
 		if i >= len(order) {
-			return nil, nil, i, fmt.Errorf("not enough rack capacity for %d more hosts", want)
+			return nil, i, fmt.Errorf("not enough rack capacity for %d more hosts", want)
 		}
 		rack := racks[order[i]]
 		lo, hi := g.ServersOf(rack)
@@ -60,11 +57,10 @@ func packHosts(g *topology.Graph, racks []int, order []int, from, want int) (hos
 		for s := lo; s < lo+take; s++ {
 			hosts = append(hosts, s)
 		}
-		usedRacks = append(usedRacks, rack)
 		want -= take
 		i++
 	}
-	return hosts, usedRacks, i, nil
+	return hosts, i, nil
 }
 
 // CSMatrix converts a C-S instance into a rack-level matrix on fabric g:
