@@ -67,7 +67,6 @@ const ospfAPI = "the OSPF domain's control-plane API, which the facade's NewOSPF
 // keptFields are the fields no live non-test code reads that the gate keeps
 // anyway, keyed as the gate reports them.
 var keptFields = map[string]string{
-	"spineless/internal/serve.Server.logf":           "New's logf, which benchmark/wl_svc.go passes as nil; nothing logs through it yet, and dropping it changes New's signature",
 	"spineless/internal/core.BurstResult.Incomplete": "DrainMS skips burst flows that never finish; this count is how callers of the facade's RunBurst, and its tests, see them",
 }
 

@@ -1,17 +1,21 @@
 package netsim
 
+import "math"
+
 // The event queue serves events in (t, seq) order, seq being a push
 // counter, so equal-time events run in the order they were scheduled and
 // every run is deterministic. Almost every push arrives in time order
 // within its kind: flows start in StartNS order, links share one
 // propagation delay, and nearly every RTO timer is set MinRTO ahead.
 // Transmission completions mix ACK- and data-sized frames, so about half
-// of them arrive out of order. Each kind therefore gets a FIFO lane: a
-// push whose time is not below its lane's newest joins the lane, and
-// because seq grows with every push a lane is already sorted by (t, seq).
-// The rest go to a small binary heap. pop takes the least (t, seq) among
-// the heap top and the lane heads — the total order one heap over every
-// event gives — at O(1) for a lane event instead of O(log n).
+// of them arrive out of order. The four busy kinds (start, tx-done,
+// deliver, RTO) therefore each get a FIFO lane: a push whose time is not
+// below its lane's newest joins the lane, and because seq grows with every
+// push a lane is already sorted by (t, seq). The rest, and the handful of
+// fault and reroute events a run has, go to a small binary heap. Each lane
+// caches its head's (t, key) beside its ring, so pop compares four cached
+// heads and the heap top — the total order one heap over every event
+// gives — and takes a lane event at O(1) instead of O(log n).
 //
 // An event is 24 bytes with no pointer in it: seq and kind share one word
 // (key = seq<<3 | kind, so comparing keys compares seqs), and a packet is
@@ -28,8 +32,11 @@ const (
 	evRTO                  // a flow's retransmission timer fires (idx = flow, arg = epoch)
 	evFault                // the next batch of scheduled fault events applies
 	evReroute              // a time-varying routing phase boundary is reached
-	numKinds
 )
+
+// numLanes is how many kinds, from evStart up, get a lane; evFault and
+// evReroute always go to the heap.
+const numLanes = 4
 
 // kindBits is the width of the kind field at the bottom of event.key.
 const kindBits = 3
@@ -54,57 +61,95 @@ type event struct {
 func (e event) kind() uint8 { return uint8(e.key & (1<<kindBits - 1)) }
 
 // lane is a ring-buffer FIFO of events of one kind, sorted by (t, seq).
+// t and key are its head event's, or idleT and idleKey while it is empty:
+// an idle lane then compares above every event, so pop needs no emptiness
+// test and never reads a ring to choose.
 type lane struct {
+	t    int64
+	key  uint64
 	buf  []event
 	head int   // index of the oldest event
 	n    int   // events queued
 	last int64 // time of the newest event
 }
 
+// idleT and idleKey are an empty lane's head. No event sorts after them:
+// a key's kind bits are at most evReroute, never all ones.
+const (
+	idleT   = math.MaxInt64
+	idleKey = math.MaxUint64
+)
+
 // eventQueue is the per-kind lanes plus the residual heap for pushes that
-// arrived out of time order within their kind.
+// arrived out of time order within their kind and for every fault and
+// reroute event.
 type eventQueue struct {
-	lanes [numKinds]lane
+	lanes [numLanes]lane
 	heap  []event
 	size  int
 }
 
-// reset sizes the queue for a run of nflows flows in one backing
-// allocation no larger than the 4·nflows+64 events one heap was given: a
-// start lane holding every flow, two RTO timers per flow, and a quarter
-// slot per flow for each of transmissions, deliveries and the residual
-// heap. At 24 bytes an event, that is at most 96·nflows+1536 bytes of
-// pointer-free memory. A lane that outgrows its share is reallocated on
-// its own: under load an RTO lane holds two timers for every ACK of the
-// last MinRTO, far more than any share the flow count can predict.
+// reset empties the queue for a run of nflows flows. A lane or heap whose
+// storage is already at least its share keeps it, wrapped or grown as a
+// previous run left it; the rest are carved from one new backing
+// allocation. The shares add up to at most 4·nflows+56 events: a start lane
+// holding every flow, two RTO timers per flow, and a quarter slot per flow
+// for each of transmissions, deliveries and the heap. At 24 bytes an
+// event, that is at most 96·nflows+1344 bytes of pointer-free memory. A
+// lane that outgrows its share is reallocated on its own: under load an
+// RTO lane holds two timers for every ACK of the last MinRTO, far more
+// than any share the flow count can predict.
 func (q *eventQueue) reset(nflows int) {
-	share := [numKinds]int{
+	share := [numLanes]int{
 		evStart:   nflows,
 		evTxDone:  nflows/4 + 8,
 		evDeliver: nflows/4 + 8,
 		evRTO:     2*nflows + 32,
-		evFault:   1,
-		evReroute: 2,
 	}
 	heapCap := nflows/4 + 8
-	total := heapCap
-	for _, c := range share {
-		total += c
+	short := 0
+	if cap(q.heap) < heapCap {
+		short += heapCap
 	}
-	backing := make([]event, total)
-	q.heap = backing[:0:heapCap]
-	off := heapCap
+	for k, c := range share {
+		if len(q.lanes[k].buf) < c {
+			short += c
+		}
+	}
+	var backing []event
+	if short > 0 {
+		backing = make([]event, short)
+	}
+	carve := func(n int) []event {
+		b := backing[:n:n]
+		backing = backing[n:]
+		return b
+	}
+	if cap(q.heap) < heapCap {
+		q.heap = carve(heapCap)
+	}
+	q.heap = q.heap[:0]
 	for k := range q.lanes {
-		q.lanes[k] = lane{buf: backing[off : off+share[k] : off+share[k]]}
-		off += share[k]
+		l := &q.lanes[k]
+		if len(l.buf) < share[k] {
+			l.buf = carve(share[k])
+		}
+		*l = lane{t: idleT, key: idleKey, buf: l.buf}
 	}
 	q.size = 0
 }
 
 func (q *eventQueue) push(ev event) {
 	q.size++
-	l := &q.lanes[ev.kind()]
-	if l.n > 0 && ev.t < l.last {
+	k := ev.kind()
+	if k >= numLanes {
+		heapPush(&q.heap, ev)
+		return
+	}
+	l := &q.lanes[k]
+	if l.n == 0 {
+		l.t, l.key = ev.t, ev.key
+	} else if ev.t < l.last {
 		heapPush(&q.heap, ev)
 		return
 	}
@@ -124,20 +169,15 @@ func (q *eventQueue) push(ev event) {
 // empty.
 func (q *eventQueue) pop() event {
 	q.size--
-	best, found := -1, len(q.heap) > 0 // best -1 is the heap
-	var bt int64
-	var bk uint64
-	if found {
+	best := -1 // the heap
+	bt, bk := int64(idleT), uint64(idleKey)
+	if len(q.heap) > 0 {
 		bt, bk = q.heap[0].t, q.heap[0].key
 	}
 	for k := range q.lanes {
 		l := &q.lanes[k]
-		if l.n == 0 {
-			continue
-		}
-		e := &l.buf[l.head]
-		if !found || e.t < bt || (e.t == bt && e.key < bk) {
-			best, found, bt, bk = k, true, e.t, e.key
+		if l.t < bt || (l.t == bt && l.key < bk) {
+			best, bt, bk = k, l.t, l.key
 		}
 	}
 	if best < 0 {
@@ -150,6 +190,12 @@ func (q *eventQueue) pop() event {
 		l.head = 0
 	}
 	l.n--
+	if l.n > 0 {
+		h := &l.buf[l.head]
+		l.t, l.key = h.t, h.key
+	} else {
+		l.t, l.key = idleT, idleKey
+	}
 	return ev
 }
 

@@ -7,6 +7,9 @@ import (
 	"unsafe"
 )
 
+// numKinds is how many event kinds the oracle's scripts push.
+const numKinds = evReroute + 1
+
 // eventHeapReference is the event queue the per-kind lanes replaced — one
 // binary min-heap over every pending event, ordered by (t, seq) — kept as
 // the lanes' oracle.
@@ -53,7 +56,11 @@ func (h *eventHeapReference) pop() event {
 // checkLanesMatchHeap replays one operation script against the lanes and
 // the reference heap and fails on the first pop where the two disagree in
 // any field, or where the popped event's kind is not the kind it was
-// pushed with (the kind shares event.key with seq). The first byte sizes the lanes (as a run of 0–3 flows, so
+// pushed with (the kind shares event.key with seq). The script runs three
+// times on one queue, as Runs reuse pooled storage: on fresh storage; on
+// the storage that pass left behind (lanes wrapped and grown, heap
+// capacity), stopping short of the final drain so events stay queued as a
+// Run's stale timers do; and reset over those. The first byte sizes the lanes (as a run of 0–3 flows, so
 // they outgrow their shares and wrap); each following byte is one op:
 //
 //	op%8 == 0, 1: pop one event
@@ -64,13 +71,23 @@ func (h *eventHeapReference) pop() event {
 //	              absolute time that may lie behind it
 //
 // Offsets are small, so equal times are common and only seq orders them.
+// A fault or reroute push must land in the heap.
 func checkLanesMatchHeap(t *testing.T, script []byte) {
 	t.Helper()
 	if len(script) == 0 {
 		return
 	}
 	var q eventQueue
-	q.reset(int(script[0] % 4))
+	for pass := 1; pass <= 3; pass++ {
+		q.reset(int(script[0] % 4))
+		replayLanes(t, &q, script, pass, pass != 2)
+	}
+}
+
+// replayLanes is one pass of checkLanesMatchHeap on q, just reset; drain
+// pops whatever the script left queued at its end.
+func replayLanes(t *testing.T, q *eventQueue, script []byte, pass int, drain bool) {
+	t.Helper()
 	var ref eventHeapReference
 	pushedKind := []uint8{0} // by seq; seq 0 is never pushed
 	var seq uint64
@@ -80,13 +97,13 @@ func checkLanesMatchHeap(t *testing.T, script []byte) {
 		got, want := q.pop(), ref.pop()
 		pops++
 		if got != want {
-			t.Fatalf("pop %d: lanes gave %+v, reference heap %+v", pops, got, want)
+			t.Fatalf("pass %d, pop %d: lanes gave %+v, reference heap %+v", pass, pops, got, want)
 		}
 		if k, s := got.kind(), got.key>>kindBits; s == 0 || s > seq || k != pushedKind[s] {
-			t.Fatalf("pop %d: event %+v unpacks to seq %d, kind %d; pushed %d seqs", pops, got, s, k, seq)
+			t.Fatalf("pass %d, pop %d: event %+v unpacks to seq %d, kind %d; pushed %d seqs", pass, pops, got, s, k, seq)
 		}
 		if q.size != len(ref) {
-			t.Fatalf("pop %d: lanes hold %d events, reference heap %d", pops, q.size, len(ref))
+			t.Fatalf("pass %d, pop %d: lanes hold %d events, reference heap %d", pass, pops, q.size, len(ref))
 		}
 		now = got.t
 	}
@@ -102,7 +119,7 @@ func checkLanesMatchHeap(t *testing.T, script []byte) {
 				popBoth()
 			}
 			if q.size != 0 {
-				t.Fatalf("drained reference heap but lanes hold %d events", q.size)
+				t.Fatalf("pass %d: drained reference heap but lanes hold %d events", pass, q.size)
 			}
 		default:
 			var arg byte
@@ -118,15 +135,22 @@ func checkLanesMatchHeap(t *testing.T, script []byte) {
 			kind := (op >> 3 & 0xf) % numKinds
 			pushedKind = append(pushedKind, kind)
 			ev := event{t: tm, key: seq<<kindBits | uint64(kind), idx: int32(i), arg: uint32(arg)}
+			inHeap := len(q.heap)
 			q.push(ev)
 			ref.push(ev)
+			if kind >= numLanes && len(q.heap) != inHeap+1 {
+				t.Fatalf("pass %d: kind %d push %+v did not go to the heap", pass, kind, ev)
+			}
 		}
+	}
+	if !drain {
+		return
 	}
 	for len(ref) > 0 {
 		popBoth()
 	}
 	if q.size != 0 {
-		t.Fatalf("reference heap empty but lanes hold %d events", q.size)
+		t.Fatalf("pass %d: reference heap empty but lanes hold %d events", pass, q.size)
 	}
 }
 
@@ -164,7 +188,7 @@ func FuzzEventLanes(f *testing.F) {
 // scans them and storing an event needs no write barrier. A field that
 // holds a pointer, directly or through a slice, map, string, interface,
 // chan or func, would quietly give that back; so would an event wider than
-// its 24 bytes.
+// its 24 bytes. It also keeps a link at most 72 bytes.
 func TestHotTypesHoldNoPointers(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(event{}), reflect.TypeOf(packet{}),
@@ -176,6 +200,12 @@ func TestHotTypesHoldNoPointers(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(event{}); size != 24 {
 		t.Errorf("event is %d bytes, want 24", size)
+	}
+	// The link table is most of what New allocates: the two cached frame
+	// times were paid for by dropping two fields, and a link must not grow
+	// back past its 72 bytes.
+	if size := unsafe.Sizeof(link{}); size > 72 {
+		t.Errorf("link is %d bytes, want at most 72", size)
 	}
 }
 

@@ -17,7 +17,7 @@ func (s *Simulator) InstallFaults(sched *faults.Schedule) error {
 	if sched == nil {
 		return nil
 	}
-	if len(s.flows) != 0 {
+	if s.ran {
 		return fmt.Errorf("netsim: InstallFaults after Run")
 	}
 	if err := sched.Validate(); err != nil {
@@ -66,13 +66,13 @@ func (s *Simulator) applyFault(e faults.Event) {
 				l.down = false
 			case faults.GraySet:
 				l.lossProb = e.LossProb
-				l.bytesPerNS = l.nominalBytesPerNS * e.RateFactor
+				s.setRate(l, s.nominalBytesPerNS(id)*e.RateFactor)
 			case faults.GrayClear:
 				l.lossProb = 0
-				l.bytesPerNS = l.nominalBytesPerNS
+				s.setRate(l, s.nominalBytesPerNS(id))
 			}
 			if s.tracer != nil {
-				s.tracer.OnStateChange(s.now, id, l.down, l.lossProb, l.bytesPerNS/l.nominalBytesPerNS)
+				s.tracer.OnStateChange(s.now, id, l.down, l.lossProb, l.bytesPerNS/s.nominalBytesPerNS(id))
 			}
 		}
 	}

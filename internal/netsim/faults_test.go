@@ -263,3 +263,78 @@ func TestInstallFaultsValidation(t *testing.T) {
 		t.Fatal("InstallFaults after Run accepted")
 	}
 }
+
+// frameTimeTracer checks, at every transmission start and every link state
+// change of a run, that the serialization time the simulator uses equals
+// the division it caches; it also records what the run exercised.
+type frameTimeTracer struct {
+	countTracer
+	t      *testing.T
+	sim    *Simulator
+	wires  map[int32]bool // every wire size that started transmitting
+	gray   map[int32]bool // links running below their nominal rate
+	grayTx int            // transmissions started on such a link
+	sets   int            // state changes that degraded a link's rate
+	clears int            // state changes that restored it
+}
+
+func (c *frameTimeTracer) check(link int32, wire int32) {
+	l := &c.sim.links[link]
+	if got, want := c.sim.txTimeNS(l, wire), int64(float64(wire)/l.bytesPerNS+0.5); got != want {
+		c.t.Fatalf("link %d at %g B/ns: a %d-byte frame takes %d ns, the division gives %d", link, l.bytesPerNS, wire, got, want)
+	}
+}
+
+func (c *frameTimeTracer) OnTxStart(_ int64, link, _ int32, _ bool, wire int32) {
+	c.check(link, wire)
+	c.wires[wire] = true
+	if c.gray[link] {
+		c.grayTx++
+	}
+}
+
+func (c *frameTimeTracer) OnStateChange(_ int64, link int32, _ bool, _, rateFactor float64) {
+	c.check(link, c.sim.ackWire)
+	c.check(link, c.sim.mssWire)
+	switch {
+	case rateFactor < 1:
+		c.gray[link] = true
+		c.sets++
+	case c.gray[link]:
+		delete(c.gray, link)
+		c.clears++
+	}
+}
+
+// TestCachedFrameTimesMatchDivision runs the golden DRing workload with a
+// gray link at half rate from 100 µs to 600 µs and checks every frame the
+// run serializes — ACKs, full segments and every shorter tail — and both
+// cached times of each link right after GraySet and GrayClear against the
+// division txTimeNS replaces.
+func TestCachedFrameTimesMatchDivision(t *testing.T) {
+	g, flows := goldenDRing(t)
+	sim, err := New(g, routing.NewECMP(g), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := g.Neighbors(2)[0]
+	sched := &faults.Schedule{Seed: 5}
+	sched.Gray(100_000, 2, v, 0.01, 0.5)
+	sched.Events = append(sched.Events, faults.Event{TimeNS: 600_000, Kind: faults.GrayClear, A: 2, B: v})
+	if err := sim.InstallFaults(sched); err != nil {
+		t.Fatal(err)
+	}
+	tr := &frameTimeTracer{t: t, sim: sim, wires: map[int32]bool{}, gray: map[int32]bool{}}
+	if err := sim.SetTracer(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(flows); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.wires[sim.ackWire] || !tr.wires[sim.mssWire] || len(tr.wires) < 3 {
+		t.Errorf("the run serialized wire sizes %v; want ACKs (%d), full segments (%d) and shorter tails", tr.wires, sim.ackWire, sim.mssWire)
+	}
+	if tr.sets == 0 || tr.clears == 0 || tr.grayTx == 0 {
+		t.Errorf("gray link: %d rate cuts, %d restores, %d transmissions while cut; want each above 0", tr.sets, tr.clears, tr.grayTx)
+	}
+}

@@ -239,15 +239,10 @@ func forbidPath(t *testing.T, s routing.Scheme) routing.Scheme {
 	return noPath{s, t}
 }
 
-// TestRunAllocsPin pins New + Run on BenchmarkNetsimEvents' shape (a
-// DRing(6, 2, 24) under ECMP, 200 Pareto flows over 4 ms): 13 objects and
-// 145,288 bytes a run when set, with both bounds about 10% above. No
-// allocation is made per flow (paths are looked up into reused buffers),
-// so one that creeps in adds 200 and fails here. The event queue is one
-// backing allocation sized from the flow count, so a lane that grows on
-// this workload shows here too.
-func TestRunAllocsPin(t *testing.T) {
-	const maxAllocs, maxBytes = 15, 160_000
+// pinWorkload is BenchmarkNetsimEvents' shape: a DRing(6, 2, 24) and 200
+// Pareto flows over 4 ms.
+func pinWorkload(t *testing.T) (*topology.Graph, []workload.Flow) {
+	t.Helper()
 	g, err := topology.DRing(topology.Uniform(6, 2, 24))
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +255,21 @@ func TestRunAllocsPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, flows
+}
+
+// TestRunAllocsPin pins New + Run on pinWorkload under ECMP: 8 objects and
+// 57,688 bytes a run when set, with both bounds about 10% above. No
+// allocation is made per flow (paths are looked up into reused buffers),
+// so one that creeps in adds 200 and fails here. Run's scratch comes back
+// from runPool warm (TestRunReusesRunState), so what is left is New's link
+// table, the packet chunks and the FCT slice.
+func TestRunAllocsPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
+	const maxAllocs, maxBytes = 9, 63_500
+	g, flows := pinWorkload(t)
 	ecmp := routing.NewECMP(g)
 	run := func() {
 		sim, err := New(g, ecmp, DefaultConfig())
@@ -271,6 +281,9 @@ func TestRunAllocsPin(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(5, run)
+	// One P, as inside AllocsPerRun, so the run state comes back from the
+	// same pool slot while the bytes are counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -285,5 +298,77 @@ func TestRunAllocsPin(t *testing.T) {
 	}
 	if bytes > maxBytes {
 		t.Errorf("New + Run allocates %d B, want at most %d", bytes, maxBytes)
+	}
+}
+
+// keepFCT and keepChunks hold what TestRunReusesRunState's replay
+// allocates, so the allocations escape to the heap as a run's do.
+var (
+	keepFCT    []int64
+	keepChunks [][]packet
+)
+
+// TestRunReusesRunState checks that Run's scratch — event lanes and heap,
+// flow table with its out-of-order maps, path arena, lookup buffers —
+// comes back from runPool. After one warm-up run on pinWorkload, each of
+// five runs on freshly built simulators may allocate only what the run
+// leaves with its caller and its Simulator: the FCT slice, and the packet
+// chunks with the table that lists them. The test replays exactly those
+// allocations, with the same types and sizes, and Run must allocate no
+// more objects and no more bytes than the replay. A flow table, event
+// backing or lane regrowth costs kilobytes, far past any rounding.
+func TestRunReusesRunState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
+	// One P throughout: a sync.Pool's per-P private slot is invisible to
+	// the other Ps, so a warm-up on one P and a run on another would find
+	// the pool empty.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, flows := pinWorkload(t)
+	ecmp := routing.NewECMP(g)
+	newSim := func() *Simulator {
+		sim, err := New(g, ecmp, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	if _, err := newSim().Run(flows); err != nil {
+		t.Fatal(err)
+	}
+	sims := make([]*Simulator, 5)
+	for i := range sims {
+		sims[i] = newSim()
+	}
+	measure := func(f func()) (allocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	runAllocs, runBytes := measure(func() {
+		for _, sim := range sims {
+			if _, err := sim.Run(flows); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	wantAllocs, wantBytes := measure(func() {
+		for _, sim := range sims {
+			keepFCT = make([]int64, len(flows))
+			keepChunks = nil
+			for range sim.pkts {
+				keepChunks = append(keepChunks, make([]packet, pktChunkSize))
+			}
+		}
+	})
+	keepFCT, keepChunks = nil, nil
+	t.Logf("5 warm runs: %d allocs, %d B; FCT slices and packet chunks: %d allocs, %d B",
+		runAllocs, runBytes, wantAllocs, wantBytes)
+	if runAllocs > wantAllocs || runBytes > wantBytes {
+		t.Errorf("5 warm runs allocate %d objects and %d B, more than their FCT slices and packet chunks (%d, %d B): run scratch is not reused",
+			runAllocs, runBytes, wantAllocs, wantBytes)
 	}
 }

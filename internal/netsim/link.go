@@ -40,33 +40,58 @@ const (
 	pktChunkSize  = 1 << pktChunkShift
 )
 
-// link is one directed egress port: a drop-tail FIFO feeding a transmitter.
-// Fault injection can mark a link down (packets blackhole), degrade its rate
-// (bytesPerNS drops below nominalBytesPerNS) or make it gray (random loss).
-// The FIFO is an intrusive list of packet ids threaded through
-// packet.qnext, so queueing never allocates and a link holds no pointers.
+// link is one directed egress port: a drop-tail FIFO of cfg.QueueBytes
+// feeding a transmitter. Fault injection can mark a link down (packets
+// blackhole), degrade its rate (bytesPerNS drops below the nominal rate
+// Simulator.nominalBytesPerNS gives) or make it gray (random loss). The
+// FIFO is an intrusive list of packet ids threaded through packet.qnext,
+// so queueing never allocates and a link holds no pointers.
 type link struct {
-	bytesPerNS        float64
-	nominalBytesPerNS float64
-	delayNS           int64
-	capBytes          int64
-	lossProb          float64
+	bytesPerNS float64
+	// ackTxNS and mssTxNS cache serializeNS at bytesPerNS for the two frame
+	// sizes nearly every transmission has, Simulator.ackWire and
+	// Simulator.mssWire; setRate keeps them in step with the rate.
+	ackTxNS, mssTxNS int64
+	delayNS          int64
+	lossProb         float64
 
 	queueBytes int64
-	qCount     int
+	drops      uint64
+	qCount     int32 // packet ids are int32, so a FIFO holds fewer than 2^31
 	qHead      int32 // next to transmit; noPacket when empty
 	qTail      int32
 	busy       bool
 	down       bool
-
-	drops uint64
 }
 
-func (l *link) txTimeNS(wire int32) int64 {
-	return int64(float64(wire)/l.bytesPerNS + 0.5)
+// serializeNS is the time a wire-byte frame takes at bytesPerNS, rounded
+// to the nearest nanosecond.
+func serializeNS(wire int32, bytesPerNS float64) int64 {
+	return int64(float64(wire)/bytesPerNS + 0.5)
 }
 
-func (l *link) queued() int { return l.qCount }
+// setRate sets l's rate and refreshes its cached frame times. Every rate
+// change goes through it: New, and fault injection's GraySet and
+// GrayClear.
+func (s *Simulator) setRate(l *link, bytesPerNS float64) {
+	l.bytesPerNS = bytesPerNS
+	l.ackTxNS = serializeNS(s.ackWire, bytesPerNS)
+	l.mssTxNS = serializeNS(s.mssWire, bytesPerNS)
+}
+
+// txTimeNS is the time l takes to serialize a wire-byte frame: a cached
+// time for an ACK or a full segment, a division for any other size.
+func (s *Simulator) txTimeNS(l *link, wire int32) int64 {
+	switch wire {
+	case s.mssWire:
+		return l.mssTxNS
+	case s.ackWire:
+		return l.ackTxNS
+	}
+	return serializeNS(wire, l.bytesPerNS)
+}
+
+func (l *link) queued() int { return int(l.qCount) }
 
 // pkt returns packet id. Chunks never move, so the pointer stays valid
 // while later allocations append chunks.
@@ -78,7 +103,7 @@ func (s *Simulator) pkt(id int32) *packet {
 // overflow.
 func (s *Simulator) enqueue(l *link, id int32) bool {
 	p := s.pkt(id)
-	if l.queueBytes+int64(p.wireSize) > l.capBytes {
+	if l.queueBytes+int64(p.wireSize) > s.cfg.QueueBytes {
 		l.drops++
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"spineless/internal/faults"
 	"spineless/internal/routing"
@@ -27,6 +28,9 @@ type Simulator struct {
 	tv           routing.TimeScheme
 
 	links []link
+	// ackWire and mssWire are the wire sizes of a pure ACK and a full data
+	// segment, whose serialization times every link caches (see link).
+	ackWire, mssWire int32
 	// Switch links are numbered by topology's port numbering: u's j-th
 	// adjacency entry is link portOff[u]+j. Host links follow.
 	portOff  []int32
@@ -39,10 +43,12 @@ type Simulator struct {
 	blackholeFirst int64
 	blackholeLast  int64
 
-	flows []flowState
-	done  int
+	// runState is the scratch of the one Run; it is empty before Run and
+	// after it (see runState).
+	runState
+	ran  bool // Run has started: a Simulator runs once
+	done int
 
-	events     eventQueue
 	seqCounter uint64
 	now        int64
 
@@ -52,13 +58,6 @@ type Simulator struct {
 	pkts     [][]packet
 	pktCount int32
 	freePkt  int32
-
-	// paths is the arena that every expanded path (pathRef) indexes.
-	paths []int32
-	// fwdBuf and revBuf receive each lookup's switch path from
-	// Scheme.AppendPath before expandPath copies it into the arena; they
-	// are reused, so they grow only to the longest path routed.
-	fwdBuf, revBuf []int
 
 	// tracer, when non-nil, observes the data plane (see Tracer). Every
 	// hook sits behind a nil check so the disabled path costs nothing.
@@ -125,6 +124,48 @@ type Results struct {
 	FlowsWithRTO int
 }
 
+// runState is the storage a Run works in and drops when it returns: the
+// event queue, the flow table, the path arena and the path lookup buffers.
+// Run takes it from runPool and puts it back, so the storage one run grew
+// starts the next run at that size, and Run clears every field it reads.
+// What a caller may read after Run — links, packet chunks, counters —
+// stays with the Simulator.
+type runState struct {
+	events eventQueue
+	flows  []flowState
+	// paths is the arena that every expanded path (pathRef) indexes.
+	paths []int32
+	// fwdBuf and revBuf receive each lookup's switch path from
+	// Scheme.AppendPath before expandPath copies it into the arena; they
+	// are reused, so they grow only to the longest path routed.
+	fwdBuf, revBuf []int
+}
+
+// runPool hands Run its runState, following flowsim's instancePool: a
+// runState holds no result, so which run used it last never shows in one.
+var runPool = sync.Pool{New: func() any { return new(runState) }}
+
+// reset readies st for a run of flows: each flow's state starts zeroed
+// with its spec and an unfinished FCT, keeping only the storage of its
+// out-of-order map, and the event queue and path arena start empty.
+func (st *runState) reset(flows []workload.Flow) {
+	n := len(flows)
+	if cap(st.flows) < n {
+		st.flows = make([]flowState, n)
+	}
+	st.flows = st.flows[:n]
+	for i, f := range flows {
+		ooo := st.flows[i].ooo
+		clear(ooo)
+		st.flows[i] = flowState{spec: f, fct: -1, ooo: ooo}
+	}
+	st.events.reset(n)
+	if cap(st.paths) < pathArenaPerFlow*n {
+		st.paths = make([]int32, 0, pathArenaPerFlow*n)
+	}
+	st.paths = st.paths[:0]
+}
+
 type flowState struct {
 	spec workload.Flow
 	// data and ack are the flow's current paths; n == 0 until routed.
@@ -168,44 +209,49 @@ func New(g *topology.Graph, scheme routing.Scheme, cfg Config) (*Simulator, erro
 		return nil, err
 	}
 	s := &Simulator{g: g, cfg: cfg,
+		ackWire: int32(cfg.AckBytes), mssWire: int32(cfg.MSS + cfg.HeaderBytes),
 		blackholeFirst: -1, blackholeLast: -1, freePkt: noPacket}
 	s.activeScheme = scheme
 	if tv, ok := scheme.(routing.TimeScheme); ok {
 		s.tv = tv
 		s.activeScheme = tv.SchemeAt(0)
 	}
-	addLink := func(rateBps float64, delayNS int64) int32 {
-		id := int32(len(s.links))
-		s.links = append(s.links, link{
-			bytesPerNS:        rateBps / 8 / 1e9,
-			nominalBytesPerNS: rateBps / 8 / 1e9,
-			delayNS:           delayNS,
-			capBytes:          cfg.QueueBytes,
-			qHead:             noPacket,
-			qTail:             noPacket,
-		})
-		return id
-	}
+	// Switch ports first, then each host's uplink and downlink.
 	s.portOff = g.PortOffsets()
 	ports := int(s.portOff[g.N()])
-	s.links = make([]link, 0, ports+2*g.Servers())
-	for range ports {
-		addLink(cfg.LinkRateBps, cfg.LinkDelayNS)
-	}
 	n := g.Servers()
+	s.links = make([]link, ports+2*n)
+	for id := range s.links {
+		l := &s.links[id]
+		s.setRate(l, s.nominalBytesPerNS(int32(id)))
+		l.delayNS = cfg.LinkDelayNS
+		if id >= ports {
+			l.delayNS = cfg.hostDelay()
+		}
+		l.qHead, l.qTail = noPacket, noPacket
+	}
 	s.hostUp = make([]int32, n)
 	s.hostDown = make([]int32, n)
-	for h := 0; h < n; h++ {
-		s.hostUp[h] = addLink(cfg.hostRate(), cfg.hostDelay())
-		s.hostDown[h] = addLink(cfg.hostRate(), cfg.hostDelay())
+	for h := range n {
+		s.hostUp[h] = int32(ports + 2*h)
+		s.hostDown[h] = int32(ports + 2*h + 1)
 	}
 	return s, nil
+}
+
+// nominalBytesPerNS is link id's fault-free rate: LinkRateBps on a switch
+// port, the host rate on a host link.
+func (s *Simulator) nominalBytesPerNS(id int32) float64 {
+	if id < s.portOff[s.g.N()] {
+		return s.cfg.LinkRateBps / 8 / 1e9
+	}
+	return s.cfg.hostRate() / 8 / 1e9
 }
 
 // Run simulates the given flows to completion (or MaxSimTime) and returns
 // per-flow completion times. Run may be called once per Simulator.
 func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
-	if len(s.flows) != 0 {
+	if s.ran {
 		return Results{}, fmt.Errorf("netsim: Run called twice")
 	}
 	if len(flows) == 0 {
@@ -222,12 +268,11 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 			return Results{}, fmt.Errorf("netsim: flow %d endpoints out of range", i)
 		}
 	}
-	s.flows = make([]flowState, len(flows))
-	s.events.reset(len(flows))
-	s.paths = make([]int32, 0, pathArenaPerFlow*len(flows))
+	s.ran = true
+	st := runPool.Get().(*runState)
+	st.reset(flows)
+	s.runState = *st
 	for i, f := range flows {
-		s.flows[i].spec = f
-		s.flows[i].fct = -1
 		s.push(f.StartNS, evStart, int32(i), 0)
 	}
 	if len(s.faultEvents) > 0 {
@@ -278,6 +323,9 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 			res.FlowsWithRTO++
 		}
 	}
+	*st = s.runState
+	s.runState = runState{}
+	runPool.Put(st)
 	return res, nil
 }
 
@@ -428,10 +476,10 @@ func (s *Simulator) enterLink(pid int32) {
 	if !l.busy {
 		l.busy = true
 		if s.tracer != nil {
-			s.tracer.OnEnqueue(s.now, id, p.flow, int(p.hop), p.isAck, p.wireSize, l.queueBytes, l.qCount)
+			s.tracer.OnEnqueue(s.now, id, p.flow, int(p.hop), p.isAck, p.wireSize, l.queueBytes, l.queued())
 			s.tracer.OnTxStart(s.now, id, p.flow, p.isAck, p.wireSize)
 		}
-		s.push(s.now+l.txTimeNS(p.wireSize), evTxDone, id, uint32(pid))
+		s.push(s.now+s.txTimeNS(l, p.wireSize), evTxDone, id, uint32(pid))
 		return
 	}
 	if !s.enqueue(l, pid) {
@@ -445,7 +493,7 @@ func (s *Simulator) enterLink(pid int32) {
 		return
 	}
 	if s.tracer != nil {
-		s.tracer.OnEnqueue(s.now, id, p.flow, int(p.hop), p.isAck, p.wireSize, l.queueBytes, l.qCount)
+		s.tracer.OnEnqueue(s.now, id, p.flow, int(p.hop), p.isAck, p.wireSize, l.queueBytes, l.queued())
 	}
 }
 
@@ -468,7 +516,7 @@ func (s *Simulator) txDone(linkID, pid int32) {
 		if s.tracer != nil {
 			s.tracer.OnTxStart(s.now, linkID, next.flow, next.isAck, next.wireSize)
 		}
-		s.push(s.now+l.txTimeNS(next.wireSize), evTxDone, linkID, uint32(nid))
+		s.push(s.now+s.txTimeNS(l, next.wireSize), evTxDone, linkID, uint32(nid))
 	} else {
 		l.busy = false
 	}
@@ -720,5 +768,5 @@ func (s *Simulator) NumLinks() int { return len(s.links) }
 // per second — the denominator for turning observed tx bytes into
 // utilization. Gray-failure rate derating does not change the nominal rate.
 func (s *Simulator) LinkRateBps(id int32) float64 {
-	return s.links[id].nominalBytesPerNS * 8e9
+	return s.nominalBytesPerNS(id) * 8e9
 }

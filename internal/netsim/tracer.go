@@ -68,7 +68,7 @@ type Tracer interface {
 // error, never a silent replacement — a displaced invariant auditor would
 // report a clean run it did not watch.
 func (s *Simulator) SetTracer(t Tracer) error {
-	if len(s.flows) != 0 {
+	if s.ran {
 		return fmt.Errorf("netsim: SetTracer after Run")
 	}
 	if t != nil && s.tracer != nil {
@@ -121,13 +121,13 @@ func (s *Simulator) SelfAudit() []string {
 			bytes += int64(s.pkt(id).wireSize)
 			n++
 			last = id
-			if n > l.qCount+1 {
+			if n > l.queued()+1 {
 				// Cycle or runaway chain: stop walking.
 				out = append(out, fmt.Sprintf("link %d: FIFO chain exceeds qCount=%d", i, l.qCount))
 				break
 			}
 		}
-		if n != l.qCount {
+		if n != l.queued() {
 			out = append(out, fmt.Sprintf("link %d: qCount=%d but FIFO holds %d packets", i, l.qCount, n))
 		}
 		if bytes != l.queueBytes {

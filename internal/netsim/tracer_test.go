@@ -28,9 +28,11 @@ func (c *countTracer) OnStateChange(int64, int32, bool, float64, float64)       
 // allocations: a run with no tracer must allocate exactly as much as the
 // same run observed by an allocation-free tracer, proving the hooks pass
 // scalars only and the nil check is the whole cost of the feature. The
-// absolute hot-path count is pinned separately by TestRunAllocsPin (at most
-// 416 allocs).
+// absolute hot-path count is pinned separately by TestRunAllocsPin.
 func TestNilTracerAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
 	g := pairFabric(t, 2, 4)
 	var flows []workload.Flow
 	for i := 0; i < 12; i++ {

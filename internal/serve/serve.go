@@ -110,8 +110,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // response writer errors are the client's problem
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+// writeError answers r with code and a JSON error body. A status of 500
+// or above is the server's failure rather than the client's, so it is
+// also logged through logf when New was given one.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if code >= http.StatusInternalServerError && s.logf != nil {
+		s.logf("serve: %s %s: %d %s", r.Method, r.URL.Path, code, msg)
+	}
+	writeJSON(w, code, errorResponse{Error: msg})
 }
 
 // submit decodes a spec and hands it to the manager. Cache hits return 200
@@ -120,18 +127,18 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		s.writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
 		return
 	}
 	var sp jobs.Spec
 	dec := json.NewDecoder(strings.NewReader(string(body)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding spec: %v", err)
+		s.writeError(w, r, http.StatusBadRequest, "decoding spec: %v", err)
 		return
 	}
 	j, cached, err := s.m.Submit(sp)
@@ -140,17 +147,17 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		// Shed by admission control: the queue still has headroom, so this
 		// is the polite 429 clients should back off on.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		s.writeError(w, r, http.StatusTooManyRequests, "%v", err)
 		return
 	case err == jobs.ErrQueueFull:
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		s.writeError(w, r, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err == jobs.ErrDraining:
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		s.writeError(w, r, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	code := http.StatusAccepted
@@ -164,7 +171,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool
 	id := r.PathValue("id")
 	j, ok := s.m.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		s.writeError(w, r, http.StatusNotFound, "no job %q", id)
 		return nil, false
 	}
 	return j, true
@@ -184,7 +191,7 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.m.Cancel(j.ID) {
-		writeError(w, http.StatusConflict, "job %s already %s", j.ID, j.State())
+		s.writeError(w, r, http.StatusConflict, "job %s already %s", j.ID, j.State())
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Status())
@@ -360,7 +367,7 @@ func (s *Server) telemetry(w http.ResponseWriter, r *http.Request) {
 	if ms := r.URL.Query().Get("interval_ms"); ms != "" {
 		v, err := strconv.Atoi(ms)
 		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "bad interval_ms %q", ms)
+			s.writeError(w, r, http.StatusBadRequest, "bad interval_ms %q", ms)
 			return
 		}
 		if v < 10 {
@@ -372,7 +379,7 @@ func (s *Server) telemetry(w http.ResponseWriter, r *http.Request) {
 	if fs := r.URL.Query().Get("frames"); fs != "" {
 		v, err := strconv.Atoi(fs)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad frames %q", fs)
+			s.writeError(w, r, http.StatusBadRequest, "bad frames %q", fs)
 			return
 		}
 		maxFrames = v
@@ -419,7 +426,7 @@ func (s *Server) heatmap(w http.ResponseWriter, r *http.Request) {
 	if ls := r.URL.Query().Get("links"); ls != "" {
 		v, err := strconv.Atoi(ls)
 		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "bad links %q", ls)
+			s.writeError(w, r, http.StatusBadRequest, "bad links %q", ls)
 			return
 		}
 		maxLinks = v
@@ -429,19 +436,19 @@ func (s *Server) heatmap(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		entries := s.m.Hub().Snapshot()
 		if len(entries) != 1 {
-			writeError(w, http.StatusNotFound, "%d telemetry-enabled jobs running; pass ?job=", len(entries))
+			s.writeError(w, r, http.StatusNotFound, "%d telemetry-enabled jobs running; pass ?job=", len(entries))
 			return
 		}
 		id = entries[0].ID
 	}
 	rec = s.m.Hub().Get(id)
 	if rec == nil {
-		writeError(w, http.StatusNotFound, "no live telemetry for job %q", id)
+		s.writeError(w, r, http.StatusNotFound, "no live telemetry for job %q", id)
 		return
 	}
 	sn := rec.Snapshot()
 	if sn.Mixed {
-		writeError(w, http.StatusConflict, "job %q merged mixed fabric shapes; no per-link series", id)
+		s.writeError(w, r, http.StatusConflict, "job %q merged mixed fabric shapes; no per-link series", id)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
@@ -456,17 +463,17 @@ func (s *Server) heatmap(w http.ResponseWriter, r *http.Request) {
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if !store.ValidKey(hash) {
-		writeError(w, http.StatusBadRequest, "malformed hash %q", hash)
+		s.writeError(w, r, http.StatusBadRequest, "malformed hash %q", hash)
 		return
 	}
 	st := s.m.Store()
 	if st == nil {
-		writeError(w, http.StatusNotFound, "no result store configured")
+		s.writeError(w, r, http.StatusNotFound, "no result store configured")
 		return
 	}
 	e, ok := st.Get(hash)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no result for %s", hash)
+		s.writeError(w, r, http.StatusNotFound, "no result for %s", hash)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

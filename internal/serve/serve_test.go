@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,12 +20,18 @@ import (
 
 func testServer(t *testing.T, cfg jobs.Config) (*httptest.Server, *jobs.Manager) {
 	t.Helper()
+	return testServerLogging(t, cfg, nil)
+}
+
+// testServerLogging is testServer with logf handed to New.
+func testServerLogging(t *testing.T, cfg jobs.Config, logf func(format string, args ...any)) (*httptest.Server, *jobs.Manager) {
+	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := jobs.New(st, cfg)
-	ts := httptest.NewServer(New(m, nil))
+	ts := httptest.NewServer(New(m, logf))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -247,7 +254,15 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 func TestQueueFullMapsTo503(t *testing.T) {
-	ts, m := testServer(t, jobs.Config{QueueDepth: 1, Executors: 1})
+	// The server logs its 5xx answers, and only those, through logf.
+	var mu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	ts, m := testServerLogging(t, jobs.Config{QueueDepth: 1, Executors: 1}, logf)
 	// Slow specs (many trials) so neither job finishes during the test.
 	spec := func(seed int) string {
 		s := strings.Replace(tinySpecJSON, `"trials":2`, `"trials":500`, 1)
@@ -280,6 +295,11 @@ func TestQueueFullMapsTo503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
+	mu.Lock()
+	if len(logged) != 1 || !strings.Contains(logged[0], "503") || !strings.Contains(logged[0], "POST /v1/jobs") {
+		t.Errorf("logf got %q, want one line naming the 503 on POST /v1/jobs", logged)
+	}
+	mu.Unlock()
 	// Cancel the slow jobs so cleanup's Drain returns promptly.
 	m.Cancel(sub1.Job)
 	m.Cancel(sub2.Job)

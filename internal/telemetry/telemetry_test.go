@@ -41,6 +41,9 @@ func crossFlows(n int, sizeBytes int64) []workload.Flow {
 // as much as the same run with no tracer. This is the AllocsPerRun twin of
 // the nil-tracer pin in netsim (TestNilTracerAddsNoAllocs).
 func TestTelemetryAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; CI pins this in a non-race step")
+	}
 	g := pairFabric(t, 2, 4)
 	flows := crossFlows(12, 40e3)
 
