@@ -33,13 +33,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"spineless/internal/jobs"
@@ -135,7 +135,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sp jobs.Spec
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "decoding spec: %v", err)

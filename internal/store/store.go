@@ -553,11 +553,13 @@ func Memoize[T any](c *Cache, label string, spec any, compute func() (T, error))
 		}
 	}()
 	var zero T
-	cell := toolSpec{Tool: c.tool, Spec: spec}
-	hash, err := Key(cell)
+	// One canonical encoding serves as the key's preimage and, on a miss,
+	// as the spec Put archives.
+	specRaw, err := Canonical(toolSpec{Tool: c.tool, Spec: spec})
 	if err != nil {
 		return zero, OutcomeBypass, err
 	}
+	hash := keyOf(specRaw)
 	if e, ok := c.st.Get(hash); ok {
 		var hit T
 		if err := json.Unmarshal(e.Result, &hit); err == nil {
@@ -569,10 +571,6 @@ func Memoize[T any](c *Cache, label string, spec any, compute func() (T, error))
 	v, err = compute()
 	if err != nil {
 		return zero, OutcomeMiss, err
-	}
-	specRaw, err := Canonical(cell)
-	if err != nil {
-		return v, OutcomeUncacheable, nil
 	}
 	resRaw, err := json.Marshal(v)
 	if err != nil {

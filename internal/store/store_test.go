@@ -68,8 +68,15 @@ func TestCanonicalPreservesBigInt64(t *testing.T) {
 }
 
 func TestCanonicalRejectsTrailingGarbage(t *testing.T) {
-	if _, err := CanonicalBytes([]byte(`{"a":1} extra`)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	// A stray closing bracket is trailing data too: "{}]" must not
+	// canonicalize to "{}", nor "[1,2]}" to "[1,2]".
+	for _, in := range []string{`{"a":1} extra`, `{}]`, `[1,2]}`, `{}}`, `[]]`, `1]`, `{} {}`, `"a"}`} {
+		if c, err := CanonicalBytes([]byte(in)); err == nil {
+			t.Errorf("CanonicalBytes(%q) = %q: trailing data accepted", in, c)
+		}
+		if c, err := canonicalReference([]byte(in)); err == nil {
+			t.Errorf("canonicalReference(%q) = %q: trailing data accepted", in, c)
+		}
 	}
 }
 
