@@ -171,11 +171,12 @@ func BenchmarkFig5_SmallSU2_Workers1(b *testing.B)   { benchFig5(b, "su2", false
 func BenchmarkFig5_SmallSU2_WorkersMax(b *testing.B) { benchFig5(b, "su2", false, 0) }
 
 // TestFig5SmallSU2Allocs pins the three BenchmarkFig5_SmallSU2 variants,
-// which differ only in worker count, at one worker: 436 allocs and 191 KB
-// when set (flowsim routes every flow into one pooled path arena, and each
-// traffic matrix is one backing array).
+// which differ only in worker count, at one worker: 236 allocs and 188 KB
+// when set (flowsim routes every flow into one pooled path arena, each
+// traffic matrix is one backing array, and the C-S model packs each host
+// set into one slice sized up front).
 func TestFig5SmallSU2Allocs(t *testing.T) {
-	allocPin(t, 3, 480, 210_100, fig5Run(t, "su2", false, 1))
+	allocPin(t, 3, 260, 206_800, fig5Run(t, "su2", false, 1))
 }
 
 // BenchmarkFig6 runs a two-point scale sweep (DRing vs matched RRG).

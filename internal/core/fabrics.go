@@ -32,28 +32,21 @@ type FabricSet struct {
 // supernodes <= 0 to pick the count that best matches the leaf-spine's
 // server total, which is how the paper chose 12.
 func BuildFabrics(spec topology.LeafSpineSpec, supernodes int, rng *rand.Rand) (*FabricSet, error) {
-	ls, err := topology.LeafSpine(spec)
+	ls, err := leafSpineFabric(spec)
 	if err != nil {
-		return nil, fmt.Errorf("core: leaf-spine: %w", err)
+		return nil, err
 	}
-	rrg, err := topology.Flatten(ls, rng)
+	rrg, err := rrgFabric(ls, rng)
 	if err != nil {
-		return nil, fmt.Errorf("core: flat rewiring: %w", err)
+		return nil, err
 	}
-	rrg.Name = fmt.Sprintf("rrg(%s)", ls.Name)
-	if supernodes <= 0 {
-		supernodes = AutoSupernodes(spec)
-	}
-	dspec := topology.BalancedDRing(spec.Switches(), supernodes, spec.Radix())
-	// Feasibility: every ToR needs at least one server port. Grow the ring
-	// (smaller supernodes → smaller network degree) until it fits.
-	for dspec.Validate() != nil && supernodes < spec.Switches() {
-		supernodes++
-		dspec = topology.BalancedDRing(spec.Switches(), supernodes, spec.Radix())
-	}
-	dr, err := topology.DRing(dspec)
+	dspec, err := dringSpec(spec, supernodes)
 	if err != nil {
-		return nil, fmt.Errorf("core: dring: %w", err)
+		return nil, err
+	}
+	dr, err := dringFabric(dspec)
+	if err != nil {
+		return nil, err
 	}
 	return &FabricSet{
 		LeafSpineSpec: spec,
@@ -64,10 +57,58 @@ func BuildFabrics(spec topology.LeafSpineSpec, supernodes int, rng *rand.Rand) (
 	}, nil
 }
 
+// leafSpineFabric, rrgFabric, dringSpec and dringFabric are the trio's
+// construction steps, shared by BuildFabrics and TrioFabric.
+func leafSpineFabric(spec topology.LeafSpineSpec) (*topology.Graph, error) {
+	ls, err := topology.LeafSpine(spec)
+	if err != nil {
+		return nil, fmt.Errorf("core: leaf-spine: %w", err)
+	}
+	return ls, nil
+}
+
+// rrgFabric is the flat rewiring of ls's equipment (§5.1).
+func rrgFabric(ls *topology.Graph, rng *rand.Rand) (*topology.Graph, error) {
+	rrg, err := topology.Flatten(ls, rng)
+	if err != nil {
+		return nil, fmt.Errorf("core: flat rewiring: %w", err)
+	}
+	rrg.Name = fmt.Sprintf("rrg(%s)", ls.Name)
+	return rrg, nil
+}
+
+// dringSpec arranges spec's switches into a DRing of the given number of
+// supernodes (AutoSupernodes when <= 0) and reports whether it is
+// feasible.
+func dringSpec(spec topology.LeafSpineSpec, supernodes int) (topology.DRingSpec, error) {
+	if supernodes <= 0 {
+		supernodes = AutoSupernodes(spec)
+	}
+	dspec := topology.BalancedDRing(spec.Switches(), supernodes, spec.Radix())
+	// Feasibility: every ToR needs at least one server port. Grow the ring
+	// (smaller supernodes → smaller network degree) until it fits.
+	for dspec.Validate() != nil && supernodes < spec.Switches() {
+		supernodes++
+		dspec = topology.BalancedDRing(spec.Switches(), supernodes, spec.Radix())
+	}
+	if err := dspec.Validate(); err != nil {
+		return dspec, fmt.Errorf("core: dring: %w", err)
+	}
+	return dspec, nil
+}
+
+func dringFabric(dspec topology.DRingSpec) (*topology.Graph, error) {
+	dr, err := topology.DRing(dspec)
+	if err != nil {
+		return nil, fmt.Errorf("core: dring: %w", err)
+	}
+	return dr, nil
+}
+
 // PaperFabrics builds the exact §5.1 configuration: leaf-spine(48,16) and
 // its 12-supernode DRing and RRG rewirings.
 func PaperFabrics(rng *rand.Rand) (*FabricSet, error) {
-	return BuildFabrics(topology.PaperLeafSpine, 12, rng)
+	return TrioFabrics(true, 0, rng)
 }
 
 // AutoSupernodes picks the supernode count whose DRing server total best
@@ -94,21 +135,63 @@ func AutoSupernodes(spec topology.LeafSpineSpec) int {
 // TrioFabrics builds the §5.1 trio the drivers and the job runner share:
 // PaperFabrics when paper is set, else ScaledFabrics(factor).
 func TrioFabrics(paper bool, factor int, rng *rand.Rand) (*FabricSet, error) {
-	if paper {
-		return PaperFabrics(rng)
+	spec, supernodes, err := trioBudget(paper, factor)
+	if err != nil {
+		return nil, err
 	}
-	return ScaledFabrics(factor, rng)
+	return BuildFabrics(spec, supernodes, rng)
 }
 
 // ScaledFabrics builds a proportionally scaled-down trio that preserves the
 // 3:1 oversubscription and the DRing geometry, for fast tests and benches.
 // factor 4 yields leaf-spine(12,4): 16 racks, 192 servers, 20 switches.
 func ScaledFabrics(factor int, rng *rand.Rand) (*FabricSet, error) {
-	if factor < 1 || 48%factor != 0 || 16%factor != 0 {
-		return nil, fmt.Errorf("core: scale factor %d must divide 48 and 16", factor)
+	return TrioFabrics(false, factor, rng)
+}
+
+// trioBudget is the leaf-spine spec and supernode count TrioFabrics builds
+// on: the paper's leaf-spine(48,16) with 12 supernodes, or
+// leaf-spine(48/factor, 16/factor) with AutoSupernodes.
+func trioBudget(paper bool, factor int) (topology.LeafSpineSpec, int, error) {
+	if paper {
+		return topology.PaperLeafSpine, 12, nil
 	}
-	spec := topology.LeafSpineSpec{X: 48 / factor, Y: 16 / factor}
-	return BuildFabrics(spec, 0, rng)
+	if factor < 1 || 48%factor != 0 || 16%factor != 0 {
+		return topology.LeafSpineSpec{}, 0, fmt.Errorf("core: scale factor %d must divide 48 and 16", factor)
+	}
+	return topology.LeafSpineSpec{X: 48 / factor, Y: 16 / factor}, 0, nil
+}
+
+// TrioFabric builds the one fabric that
+// TrioFabrics(paper, factor, rand.New(rand.NewSource(seed))).Fabric(name, seed)
+// returns — the same graph from the same random numbers — without building
+// the rest of the trio, and returns the trio's leaf-spine spec, whose
+// equipment budget and spine capacity (workload.SpineCapacityBps) the
+// fabric is measured against. A budget whose DRing is infeasible fails for
+// every name, as TrioFabrics does.
+func TrioFabric(paper bool, factor int, name string, seed int64) (*topology.Graph, topology.LeafSpineSpec, error) {
+	spec, supernodes, err := trioBudget(paper, factor)
+	if err != nil {
+		return nil, spec, err
+	}
+	dspec, err := dringSpec(spec, supernodes)
+	if err != nil {
+		return nil, spec, err
+	}
+	var g *topology.Graph
+	switch name {
+	case "leafspine":
+		g, err = leafSpineFabric(spec)
+	case "rrg":
+		if g, err = leafSpineFabric(spec); err == nil {
+			g, err = rrgFabric(g, rand.New(rand.NewSource(seed)))
+		}
+	case "dring":
+		g, err = dringFabric(dspec)
+	default:
+		g, err = budgetFabric(spec, name, seed)
+	}
+	return g, spec, err
 }
 
 // FlatFabricNames lists the flat topologies FlatFabric can build beyond the
@@ -118,6 +201,16 @@ var FlatFabricNames = []string{"xpander", "debruijn", "rng"}
 // fabricNames is every name (*FabricSet).Fabric builds; OnDRing builds all
 // of them but "leafspine".
 var fabricNames = append([]string{"leafspine", "dring", "rrg"}, FlatFabricNames...)
+
+// seededFabrics are the fabricNames whose builder draws from an rng, so
+// that their wiring depends on the seed; the others are fixed by their
+// equipment budget alone. A new fabric must be listed here or not, and
+// TestSeededFabrics holds the list to what the builders do.
+var seededFabrics = []string{"rrg", "xpander", "rng"}
+
+// FabricSeeded reports whether the named fabric's wiring depends on the
+// seed it is built with.
+func FabricSeeded(name string) bool { return slices.Contains(seededFabrics, name) }
 
 // Fabric returns the named fabric on the set's equipment budget: the trio's
 // own "leafspine", "dring" or "rrg", or a FlatFabricNames fabric built by
@@ -235,7 +328,11 @@ func FlatFabric(name string, switches, ports, servers int, rng *rand.Rand) (*top
 // and server total — from a fresh rand.NewSource(seed). This is how
 // Fabric extends the §5.1 trio to the bake-off five.
 func ExtraFabric(fs *FabricSet, name string, seed int64) (*topology.Graph, error) {
-	spec := fs.LeafSpineSpec
+	return budgetFabric(fs.LeafSpineSpec, name, seed)
+}
+
+// budgetFabric is ExtraFabric on a leaf-spine spec.
+func budgetFabric(spec topology.LeafSpineSpec, name string, seed int64) (*topology.Graph, error) {
 	return FlatFabric(name, spec.Switches(), spec.Radix(), spec.TotalServers(), rand.New(rand.NewSource(seed)))
 }
 

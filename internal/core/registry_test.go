@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -228,6 +229,69 @@ func TestCheckCombo(t *testing.T) {
 	} {
 		if err := CheckCombo(tc.fabric, tc.scheme); (err == nil) != tc.ok {
 			t.Errorf("CheckCombo(%q, %q) error = %v, want ok=%v", tc.fabric, tc.scheme, err, tc.ok)
+		}
+	}
+}
+
+// trioBudgets is every budget TrioFabrics accepts: the paper's, and each
+// scale factor dividing 48 and 16.
+var trioBudgets = []struct {
+	paper  bool
+	factor int
+}{{true, 0}, {false, 1}, {false, 2}, {false, 4}, {false, 8}, {false, 16}}
+
+// TestTrioFabricMatchesTrio: the single-fabric build returns, for every
+// registry name on every trio budget, exactly the graph the whole trio's
+// Fabric returns — or the same error, as on the scale-16 budget, whose
+// DRing is infeasible.
+func TestTrioFabricMatchesTrio(t *testing.T) {
+	for _, b := range trioBudgets {
+		for _, seed := range []int64{1, 2} {
+			fs, trioErr := TrioFabrics(b.paper, b.factor, rand.New(rand.NewSource(seed)))
+			for _, name := range append(slices.Clone(fabricNames), "mesh") {
+				got, spec, err := TrioFabric(b.paper, b.factor, name, seed)
+				want, wantErr := (*topology.Graph)(nil), trioErr
+				if trioErr == nil {
+					want, wantErr = fs.Fabric(name, seed)
+					if spec != fs.LeafSpineSpec {
+						t.Errorf("paper=%v scale %d %s: budget %+v, want %+v", b.paper, b.factor, name, spec, fs.LeafSpineSpec)
+					}
+				}
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("paper=%v scale %d %s seed %d: error %v, want %v", b.paper, b.factor, name, seed, err, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("paper=%v scale %d %s seed %d: %v differs from the trio's %v", b.paper, b.factor, name, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSeededFabrics holds seededFabrics to the builders: a listed fabric
+// is wired differently under two seeds on some budget, and an unlisted
+// one identically on every budget.
+func TestSeededFabrics(t *testing.T) {
+	for _, name := range seededFabrics {
+		if !slices.Contains(fabricNames, name) {
+			t.Errorf("seededFabrics lists %q, which is no registry fabric", name)
+		}
+	}
+	for _, name := range fabricNames {
+		differs := false
+		for _, b := range trioBudgets[:5] {
+			g1, _, err := TrioFabric(b.paper, b.factor, name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g2, _, err := TrioFabric(b.paper, b.factor, name, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			differs = differs || !reflect.DeepEqual(g1, g2)
+		}
+		if differs != FabricSeeded(name) {
+			t.Errorf("%s: wiring depends on the seed = %v, FabricSeeded = %v", name, differs, FabricSeeded(name))
 		}
 	}
 }

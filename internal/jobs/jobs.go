@@ -138,11 +138,18 @@ type Metrics struct {
 	ByState       map[State]uint64 // terminal tallies plus current pending/running
 	CacheHits     uint64
 	CacheMisses   uint64
-	Audits        uint64
-	AuditSkipped  uint64
-	AuditMismatch uint64
-	SimEvents     uint64
-	BusySeconds   float64
+	// FabricHits, FabricMisses and FabricEvictions count the fabric
+	// cache's lookups that found a built fabric and scheme, those that
+	// built one, and the entries it dropped to stay within its bound: a
+	// cold job's latency is bimodal in whether its fabric was a hit.
+	FabricHits      uint64
+	FabricMisses    uint64
+	FabricEvictions uint64
+	Audits          uint64
+	AuditSkipped    uint64
+	AuditMismatch   uint64
+	SimEvents       uint64
+	BusySeconds     float64
 	// LatencyBuckets[i] counts completed jobs with run latency ≤
 	// LatencyBoundsMS[i] (cumulative, Prometheus histogram convention);
 	// the final bucket is +Inf.
@@ -160,6 +167,9 @@ type Manager struct {
 	st  *store.Store
 	cfg Config
 	hub *telemetry.Hub
+	// fabrics holds the fabrics and schemes recent fct jobs built; the
+	// executors share it and audits bypass it.
+	fabrics fabricCache
 
 	ctx    context.Context
 	stop   context.CancelFunc
@@ -425,9 +435,9 @@ func (m *Manager) runJob(j *Job) {
 	}
 
 	start := time.Now()
-	res, err := Execute(ctx, j.Spec, m.cfg.TrialWorkers, rec, func(done, total int) {
+	res, err := execute(ctx, j.Spec, m.cfg.TrialWorkers, rec, func(done, total int) {
 		j.progress(done, total)
-	})
+	}, &m.fabrics)
 	elapsed := time.Since(start)
 	cancel()
 
@@ -477,10 +487,12 @@ func (m *Manager) runJob(j *Job) {
 }
 
 // maybeAudit re-executes every cfg.AuditEvery-th cache hit in the
-// background and compares the fresh bytes to the stored entry. The check
-// runs outside the bounded queue so user submissions are never displaced,
-// but at most one audit runs at a time (later triggers are skipped and
-// counted while one is active).
+// background and compares the fresh bytes to the stored entry. The
+// re-execution builds its fabric afresh (Execute, not the fabric cache),
+// so it stays a recomputation independent of anything a cache served. The
+// check runs outside the bounded queue so user submissions are never
+// displaced, but at most one audit runs at a time (later triggers are
+// skipped and counted while one is active).
 func (m *Manager) maybeAudit(hitNo uint64, hash string, sp Spec) {
 	if m.cfg.AuditEvery <= 0 || m.st == nil || hitNo%uint64(m.cfg.AuditEvery) != 0 {
 		return
@@ -585,6 +597,7 @@ func (m *Manager) Snapshot() Metrics {
 		}
 	}
 
+	fabHits, fabMisses, fabEvictions := m.fabrics.counts()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for s, n := range m.terminals {
@@ -606,6 +619,9 @@ func (m *Manager) Snapshot() Metrics {
 		ByState:         by,
 		CacheHits:       m.hits,
 		CacheMisses:     m.misses,
+		FabricHits:      fabHits,
+		FabricMisses:    fabMisses,
+		FabricEvictions: fabEvictions,
 		Audits:          m.audits,
 		AuditSkipped:    m.auditSkip,
 		AuditMismatch:   m.auditBad,

@@ -10,6 +10,7 @@ import (
 	"spineless/internal/resilience"
 	"spineless/internal/telemetry"
 	"spineless/internal/topology"
+	"spineless/internal/workload"
 )
 
 // Result is the JSON document a job commits to the store: exactly one of
@@ -37,11 +38,17 @@ func (r Result) SimEvents() uint64 {
 // progress from the trial loop; ctx cancels between trials. None of
 // workers, rec, onTrial or ctx can affect the result of a run that
 // completes — that is the determinism contract the result cache relies on,
-// and observation is the one side effect it permits.
+// and observation is the one side effect it permits. Execute builds its
+// fabric afresh; a Manager's executors take theirs from its fabric cache.
 func Execute(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int)) (Result, error) {
+	return execute(ctx, sp, workers, rec, onTrial, nil)
+}
+
+// execute is Execute with fct fabrics taken from fc (nil: built afresh).
+func execute(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int), fc *fabricCache) (Result, error) {
 	switch sp.Kind {
 	case "fct":
-		res, err := executeFCT(ctx, sp, workers, rec, onTrial)
+		res, err := executeFCT(ctx, sp, workers, rec, onTrial, fc)
 		if err != nil {
 			return Result{}, err
 		}
@@ -56,18 +63,8 @@ func Execute(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder,
 	return Result{}, fmt.Errorf("jobs: unknown kind %q", sp.Kind)
 }
 
-func executeFCT(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int)) (*core.FCTResult, error) {
-	fs, err := core.TrioFabrics(sp.Topo.Paper, sp.Topo.Scale, rand.New(rand.NewSource(sp.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	// Flat fabrics are seeded from the spec, so the wiring is part of the
-	// cell identity.
-	fabric, err := fs.Fabric(sp.Fabric, sp.Seed)
-	if err != nil {
-		return nil, err
-	}
-	combo, err := core.NewCombo(sp.Fabric+" ("+sp.Scheme+")", fabric, sp.Scheme)
+func executeFCT(ctx context.Context, sp Spec, workers int, rec *telemetry.Recorder, onTrial func(done, total int), fc *fabricCache) (*core.FCTResult, error) {
+	b, err := fc.get(fabricKeyOf(sp), func() (builtFabric, error) { return buildFabric(sp) })
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +78,8 @@ func executeFCT(ctx context.Context, sp Spec, workers int, rec *telemetry.Record
 	cfg.Ctx = ctx
 	cfg.OnTrial = onTrial
 	cfg.Telemetry = rec
-	res, err := core.RunFCT(fs, combo, core.TMKind(sp.TM), cfg)
+	cfg.CapacityBps = workload.SpineCapacityBps(b.budget, cfg.Net.LinkRateBps)
+	res, err := core.RunFCT(nil, b.combo, core.TMKind(sp.TM), cfg)
 	if err != nil {
 		return nil, err
 	}

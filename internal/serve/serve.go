@@ -141,6 +141,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "decoding spec: %v", err)
 		return
 	}
+	// One document, nothing after it but white space: Token reports a
+	// stray delimiter as an error and a second value as a token.
+	if _, err := dec.Token(); err != io.EOF {
+		s.writeError(w, r, http.StatusBadRequest, "decoding spec: data after the spec")
+		return
+	}
 	j, cached, err := s.m.Submit(sp)
 	switch {
 	case err == jobs.ErrOverloaded:
@@ -513,6 +519,9 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 
 	counter("spinelessd_cache_hits_total", "Submissions served from the result store.", float64(snap.CacheHits))
 	counter("spinelessd_cache_misses_total", "Submissions that had to run.", float64(snap.CacheMisses))
+	counter("spinelessd_fabric_cache_hits_total", "Fct jobs that found their fabric and routing scheme built.", float64(snap.FabricHits))
+	counter("spinelessd_fabric_cache_misses_total", "Fct jobs that built their fabric and routing scheme.", float64(snap.FabricMisses))
+	counter("spinelessd_fabric_cache_evictions_total", "Built fabrics dropped to keep the fabric cache within its bound.", float64(snap.FabricEvictions))
 	counter("spinelessd_audit_runs_total", "Sampled cache-hit re-executions completed.", float64(snap.Audits))
 	counter("spinelessd_audit_skipped_total", "Audits skipped because one was already running.", float64(snap.AuditSkipped))
 	counter("spinelessd_audit_mismatch_total", "Audits whose re-execution differed from the stored result.", float64(snap.AuditMismatch))

@@ -188,6 +188,8 @@ func TestEndToEndSubmitStreamFetchResubmit(t *testing.T) {
 	for _, want := range []string{
 		"spinelessd_cache_hits_total 1",
 		"spinelessd_cache_misses_total 1",
+		"spinelessd_fabric_cache_misses_total 1",
+		"spinelessd_fabric_cache_hits_total 0",
 		"spinelessd_jobs_submitted_total 1",
 		"spinelessd_job_latency_ms_count 1",
 		"spinelessd_store_entries 1",
@@ -230,6 +232,16 @@ func TestSubmitErrors(t *testing.T) {
 	code, _ = postSpec(t, ts, `not json`)
 	if code != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d", code)
+	}
+	// One spec per body: a stray closing bracket or a second document
+	// after it is malformed, white space is not.
+	for _, body := range []string{tinySpecJSON + "]} garbage", tinySpecJSON + "]", tinySpecJSON + " {}"} {
+		if code, _ := postSpec(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("%q: status %d", body, code)
+		}
+	}
+	if code, _ := postSpec(t, ts, tinySpecJSON+" \n"); code != http.StatusAccepted {
+		t.Errorf("spec with trailing white space: status %d", code)
 	}
 	// Scheme names are vetted at submit, before any fabric is built.
 	for _, spec := range []string{

@@ -46,6 +46,7 @@ func CSModel(g *topology.Graph, nClients, nServers int, rng *rand.Rand) (CSSets,
 // want hosts are placed. It returns the host ids and the next unconsumed
 // position in order.
 func packHosts(g *topology.Graph, racks []int, order []int, from, want int) (hosts []int, next int, err error) {
+	hosts = make([]int, 0, want)
 	i := from
 	for want > 0 {
 		if i >= len(order) {
