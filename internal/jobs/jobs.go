@@ -320,11 +320,18 @@ func (m *Manager) Submit(sp Spec) (*Job, bool, error) {
 		return nil, false, ErrQueueFull
 	}
 
+	// An executor may already have run and settled j. Under j.mu, settle
+	// has either happened (j stays out of the singleflight set, which would
+	// otherwise hold a finished job forever) or will find j there.
+	j.mu.Lock()
 	m.mu.Lock()
 	m.submitted++
 	m.jobs[j.ID] = j
-	m.inflight[hash] = j
+	if !j.state.Terminal() {
+		m.inflight[hash] = j
+	}
 	m.mu.Unlock()
+	j.mu.Unlock()
 	m.logf("job %s: queued %s kind=%s", j.ID, shortHash(hash), sp.Kind)
 	return j, false, nil
 }
@@ -578,8 +585,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 
 // Snapshot returns current metrics.
 func (m *Manager) Snapshot() Metrics {
-	// Lock order is j.mu → m.mu (settleLocked); collect the job list under
-	// m.mu, then query states unlocked, to avoid inverting it.
+	// Lock order is j.mu → m.mu (settleLocked, Submit); collect the job
+	// list under m.mu, then query states unlocked, to avoid inverting it.
 	m.mu.Lock()
 	live := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
@@ -774,6 +781,17 @@ func (j *Job) settleLocked(st State, result json.RawMessage, errMsg string) {
 	if st == StateDone && j.total > j.done {
 		j.done = j.total
 	}
+	// Release the singleflight slot before anyone can see the job settle,
+	// so a spec resubmitted after its terminal event runs (or hits the
+	// store) rather than joining this finished job.
+	m := j.m
+	m.mu.Lock()
+	if m.inflight[j.Hash] == j {
+		delete(m.inflight, j.Hash)
+	}
+	m.terminals[st]++
+	m.mu.Unlock()
+
 	ev := j.eventLocked()
 	for id, ch := range j.subs {
 		select {
@@ -794,12 +812,4 @@ func (j *Job) settleLocked(st State, result json.RawMessage, errMsg string) {
 		delete(j.subs, id)
 	}
 	close(j.terminal)
-
-	m := j.m
-	m.mu.Lock()
-	if m.inflight[j.Hash] == j {
-		delete(m.inflight, j.Hash)
-	}
-	m.terminals[st]++
-	m.mu.Unlock()
 }

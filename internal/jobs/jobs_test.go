@@ -241,6 +241,33 @@ func TestSubmitRunHitDedup(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterTerminalRuns: once a job's terminal channel closes,
+// its spec no longer dedups onto it, so without a store a resubmission is
+// a new run. A job that settled before Submit registered it once stayed
+// in the singleflight set for good, and a settling job left it only after
+// its watchers were told (both show under -race -cpu 1,2,4).
+func TestResubmitAfterTerminalRuns(t *testing.T) {
+	m := New(nil, Config{Executors: 1})
+	defer m.Drain(context.Background())
+	sp := tinySpec()
+	sp.MaxFlows = 2
+	prev, _, err := m.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		waitTerminal(t, prev)
+		j, _, err := m.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == prev {
+			t.Fatalf("resubmission %d joined the settled job %s", i, j.ID)
+		}
+		prev = j
+	}
+}
+
 func TestQueueBounded(t *testing.T) {
 	// Executor 1, depth 1: with one slow job running and one queued, a
 	// third distinct submission must be rejected with ErrQueueFull.
