@@ -7,11 +7,14 @@ import (
 	"spineless/internal/topology"
 )
 
-// fabricCacheEntries bounds a Manager's fabric cache; it holds Figure 4's
-// five combos. The largest entry a spec can name is Shortest-Union(9), or
-// its weighted form, on the paper-budget Xpander: 17 MiB of heap, so the
-// cache holds at most about 136 MiB. The default Shortest-Union(2) on the
-// paper DRing is 1 MiB (DESIGN.md §10, "The fabric cache").
+// fabricCacheEntries bounds a Manager's fabric cache. An LRU cache smaller
+// than a sweep's cycle of keys rebuilds every key, so the bound must hold
+// the largest cycle the paper's sweeps make: Figure 4's five combos and the
+// bake-off's six fabrics per seed (TestFabricCacheHoldsSweeps). The largest
+// entry a spec can name is Shortest-Union(9), or its weighted form, on the
+// paper-budget Xpander: 17 MiB of heap, and eight of them held 137 MiB
+// (BenchmarkFabricTraffic's "xpander-su9"). The default Shortest-Union(2)
+// on the paper DRing is 1 MiB (DESIGN.md §10, "The fabric cache").
 const fabricCacheEntries = 8
 
 // fabricKey identifies a built fabric and routing scheme: everything

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,5 +272,117 @@ func TestWarmFabricJobAllocs(t *testing.T) {
 	t.Logf("%.0f allocs cold, %.0f warm", cold, warm)
 	if warm > 30 {
 		t.Fatalf("a warm-cache job allocates %.0f times, want <= 30", warm)
+	}
+}
+
+// fabricTraffic is the fct traffic the fabric cache is sized for, as
+// sequences of specs one Manager runs in order:
+//   - "svc-mix": the benchmark's cold job, one key whatever the seed;
+//   - "fig4": Figure 4's cells, its five fabric/scheme combos under each of
+//     the seven TMs, for two seeds: five keys per seed, cycled;
+//   - "bakeoff": every registry fabric under its native scheme for four
+//     seeds: six keys per seed, cycled, three of them seeded;
+//   - "rrg-sweep" and "xpander-sweep": a seed sweep on a seeded fabric, a
+//     new key every job;
+//   - "xpander-su9": the largest entries a spec can name, more seeds than
+//     the bound.
+func fabricTraffic(topo TopoSpec) []struct {
+	name  string
+	specs []Spec
+} {
+	fct := func(fabric, scheme, tm string, seed int64) Spec {
+		return Spec{Kind: "fct", Topo: topo, Fabric: fabric, Scheme: scheme, TM: tm,
+			Util: 0.3, WindowSec: 0.002, Seed: seed, MaxFlows: 16}
+	}
+	var svc, fig4, bakeoff, rrgs, xps, su9 []Spec
+	for s := int64(1); s <= 24; s++ {
+		svc = append(svc, fct("dring", "su2", "A2A", s))
+	}
+	for s := int64(1); s <= 2; s++ {
+		for _, tm := range []string{"A2A", "R2R", "CS-skewed", "FB-skewed", "FB-uniform", "FB-skewed-RP", "FB-uniform-RP"} {
+			for _, c := range [][2]string{{"leafspine", "ecmp"}, {"dring", "su2"}, {"rrg", "su2"}, {"dring", "ecmp"}, {"rrg", "ecmp"}} {
+				fig4 = append(fig4, fct(c[0], c[1], tm, s))
+			}
+		}
+	}
+	for s := int64(1); s <= 4; s++ {
+		for _, f := range []string{"leafspine", "dring", "rrg", "xpander", "debruijn", "rng"} {
+			bakeoff = append(bakeoff, fct(f, core.NativeScheme(f), "A2A", s))
+		}
+	}
+	for s := int64(1); s <= 20; s++ {
+		rrgs = append(rrgs, fct("rrg", "su2", "A2A", s))
+		xps = append(xps, fct("xpander", "su2", "A2A", s))
+	}
+	for s := int64(1); s <= 12; s++ {
+		su9 = append(su9, fct("xpander", "su9", "A2A", s))
+	}
+	return []struct {
+		name  string
+		specs []Spec
+	}{{"svc-mix", svc}, {"fig4", fig4}, {"bakeoff", bakeoff}, {"rrg-sweep", rrgs}, {"xpander-sweep", xps}, {"xpander-su9", su9}}
+}
+
+// TestFabricCacheHoldsSweeps: the bound holds the working set of each
+// sweep in fabricTraffic, so every key is built once. An LRU cache smaller
+// than a sweep's cycle of keys would rebuild every one of them.
+func TestFabricCacheHoldsSweeps(t *testing.T) {
+	for _, tr := range fabricTraffic(TopoSpec{Paper: true}) {
+		if tr.name != "fig4" && tr.name != "bakeoff" {
+			continue
+		}
+		var c fabricCache
+		keys := map[fabricKey]bool{}
+		for _, sp := range tr.specs {
+			k := fabricKeyOf(sp.Normalized())
+			keys[k] = true
+			if _, err := c.get(k, func() (builtFabric, error) { return builtFabric{}, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, misses, _ := c.counts(); misses != uint64(len(keys)) {
+			t.Errorf("%s: %d builds of %d keys over %d jobs", tr.name, misses, len(keys), len(tr.specs))
+		}
+	}
+}
+
+// BenchmarkFabricTraffic runs each fabricTraffic sequence at paper scale
+// through a fresh Manager. One op is the whole sequence; it reports the
+// share of jobs whose fabric was a cache hit, the time and bytes a job
+// takes, and the heap the Manager still holds afterwards (its cache).
+func BenchmarkFabricTraffic(b *testing.B) {
+	for _, tr := range fabricTraffic(TopoSpec{Paper: true}) {
+		b.Run(tr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var hits uint64
+			var retained float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				m := New(nil, Config{Executors: 1, TrialWorkers: 1})
+				for _, sp := range tr.specs {
+					j, _, err := m.Submit(sp)
+					if err != nil {
+						b.Fatal(err)
+					}
+					<-j.Terminal()
+					if j.State() != StateDone {
+						b.Fatalf("%+v: %s", sp, j.Status().Error)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				retained = float64(after.HeapInuse) - float64(before.HeapInuse)
+				hits = m.Snapshot().FabricHits
+				if err := m.Drain(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n := float64(len(tr.specs))
+			b.ReportMetric(float64(hits)/n, "hits/job")
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N)/n, "ms/job")
+			b.ReportMetric(retained/(1<<20), "retained-MiB")
+		})
 	}
 }

@@ -44,9 +44,10 @@ func CSModel(g *topology.Graph, nClients, nServers int, rng *rand.Rand) (CSSets,
 
 // packHosts fills racks (taken in the order given, starting at from) until
 // want hosts are placed. It returns the host ids and the next unconsumed
-// position in order.
+// position in order. It reserves at most the fabric's server count, so an
+// oversize want fails on capacity rather than on the allocation.
 func packHosts(g *topology.Graph, racks []int, order []int, from, want int) (hosts []int, next int, err error) {
-	hosts = make([]int, 0, want)
+	hosts = make([]int, 0, min(want, g.Servers()))
 	i := from
 	for want > 0 {
 		if i >= len(order) {

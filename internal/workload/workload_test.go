@@ -210,6 +210,14 @@ func TestCSModelErrors(t *testing.T) {
 	if _, err := CSModel(g, g.Servers(), 1, testRNG()); err == nil {
 		t.Fatal("no capacity left for servers, but accepted")
 	}
+	for _, n := range []int{g.Servers() + 1, math.MaxInt} {
+		if _, err := CSModel(g, n, 1, testRNG()); err == nil {
+			t.Fatalf("C=%d exceeds the fabric's %d servers, but accepted", n, g.Servers())
+		}
+		if _, err := CSModel(g, 1, n, testRNG()); err == nil {
+			t.Fatalf("S=%d exceeds the fabric's %d servers, but accepted", n, g.Servers())
+		}
+	}
 }
 
 func TestCSMatrixWeights(t *testing.T) {
